@@ -11,24 +11,31 @@ import (
 )
 
 // Per-visit allocation budgets for the crawl hot path, split by memo
-// state since PR 3's analysis cache:
+// state, plus the cookie-measurement visit:
 //
 //   - cached: the steady-state landscape visit — transport dispatch and
 //     a fingerprint lookup, NO parse/detect/classify. Measured 1 alloc
-//     (both kinds) since PR 10's scratch-request/adopted-header path.
+//     (both kinds), thanks to the scratch request and adopted headers.
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
-//     language, category. Measured ~62 allocs (cookiewall) / ~56
-//     (regular) with PR 10's session-owned parser arenas.
+//     language, category. Measured 34 allocs (cookiewall) / 30
+//     (regular) with the single-allocation Node.Text and the in-place
+//     eTLD+1 (62 / 56 before those two).
+//   - cookie visit: one MeasureCookies repetition in accept mode — load,
+//     click, reload with every tracker, tally the jar. Measured 457
+//     allocs on the first cookiewall domain with the zero-alloc eTLD+1
+//     and tally, single-parse subresource fetches and map-free tracker
+//     responses (1 942 before them).
 //
-// Budgets carry generous headroom for toolchain drift while still
-// failing tier-1 long before either path regresses to its previous
-// profile (PR 9 budgets: 40/30 cached, 150/125 uncached; seed
-// baseline: ~222 allocs per visit).
+// Budgets carry headroom for toolchain drift while still failing
+// tier-1 long before any path regresses to its previous profile
+// (earlier budgets: 110/100 and 150/125 uncached, 40/30 cached; the
+// first profiled visit made ~222 allocs).
 const (
 	cookiewallCachedAllocBudget   = 6
 	regularCachedAllocBudget      = 6
-	cookiewallUncachedAllocBudget = 110
-	regularUncachedAllocBudget    = 100
+	cookiewallUncachedAllocBudget = 45
+	regularUncachedAllocBudget    = 40
+	cookieVisitAllocBudget        = 600
 )
 
 // TestVisitAllocBudget pins the allocation count of the single-visit
@@ -79,5 +86,23 @@ func TestVisitAllocBudget(t *testing.T) {
 			t.Errorf("%s visit allocates %.1f, budget is %.0f — the hot path regressed",
 				tc.name, got, tc.budget)
 		}
+	}
+
+	// The cookie measurement behind Figures 4-6: load, accept, reload
+	// with every tracker, tally the jar. One site, one repetition, so
+	// each run is exactly one cookie visit.
+	c := s.Crawler()
+	visit := func() {
+		res, err := c.MeasureCookies(context.Background(), vp, "alloc budget", []string{wall}, 1, measure.ModeAccept, "")
+		if err != nil || len(res) != 1 || res[0].Err != "" || res[0].Tally.Tracking == 0 {
+			t.Fatalf("MeasureCookies(%s) = %+v, %v", wall, res, err)
+		}
+	}
+	visit()
+	got := testing.AllocsPerRun(50, visit)
+	t.Logf("cookie visit: %.1f allocs (budget %d)", got, cookieVisitAllocBudget)
+	if got > cookieVisitAllocBudget {
+		t.Errorf("cookie visit allocates %.1f, budget is %d — the measurement path regressed",
+			got, cookieVisitAllocBudget)
 	}
 }

@@ -261,20 +261,6 @@ func BenchmarkReportAll(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleVisit measures one stateless site visit including
-// detection — the crawl's unit of work.
-func BenchmarkSingleVisit(b *testing.B) {
-	s := fullScale(b)
-	domain := s.CookiewallDomains()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Analyze("Germany", domain); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDetectHTML measures the detector alone on a static page.
 func BenchmarkDetectHTML(b *testing.B) {
 	page := `<html><body><main><p>Nachrichten über Politik und Sport.</p></main>

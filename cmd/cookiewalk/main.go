@@ -62,6 +62,16 @@ import (
 	"cookiewalk/internal/profiling"
 )
 
+// Coordinator connection bounds: a client that stalls before finishing
+// its request headers, or an idle keep-alive connection, is dropped
+// instead of holding a goroutine and a descriptor for ever. Request
+// bodies are not time-bounded, because a worker's journal upload may
+// legitimately be slow.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		seed       = flag.Uint64("seed", 42, "universe seed")
@@ -324,7 +334,7 @@ func serveFleet(study *cookiewalk.Study, addr, certFile, keyFile string) (stop f
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: fc.Handler()}
+	srv := &http.Server{Handler: fc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	scheme := "http"
 	serve := srv.Serve
 	if certFile != "" {

@@ -52,6 +52,14 @@ import (
 	"cookiewalk/internal/trend"
 )
 
+// Query-API connection bounds: a client that stalls before finishing
+// its request headers, or an idle keep-alive connection, is dropped
+// instead of holding a goroutine and a descriptor for ever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		seed     = flag.Uint64("seed", 42, "universe seed (must stay fixed for the lifetime of a store)")
@@ -175,7 +183,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(1)
 		}
-		srv = &http.Server{Handler: server.Handler()}
+		srv = &http.Server{Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "trend serve:", err)

@@ -525,17 +525,21 @@ func isRedirect(code int) bool {
 }
 
 // fetchBlockable fetches a subresource URL unless the blocker vetoes
-// it. It returns (body, fetched, blocked).
+// it. It returns (body, fetched, blocked). The URL is resolved once and
+// stringified once: the blocker, the page's Blocked/Fetched lists and
+// the error text share that string, and the request goes out on the
+// resolved URL itself.
 func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 	abs, err := page.URL.Parse(rawurl)
 	if err != nil {
 		return "", false
 	}
-	if b.Blocker != nil && b.Blocker.ShouldBlock(page.Host(), abs.String()) {
-		page.Blocked = append(page.Blocked, abs.String())
+	absStr := abs.String()
+	if b.Blocker != nil && b.Blocker.ShouldBlock(page.Host(), absStr) {
+		page.Blocked = append(page.Blocked, absStr)
 		return "", false
 	}
-	resp, _, err := b.fetch(http.MethodGet, abs.String(), nil, 2, maxSubresourceBody)
+	resp, _, err := b.fetchParsed(http.MethodGet, abs, nil, absStr, 2, maxSubresourceBody)
 	if err != nil {
 		// A transient failure that survived the whole retry budget (or a
 		// breaker fail-fast) degrades the composition: record it so the
@@ -543,11 +547,11 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 		// errors — unknown hosts, bad URLs — keep the historical
 		// silently-skipped behavior; they are the page, not the weather.
 		if b.composeErr == nil && (IsTransient(err) || isCircuitOpen(err)) {
-			b.composeErr = fmt.Errorf("browser: subresource %s: %w", abs.String(), err)
+			b.composeErr = fmt.Errorf("browser: subresource %s: %w", absStr, err)
 		}
 		return "", false
 	}
-	page.Fetched = append(page.Fetched, abs.String())
+	page.Fetched = append(page.Fetched, absStr)
 	if resp.status != http.StatusOK {
 		return "", false
 	}

@@ -382,12 +382,21 @@ type Tally struct {
 	Tracking   int
 }
 
-// Count classifies every cookie in the jar against pageHost. isTracking
-// decides blocklist membership (normally trackdb.IsTracking).
+// Count classifies every live cookie in the jar against pageHost.
+// isTracking decides blocklist membership (normally trackdb.IsTracking);
+// it runs with the jar locked, so it must not call back into j. A tally
+// does not depend on order, so Count walks the jar map in place instead
+// of copying and sorting All — every cookie-measurement visit ends here.
 func Count(j *Jar, pageHost string, isTracking func(domain string) bool) Tally {
+	now := j.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var t Tally
-	for _, c := range j.All() {
-		if Classify(c, pageHost) == FirstParty {
+	for _, c := range j.cookies {
+		if c.Expired(now) {
+			continue
+		}
+		if Classify(&c, pageHost) == FirstParty {
 			t.FirstParty++
 		} else {
 			t.ThirdParty++

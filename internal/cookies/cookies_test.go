@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"cookiewalk/internal/trackdb"
 )
 
 var t0 = time.Date(2023, 5, 1, 12, 0, 0, 0, time.UTC)
@@ -192,6 +194,59 @@ func TestCount(t *testing.T) {
 	tally := Count(j, "www.site.de", isTracking)
 	if tally.FirstParty != 1 || tally.ThirdParty != 2 || tally.Tracking != 1 {
 		t.Fatalf("tally = %+v", tally)
+	}
+}
+
+// mixedJar holds host-only and domain cookies, first- and third-party,
+// tracking and not, two of them expired by the time it is returned.
+func mixedJar() *Jar {
+	j := NewJar()
+	now := t0
+	j.Now = func() time.Time { return now }
+	j.SetFromHeaders("www.site.de", []string{"own=1", "pref=2; Domain=site.de", "short=3; Max-Age=10"})
+	j.SetFromHeaders("abo.site.de", []string{"abo=1; Path=/abo"})
+	j.SetFromHeaders("cdn.assets.example", []string{"c=1", "gone=2; Max-Age=5"})
+	j.SetFromHeaders("sync.trackpix1.example", []string{"tr=1; Domain=trackpix1.example", "tr2=2"})
+	j.SetFromHeaders("pixel.adsync2.example", []string{"ad=1; Max-Age=3600"})
+	now = t0.Add(time.Minute)
+	return j
+}
+
+// Count walks the jar map in place; it must agree with the tally built
+// from the sorted live-cookie copy All returns.
+func TestCountMatchesAll(t *testing.T) {
+	j := mixedJar()
+	if j.Len() != 9 || len(j.All()) != 7 {
+		t.Fatalf("jar holds %d cookies, %d live; want 9, 7", j.Len(), len(j.All()))
+	}
+	for _, page := range []string{"www.site.de", "cdn.assets.example", "other.de", "de"} {
+		var want Tally
+		for _, c := range j.All() {
+			if Classify(c, page) == FirstParty {
+				want.FirstParty++
+			} else {
+				want.ThirdParty++
+			}
+			if trackdb.IsTracking(c.Domain) {
+				want.Tracking++
+			}
+		}
+		if got := Count(j, page, trackdb.IsTracking); got != want {
+			t.Errorf("Count(%q) = %+v, tally from All = %+v", page, got, want)
+		}
+	}
+	if got := Count(j, "www.site.de", nil); got.Tracking != 0 || got.FirstParty != 3 || got.ThirdParty != 4 {
+		t.Errorf("Count without a blocklist = %+v", got)
+	}
+}
+
+func TestCountDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	j := mixedJar()
+	if n := testing.AllocsPerRun(100, func() { Count(j, "www.site.de", trackdb.IsTracking) }); n != 0 {
+		t.Errorf("Count allocates %.1f per call", n)
 	}
 }
 

@@ -42,11 +42,35 @@ func blockTag(tag string) bool {
 // never exists un-normalized, halving the string work of the old
 // extract-then-NormalizeSpace pipeline while producing identical
 // bytes (the normalizer is fed the same chunk sequence the old code
-// concatenated).
+// concatenated). A first walk sizes the builder, so the text is
+// written into a single allocation instead of a doubling series.
 func (n *Node) Text() string {
 	var t textNormalizer
+	t.b.Grow(textBound(n))
 	appendText(&t, n)
 	return t.b.String()
+}
+
+// textBound bounds the length of n's Text from above: every text node
+// appendText visits contributes at most its own bytes plus the one
+// separating space that may precede it (only invalid UTF-8, which
+// WriteRune widens to U+FFFD, can exceed it).
+func textBound(n *Node) int {
+	switch n.Type {
+	case TextNode:
+		return len(n.Data) + 1
+	case CommentNode, DoctypeNode:
+		return 0
+	case ElementNode:
+		if skipTextTag(n.Tag) {
+			return 0
+		}
+	}
+	size := 0
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		size += textBound(c)
+	}
+	return size
 }
 
 // textNormalizer streams chunks through the NormalizeSpace state

@@ -29,6 +29,26 @@ func TestTextBlockBoundaries(t *testing.T) {
 	}
 }
 
+// textBound sizes Text's builder: it must bound the result (valid
+// UTF-8) so the text is written into exactly one allocation.
+func TestTextSingleAllocation(t *testing.T) {
+	doc := Parse(`<div>one</div>  <div> two </div><span>three</span><b>x</b><p>3,99&nbsp;€ <i>im   Abo</i></p><!-- c --><script>no</script><ul><li>a<li>b</ul>`)
+	body := doc.Body()
+	got := body.Text()
+	if want := "one two threex 3,99 € im Abo a b"; got != want {
+		t.Fatalf("Text = %q, want %q", got, want)
+	}
+	if bound := textBound(body); len(got) > bound {
+		t.Fatalf("len(Text) = %d exceeds textBound %d", len(got), bound)
+	}
+	if testing.Short() {
+		return // alloc counting is exact; skip in -short/-race runs
+	}
+	if n := testing.AllocsPerRun(100, func() { body.Text() }); n != 1 {
+		t.Fatalf("Text allocates %.1f times, want 1", n)
+	}
+}
+
 func TestDeepTextIncludesShadowAndFrames(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><p>in shadow</p></template><p>in light</p></div>`)
 	host := doc.ByID("host")

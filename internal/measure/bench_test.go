@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"testing"
 
 	"cookiewalk/internal/browser"
@@ -64,6 +65,41 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCookieVisit measures one cookie-measurement visit, the unit
+// of Figures 4-6: load a cookiewall page, click accept, reload with the
+// consent cookie (trackers and all), then tally the jar by party and
+// blocklist.
+func BenchmarkCookieVisit(b *testing.B) {
+	reg := synthweb.Generate(synthweb.Config{Seed: 42, FillerScale: 0.02})
+	c := New(reg, webfarm.New(reg).Transport())
+	var domain string
+	for _, s := range reg.CookiewallSites() {
+		if s.Reachable {
+			domain = s.Domain
+			break
+		}
+	}
+	if domain == "" {
+		b.Fatal("no reachable cookiewall site")
+	}
+	ctx := context.Background()
+	want, err := c.cookieVisit(ctx, germanyVP(), domain, 0, ModeAccept, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if want.ThirdParty == 0 || want.Tracking == 0 {
+		b.Fatalf("accepting %s set no third-party or tracking cookies: %+v", domain, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := c.cookieVisit(ctx, germanyVP(), domain, 0, ModeAccept, "")
+		if err != nil || got != want {
+			b.Fatalf("visit %d: %+v, %v; first visit %+v", i, got, err, want)
+		}
+	}
 }
 
 // BenchmarkAnalysisCacheContention measures concurrent warm-memo

@@ -8,11 +8,20 @@
 // study (and our synthetic web) touches, including multi-label suffixes
 // such as co.uk and com.br, so the matching logic is exercised
 // identically.
+//
+// Every cookie of every measured page is labelled through here, so the
+// lookups walk label boundaries in place. The strings PublicSuffix and
+// ETLDPlusOne return are substrings of the normalized input, which is
+// the input itself when lower-casing leaves it unchanged (no upper-case
+// letters, no invalid UTF-8) and it is port-free and trimmed: they
+// alias it rather than copy it. A caller that keeps a
+// result beyond a large input's lifetime should strings.Clone it.
 package publicsuffix
 
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // suffixes is the embedded public-suffix subset. Keys are complete
@@ -47,20 +56,25 @@ func IsSuffix(s string) bool { return suffixes[s] }
 // true when one was found. Unknown single-label TLDs are treated as
 // suffixes so that eTLD+1 still behaves sensibly on unlisted TLDs.
 func PublicSuffix(domain string) (string, bool) {
-	d := normalize(domain)
+	return publicSuffix(normalize(domain))
+}
+
+// publicSuffix is PublicSuffix on a normalized domain. The candidates,
+// longest first, are the tails of d after each dot.
+func publicSuffix(d string) (string, bool) {
 	if d == "" {
 		return "", false
 	}
-	labels := strings.Split(d, ".")
-	// Longest match first.
-	for i := 0; i < len(labels); i++ {
-		candidate := strings.Join(labels[i:], ".")
-		if suffixes[candidate] {
-			return candidate, true
+	s := d
+	for !suffixes[s] {
+		i := strings.IndexByte(s, '.')
+		if i < 0 {
+			// Fallback: the final label acts as an (unlisted) suffix.
+			return s, false
 		}
+		s = s[i+1:]
 	}
-	// Fallback: the final label acts as an (unlisted) suffix.
-	return labels[len(labels)-1], false
+	return s, true
 }
 
 // ETLDPlusOne returns the registrable domain (public suffix plus one
@@ -71,31 +85,50 @@ func ETLDPlusOne(host string) (string, error) {
 	if d == "" {
 		return "", fmt.Errorf("publicsuffix: empty host")
 	}
-	suffix, _ := PublicSuffix(d)
-	if d == suffix {
+	e, ok := etldPlusOne(d)
+	if !ok {
 		return "", fmt.Errorf("publicsuffix: %q is a public suffix", host)
 	}
-	rest := strings.TrimSuffix(d, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix, nil
+	return e, nil
+}
+
+// etldPlusOne is ETLDPlusOne on a normalized domain; ok is false when d
+// is empty or itself a public suffix. The suffix is a tail of d that
+// follows a dot, so the registrable domain is the tail that starts at
+// the label before it.
+func etldPlusOne(d string) (string, bool) {
+	suffix, _ := publicSuffix(d)
+	if len(suffix) == len(d) {
+		return "", false
+	}
+	rest := d[:len(d)-len(suffix)-1]
+	return d[strings.LastIndexByte(rest, '.')+1:], true
 }
 
 // SameSite reports whether two hosts share a registrable domain, i.e.
 // whether a cookie from one is first-party on the other.
 func SameSite(a, b string) bool {
-	ea, errA := ETLDPlusOne(a)
-	eb, errB := ETLDPlusOne(b)
-	if errA != nil || errB != nil {
-		return normalize(a) == normalize(b)
+	na, nb := normalize(a), normalize(b)
+	ea, okA := etldPlusOne(na)
+	eb, okB := etldPlusOne(nb)
+	if !okA || !okB {
+		return na == nb
 	}
 	return ea == eb
 }
 
+// normalize lower-cases host, strips its port, then trims surrounding
+// whitespace and trailing dots. The port goes first, so the root dot of
+// "example.com.:443" is trimmed too, and the trims run to a fixed point,
+// so normalize is idempotent. It allocates only when lower-casing
+// changes host, as on upper-case letters or invalid UTF-8 (which
+// strings.ToLower replaces with U+FFFD).
 func normalize(host string) string {
-	h := strings.ToLower(strings.TrimSpace(host))
-	h = strings.TrimSuffix(h, ".")
+	h := strings.ToLower(host)
 	if i := strings.IndexByte(h, ':'); i >= 0 {
 		h = h[:i] // strip port
 	}
-	return h
+	return strings.TrimLeftFunc(strings.TrimRightFunc(h, isSpaceOrDot), unicode.IsSpace)
 }
+
+func isSpaceOrDot(r rune) bool { return r == '.' || unicode.IsSpace(r) }

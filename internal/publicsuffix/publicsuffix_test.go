@@ -1,6 +1,7 @@
 package publicsuffix
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +19,8 @@ func TestETLDPlusOne(t *testing.T) {
 		"trailing.dot.de.":          "dot.de",
 		"with.port.de:8443":         "port.de",
 		"deep.sub.domain.houses.at": "houses.at",
+		"Example.COM.:443":          "example.com",
+		"dots.example.com..":        "example.com",
 	}
 	for in, want := range cases {
 		got, err := ETLDPlusOne(in)
@@ -112,5 +115,106 @@ func TestQuickSameSiteSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The reference implementation: the Split/Join label walk the package
+// used before it returned substrings in place, over the same normalize.
+// FuzzETLDPlusOne holds the two to identical answers.
+
+func refPublicSuffix(domain string) (string, bool) {
+	d := normalize(domain)
+	if d == "" {
+		return "", false
+	}
+	labels := strings.Split(d, ".")
+	for i := 0; i < len(labels); i++ {
+		candidate := strings.Join(labels[i:], ".")
+		if suffixes[candidate] {
+			return candidate, true
+		}
+	}
+	return labels[len(labels)-1], false
+}
+
+func refETLDPlusOne(host string) (string, bool) {
+	d := normalize(host)
+	if d == "" {
+		return "", false
+	}
+	suffix, _ := refPublicSuffix(d)
+	if d == suffix {
+		return "", false
+	}
+	rest := strings.TrimSuffix(d, "."+suffix)
+	labels := strings.Split(rest, ".")
+	return labels[len(labels)-1] + "." + suffix, true
+}
+
+func refSameSite(a, b string) bool {
+	ea, okA := refETLDPlusOne(a)
+	eb, okB := refETLDPlusOne(b)
+	if !okA || !okB {
+		return normalize(a) == normalize(b)
+	}
+	return ea == eb
+}
+
+func FuzzETLDPlusOne(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"www.spiegel.de", "abo.spiegel.de"},
+		{"news.bbc.co.uk", "bbc.co.uk"},
+		{"Example.COM.:443", "example.com"},
+		{"a..com", ".com"},
+		{"co.uk", "de"},
+		{" x.y.com.br. ", "y.com.br"},
+		{"a.com. :80", "a.com.."},
+		{"", "."},
+		{"\xff.DE", "İ.de"},
+		{"[::1]:8080", "foo.bar.unknowntld"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, h := range []string{a, b} {
+			if n := normalize(h); normalize(n) != n {
+				t.Fatalf("normalize not idempotent on %q: %q -> %q", h, n, normalize(n))
+			}
+			gotS, gotOK := PublicSuffix(h)
+			wantS, wantOK := refPublicSuffix(h)
+			if gotS != wantS || gotOK != wantOK {
+				t.Fatalf("PublicSuffix(%q) = %q, %v; reference %q, %v", h, gotS, gotOK, wantS, wantOK)
+			}
+			got, err := ETLDPlusOne(h)
+			want, ok := refETLDPlusOne(h)
+			if got != want || (err == nil) != ok {
+				t.Fatalf("ETLDPlusOne(%q) = %q, %v; reference %q, ok %v", h, got, err, want, ok)
+			}
+		}
+		if got, want := SameSite(a, b), refSameSite(a, b); got != want {
+			t.Fatalf("SameSite(%q, %q) = %v; reference %v", a, b, got, want)
+		}
+	})
+}
+
+// Lower-case hosts are labelled without allocating: every cookie of
+// every measured page goes through ETLDPlusOne and SameSite.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	for _, h := range []string{"www.spiegel.de", "news.bbc.co.uk", "sync.trackpix1.example", "de", "foo.bar.unknowntld"} {
+		if n := testing.AllocsPerRun(100, func() { PublicSuffix(h) }); n != 0 {
+			t.Errorf("PublicSuffix(%q): %.1f allocs", h, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { SameSite(h, "abo.spiegel.de") }); n != 0 {
+			t.Errorf("SameSite(%q): %.1f allocs", h, n)
+		}
+		if h == "de" {
+			continue // the error path may allocate
+		}
+		if n := testing.AllocsPerRun(100, func() { ETLDPlusOne(h) }); n != 0 {
+			t.Errorf("ETLDPlusOne(%q): %.1f allocs", h, n)
+		}
 	}
 }

@@ -39,6 +39,19 @@ func TestIsTrackingNormalization(t *testing.T) {
 	}
 }
 
+// Lower-case domains are looked up without allocating: the cookie
+// measurement asks once per stored cookie.
+func TestIsTrackingDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	for _, d := range []string{"trackpix1.example", "pixel.trackpix2.example", "sync.eu.doubleclick.net", "www.spiegel.de"} {
+		if n := testing.AllocsPerRun(100, func() { IsTracking(d) }); n != 0 {
+			t.Errorf("IsTracking(%q): %.1f allocs", d, n)
+		}
+	}
+}
+
 func TestPoolsDisjointFromBenign(t *testing.T) {
 	benign := map[string]bool{}
 	for _, d := range BenignPool() {

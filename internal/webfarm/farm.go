@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -143,32 +144,95 @@ func (f *Farm) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveTracker sets n cookies (names prefixed tr/bc, indexed from o)
 // and returns a pixel. The cookie count is how Figures 4 and 5 are
 // physically realized.
+//
+// Every cookie-measurement page load hits a handful of these, so the
+// response is built lean: the parameters are read straight from the raw
+// query, all n Set-Cookie values are formatted into one buffer and
+// sliced out of a single string, and the finished header is handed over
+// whole, like a memoized page header.
 func (f *Farm) serveTracker(w http.ResponseWriter, r *http.Request, prefix string) {
-	q := r.URL.Query()
-	n, _ := strconv.Atoi(q.Get("n"))
-	o, _ := strconv.Atoi(q.Get("o"))
+	n, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "n"))
+	o, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "o"))
 	if n < 0 || n > 64 {
 		n = 0
 	}
-	for j := 0; j < n; j++ {
-		w.Header().Add("Set-Cookie",
-			fmt.Sprintf("%s%02d=%s; Path=/; Max-Age=31536000", prefix, o+j, q.Get("site")))
+	h := http.Header{
+		"Content-Type":  gifContentType,
+		"Cache-Control": noStore,
 	}
-	w.Header().Set("Content-Type", "image/gif")
-	w.Header().Set("Cache-Control", "no-store")
+	if n > 0 {
+		h["Set-Cookie"] = trackerCookies(prefix, o, n, queryGet(r.URL.RawQuery, "site"))
+	}
+	writeHeader(w, h)
 	writeRender(w, gifPixel)
+}
+
+// trackerCookies returns the n Set-Cookie values
+// "<prefix><o+j as %02d>=<site>; Path=/; Max-Age=31536000", j = 0..n-1,
+// as slices of one string.
+func trackerCookies(prefix string, o, n int, site string) []string {
+	const attrs = "; Path=/; Max-Age=31536000"
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + len("00=") + len(site) + len(attrs)))
+	var num [20]byte
+	var ends [64]int // n <= 64, checked by serveTracker
+	for j := 0; j < n; j++ {
+		b.WriteString(prefix)
+		if i := o + j; i >= 0 && i < 10 {
+			b.WriteByte('0') // %02d pads only one-digit non-negatives
+		}
+		b.Write(strconv.AppendInt(num[:0], int64(o+j), 10))
+		b.WriteByte('=')
+		b.WriteString(site)
+		b.WriteString(attrs)
+		ends[j] = b.Len()
+	}
+	all := b.String()
+	vals := make([]string, n)
+	start := 0
+	for j, end := range ends[:n] {
+		vals[j] = all[start:end]
+		start = end
+	}
+	return vals
+}
+
+// queryGet is url.Values.Get on a raw query without building the map:
+// the first value of key, unescaped, skipping the pairs url.ParseQuery
+// rejects (semicolons, bad escapes).
+func queryGet(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // gifPixel is the constant tracker response with its fingerprint
 // computed once — trackers answer thousands of requests per campaign.
-var gifPixel = render{body: "GIF89a", fp: bodyHash("GIF89a")}
+// Its constant header values are shared read-only across responses.
+var (
+	gifPixel       = render{body: "GIF89a", fp: bodyHash("GIF89a")}
+	gifContentType = []string{"image/gif"}
+	noStore        = []string{"no-store"}
+)
 
 // --- provider hosts ---------------------------------------------------------
 
 // serveProvider handles the CMP/SMP delivery endpoints: /cw.js returns
 // the injectable banner fragment, /frame the iframe banner document.
 func (f *Farm) serveProvider(w http.ResponseWriter, r *http.Request, providerName string) {
-	site, ok := f.reg.Site(canonHost(r.URL.Query().Get("site")))
+	site, ok := f.reg.Site(canonHost(queryGet(r.URL.RawQuery, "site")))
 	if !ok || site.Provider.Name != providerName || site.Banner != synthweb.BannerCookiewall {
 		http.NotFound(w, r)
 		return
@@ -316,15 +380,22 @@ func (f *Farm) handlePage(w http.ResponseWriter, r *http.Request, s *synthweb.Si
 	// with the render itself: the in-process recorder adopts it shared,
 	// plain writers (httptest, the real listener) get a copy.
 	page := f.renderSitePage(st)
-	if a, ok := w.(headerAdopter); ok {
-		a.AdoptHeader(page.header)
-	} else {
-		dst := w.Header()
-		for k, vs := range page.header {
-			dst[k] = append(dst[k], vs...)
-		}
-	}
+	writeHeader(w, page.header)
 	writeRender(w, page)
+}
+
+// writeHeader hands a complete, never-again-mutated response header to
+// the in-process recorder, which adopts it as is; plain writers
+// (httptest, the real listener) get a copy.
+func writeHeader(w http.ResponseWriter, h http.Header) {
+	if a, ok := w.(headerAdopter); ok {
+		a.AdoptHeader(h)
+		return
+	}
+	dst := w.Header()
+	for k, vs := range h {
+		dst[k] = append(dst[k], vs...)
+	}
 }
 
 // pageHeader builds the complete response header for a page render —

@@ -1,10 +1,12 @@
 package webfarm
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,6 +283,57 @@ func TestTrackerEndpoint(t *testing.T) {
 	}
 	if resp.Header.Get("Content-Type") != "image/gif" {
 		t.Fatal("wrong content type")
+	}
+}
+
+// The tracker header is built by hand; it must equal the fmt-formatted
+// values, on the plain-writer path and on the in-process one that
+// adopts the header whole.
+func TestTrackerCookiesMatchSprintf(t *testing.T) {
+	for _, c := range []struct {
+		prefix, site string
+		o, n         int
+	}{
+		{"tr", "a.de", 0, 3}, {"bc", "www.x.co.uk", 6, 8}, {"tr", "", 95, 10},
+		{"tr", "s", -12, 15}, {"bc", "ü.de", 0, 64},
+	} {
+		got := trackerCookies(c.prefix, c.o, c.n, c.site)
+		if len(got) != c.n {
+			t.Fatalf("%+v: %d values", c, len(got))
+		}
+		for j, v := range got {
+			if want := fmt.Sprintf("%s%02d=%s; Path=/; Max-Age=31536000", c.prefix, c.o+j, c.site); v != want {
+				t.Errorf("%+v: value %d = %q, want %q", c, j, v, want)
+			}
+		}
+	}
+
+	const rawurl = "https://adsync2.example/p.gif?site=b.de&n=4&o=8"
+	plain := get(t, rawurl, "", nil).Header
+	req := httptest.NewRequest(http.MethodGet, rawurl, nil)
+	_, inProc, body, _, err := testFarm.Transport().(*inProcessTransport).RoundTripBody(req)
+	if err != nil || body != "GIF89a" {
+		t.Fatalf("RoundTripBody: %q, %v", body, err)
+	}
+	for _, k := range []string{"Set-Cookie", "Content-Type", "Cache-Control"} {
+		if !slices.Equal(plain.Values(k), inProc.Values(k)) {
+			t.Errorf("%s: plain %q, in-process %q", k, plain.Values(k), inProc.Values(k))
+		}
+	}
+}
+
+func TestQueryGetMatchesValuesGet(t *testing.T) {
+	for _, q := range []string{
+		"", "n=3", "site=a.de&n=3&o=6", "n=1&n=2", "n&n=2", "=1&n=2", "&&n=4&",
+		"n=%zz&n=5", "n%3D=1&n=6", "%6E=7", "n=a+b%20c", "a;n=1&n=8", "n=1;x&n=9",
+		"site=%E2%9C%93.de&o=-3", "o=%", "%=1&o=2",
+	} {
+		vals, _ := url.ParseQuery(q)
+		for _, k := range []string{"n", "o", "site", "", "x"} {
+			if got, want := queryGet(q, k), vals.Get(k); got != want {
+				t.Errorf("queryGet(%q, %q) = %q, url.Values.Get = %q", q, k, got, want)
+			}
+		}
 	}
 }
 
