@@ -14,25 +14,26 @@ import (
 // state, plus the cookie-measurement visit:
 //
 //   - cached: the steady-state landscape visit — transport dispatch and
-//     a fingerprint lookup, NO parse/detect/classify. Measured 1 alloc
-//     (both kinds), thanks to the scratch request and adopted headers.
+//     a fingerprint lookup, NO parse/detect/classify. Measured 0 allocs
+//     (both kinds): the scratch request plus the farm's reply values,
+//     which hand a cached page over with no response recorder.
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
-//     language, category. Measured 34 allocs (cookiewall) / 30
+//     language, category. Measured 33 allocs (cookiewall) / 29
 //     (regular) with the single-allocation Node.Text and the in-place
 //     eTLD+1 (62 / 56 before those two).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 457
+//     click, reload with every tracker, tally the jar. Measured 419
 //     allocs on the first cookiewall domain with the zero-alloc eTLD+1
-//     and tally, single-parse subresource fetches and map-free tracker
-//     responses (1 942 before them).
+//     and tally, single-parse subresource fetches, map-free tracker
+//     responses and recorder-free farm replies (1 942 before them).
 //
 // Budgets carry headroom for toolchain drift while still failing
 // tier-1 long before any path regresses to its previous profile
-// (earlier budgets: 110/100 and 150/125 uncached, 40/30 cached; the
+// (earlier budgets: 110/100 and 150/125 uncached, 40/30 and 6/6 cached; the
 // first profiled visit made ~222 allocs).
 const (
-	cookiewallCachedAllocBudget   = 6
-	regularCachedAllocBudget      = 6
+	cookiewallCachedAllocBudget   = 1
+	regularCachedAllocBudget      = 1
 	cookiewallUncachedAllocBudget = 45
 	regularUncachedAllocBudget    = 40
 	cookieVisitAllocBudget        = 600

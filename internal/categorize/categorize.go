@@ -94,6 +94,17 @@ func Keywords(category string) []string {
 	return out
 }
 
+// Keyword returns keyword i, modulo the list length, of a category
+// without copying its list; ok is false for categories with no keywords
+// ("Others" and unknown ones). i must not be negative.
+func Keyword(category string, i int) (kw string, ok bool) {
+	ks := keywords[category]
+	if len(ks) == 0 {
+		return "", false
+	}
+	return ks[i%len(ks)], true
+}
+
 // Classify returns the best-matching category for page text, falling
 // back to "Others" when no keyword scores. Ties break alphabetically
 // for determinism.

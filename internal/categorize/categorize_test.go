@@ -80,6 +80,20 @@ func TestKeywordsReturnsCopy(t *testing.T) {
 	}
 }
 
+func TestKeywordIndexesKeywords(t *testing.T) {
+	for _, cat := range append(Categories(), "unknown") {
+		ks := Keywords(cat)
+		if _, ok := Keyword(cat, 0); ok != (len(ks) > 0) {
+			t.Errorf("Keyword(%q, 0) ok = %v with %d keywords", cat, ok, len(ks))
+		}
+		for i := range 2 * len(ks) {
+			if kw, _ := Keyword(cat, i); kw != ks[i%len(ks)] {
+				t.Errorf("Keyword(%q, %d) = %q, want %q", cat, i, kw, ks[i%len(ks)])
+			}
+		}
+	}
+}
+
 func TestKeywordsAreSelfClassifying(t *testing.T) {
 	// Every category must be recoverable from a sentence built of its
 	// own first three keywords — the generator relies on this.

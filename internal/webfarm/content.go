@@ -5,11 +5,19 @@
 // keywords, consent banners or cookiewalls in the site's configured
 // embedding, tracker subresources after consent, and subscription
 // flows for SMP partners.
+//
+// One routing function answers every request with a reply value.
+// ServeHTTP copies it onto any http.ResponseWriter; the in-process
+// RoundTripBody returns its fields unchanged, so a cached page round
+// trip allocates nothing. A reply's header is SHARED — the render
+// cache's page header or a package-level constant — and read-only: no
+// caller may mutate it.
 package webfarm
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"cookiewalk/internal/currency"
 	"cookiewalk/internal/synthweb"
@@ -200,52 +208,47 @@ var decimalCommaLangs = map[string]bool{
 	"pt": true, "nl": true, "da": true, "af": true,
 }
 
-// formatPricePhrase renders the site's display price the way its
+// appendPricePhrase appends the site's display price the way its
 // banner shows it, e.g. "2,99 € pro Monat", "A$4 per month",
 // "34 kr per månad", "35,88 € pro Jahr".
-func formatPricePhrase(s *synthweb.Site) string {
+func appendPricePhrase(dst []byte, s *synthweb.Site) []byte {
 	t := textFor(s.Language)
 	period := t.monthWord
 	if s.PricePeriod == currency.PeriodYear {
 		period = t.yearWord
 	}
-	return formatAmount(s.PriceAmount, s.PriceCurrency, s.Language) + " " + period
+	dst = appendAmount(dst, s.PriceAmount, s.PriceCurrency, s.Language)
+	return append(append(dst, ' '), period...)
 }
 
-func formatAmount(amount float64, code, lang string) string {
-	var num string
+// appendAmount appends an amount with its currency symbol, e.g.
+// "2,99 €", "A$4", "34 kr".
+func appendAmount(dst []byte, amount float64, code, lang string) []byte {
+	affix, ok := currencyAffixes[code]
+	if !ok {
+		affix[1] = " " + code
+	}
+	dst = append(dst, affix[0]...)
 	if amount == float64(int64(amount)) {
-		num = fmt.Sprintf("%d", int64(amount))
+		dst = strconv.AppendInt(dst, int64(amount), 10)
 	} else {
-		num = fmt.Sprintf("%.2f", amount)
+		num := len(dst)
+		dst = strconv.AppendFloat(dst, amount, 'f', 2, 64)
 		if decimalCommaLangs[lang] {
-			num = strings.Replace(num, ".", ",", 1)
+			if i := bytes.IndexByte(dst[num:], '.'); i >= 0 {
+				dst[num+i] = ','
+			}
 		}
 	}
-	switch code {
-	case "EUR":
-		return num + " €"
-	case "USD":
-		return "$" + num
-	case "GBP":
-		return "£" + num
-	case "AUD":
-		return "A$" + num
-	case "SEK":
-		return num + " kr"
-	case "BRL":
-		return "R$" + num
-	case "INR":
-		return "Rs. " + num
-	case "CHF":
-		return "CHF " + num
-	case "ZAR":
-		return "R" + num
-	case "CNY":
-		return "¥" + num
-	default:
-		return num + " " + code
-	}
+	return append(dst, affix[1]...)
+}
+
+// currencyAffixes holds what appendAmount writes before and after the
+// number; other codes follow it as " <code>".
+var currencyAffixes = map[string][2]string{
+	"EUR": {"", " €"}, "USD": {"$", ""}, "GBP": {"£", ""}, "AUD": {"A$", ""},
+	"SEK": {"", " kr"}, "BRL": {"R$", ""}, "INR": {"Rs. ", ""},
+	"CHF": {"CHF ", ""}, "ZAR": {"R", ""}, "CNY": {"¥", ""},
 }
 
 // decoyPromo is the newsletter plug that turns five regular banners

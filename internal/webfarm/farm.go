@@ -71,24 +71,46 @@ func New(reg *synthweb.Registry) *Farm {
 // Registry returns the farm's backing registry.
 func (f *Farm) Registry() *synthweb.Registry { return f.reg }
 
-// bodyTagger is implemented by the in-process transport's recorder:
-// handlers that serve a memoized render attach its content fingerprint
-// so RoundTripBody can return it without rehashing the body. Writers
-// that do not implement it (httptest recorders, the real listener's
-// http.ResponseWriter) silently skip the tag — those clients derive
-// the identical fingerprint by hashing the bytes they read.
-type bodyTagger interface {
-	TagBody(fp uint64)
+// reply is one farm response as a value; its header is shared and
+// read-only (see the package doc). fp is the body's memoized bodyHash
+// when the body is a cached render, 0 otherwise.
+type reply struct {
+	status int
+	header http.Header
+	body   string
+	fp     uint64
 }
 
-// writeRender writes a cached render and tags the writer with the
-// render's memoized content fingerprint when supported.
-func writeRender(w http.ResponseWriter, r render) {
-	io.WriteString(w, r.body)
-	if t, ok := w.(bodyTagger); ok {
-		t.TagBody(r.fp)
-	}
+// renderReply serves a render with status 200.
+func renderReply(h http.Header, r render) reply {
+	return reply{status: http.StatusOK, header: h, body: r.body, fp: r.fp}
 }
+
+// errorReply is the response http.Error writes, as a value.
+func errorReply(status int, msg string) reply {
+	return reply{status: status, header: errorHeader, body: msg + "\n"}
+}
+
+// redirectReply is the 303 back to the front page that sets c.
+func redirectReply(c *http.Cookie) reply {
+	return reply{status: http.StatusSeeOther, header: http.Header{"Set-Cookie": {c.String()}, "Location": {"/"}}}
+}
+
+// Constant header values and replies, shared read-only by every
+// response that carries them.
+var (
+	htmlContentType = []string{"text/html; charset=utf-8"}
+	htmlHeader      = http.Header{"Content-Type": htmlContentType}
+	textHeader      = http.Header{"Content-Type": {"text/plain"}}
+	errorHeader     = http.Header{
+		"Content-Type":           {"text/plain; charset=utf-8"},
+		"X-Content-Type-Options": {"nosniff"},
+	}
+	notFound = errorReply(http.StatusNotFound, "404 page not found")
+
+	consentAccepted = redirectReply(&http.Cookie{Name: "consent", Value: "accepted", Path: "/", MaxAge: 31536000})
+	consentRejected = redirectReply(&http.Cookie{Name: "consent", Value: "rejected", Path: "/", MaxAge: 31536000})
+)
 
 // KnownHost reports whether the farm serves the host at all, and
 // whether it is currently reachable. Unknown hosts and unreachable
@@ -116,27 +138,40 @@ func canonHost(h string) string {
 	return strings.TrimSuffix(h, ".")
 }
 
-// ServeHTTP routes by Host header.
+// ServeHTTP writes the routed reply to w: the real listener
+// (cmd/webfarm), httptest recorders and the transport's RoundTrip
+// compatibility path. Header values are copied, so w never aliases a
+// shared reply header.
 func (f *Farm) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rep := f.route(r)
+	h := w.Header()
+	for k, vs := range rep.header {
+		h[k] = append(h[k], vs...)
+	}
+	w.WriteHeader(rep.status)
+	if rep.body != "" {
+		io.WriteString(w, rep.body)
+	}
+}
+
+// route answers a request, dispatching by Host header.
+func (f *Farm) route(r *http.Request) reply {
 	host := canonHost(r.Host)
 	switch {
 	case f.trackers[host]:
-		f.serveTracker(w, r, "tr")
+		return f.serveTracker(r, "tr")
 	case f.benign[host]:
-		f.serveTracker(w, r, "bc")
+		return f.serveTracker(r, "bc")
 	case f.providerHosts[host] != "":
-		f.serveProvider(w, r, f.providerHosts[host])
-	default:
-		if p, ok := f.portals[host]; ok {
-			f.servePortal(w, r, p)
-			return
-		}
-		if s, ok := f.reg.Site(host); ok {
-			f.serveSite(w, r, s)
-			return
-		}
-		http.NotFound(w, r)
+		return f.serveProvider(r, f.providerHosts[host])
 	}
+	if p, ok := f.portals[host]; ok {
+		return f.servePortal(r, p)
+	}
+	if s, ok := f.reg.Site(host); ok {
+		return f.serveSite(r, s)
+	}
+	return notFound
 }
 
 // --- tracker & benign hosts ------------------------------------------------
@@ -146,25 +181,25 @@ func (f *Farm) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // physically realized.
 //
 // Every cookie-measurement page load hits a handful of these, so the
-// response is built lean: the parameters are read straight from the raw
+// reply is built lean: the parameters are read straight from the raw
 // query, all n Set-Cookie values are formatted into one buffer and
-// sliced out of a single string, and the finished header is handed over
-// whole, like a memoized page header.
-func (f *Farm) serveTracker(w http.ResponseWriter, r *http.Request, prefix string) {
+// sliced out of a single string, and a cookie-less pixel shares one
+// constant header.
+func (f *Farm) serveTracker(r *http.Request, prefix string) reply {
 	n, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "n"))
 	o, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "o"))
 	if n < 0 || n > 64 {
 		n = 0
 	}
-	h := http.Header{
-		"Content-Type":  gifContentType,
-		"Cache-Control": noStore,
-	}
+	h := pixelHeader
 	if n > 0 {
-		h["Set-Cookie"] = trackerCookies(prefix, o, n, queryGet(r.URL.RawQuery, "site"))
+		h = http.Header{
+			"Content-Type":  gifContentType,
+			"Cache-Control": noStore,
+			"Set-Cookie":    trackerCookies(prefix, o, n, queryGet(r.URL.RawQuery, "site")),
+		}
 	}
-	writeHeader(w, h)
-	writeRender(w, gifPixel)
+	return renderReply(h, gifPixel)
 }
 
 // trackerCookies returns the n Set-Cookie values
@@ -225,30 +260,27 @@ var (
 	gifPixel       = render{body: "GIF89a", fp: bodyHash("GIF89a")}
 	gifContentType = []string{"image/gif"}
 	noStore        = []string{"no-store"}
+	pixelHeader    = http.Header{"Content-Type": gifContentType, "Cache-Control": noStore}
 )
 
 // --- provider hosts ---------------------------------------------------------
 
 // serveProvider handles the CMP/SMP delivery endpoints: /cw.js returns
 // the injectable banner fragment, /frame the iframe banner document.
-func (f *Farm) serveProvider(w http.ResponseWriter, r *http.Request, providerName string) {
+func (f *Farm) serveProvider(r *http.Request, providerName string) reply {
 	site, ok := f.reg.Site(canonHost(queryGet(r.URL.RawQuery, "site")))
 	if !ok || site.Provider.Name != providerName || site.Banner != synthweb.BannerCookiewall {
-		http.NotFound(w, r)
-		return
+		return notFound
 	}
 	switch r.URL.Path {
 	case "/cw.js":
 		// The "script" response is the declarative banner fragment the
 		// emulated browser injects (substitution for JS execution).
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeRender(w, f.bannerFragment(site, site.Provider.Host))
+		return renderReply(htmlHeader, f.bannerFragment(site, site.Provider.Host))
 	case "/frame":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeRender(w, f.bannerDocument(site))
-	default:
-		http.NotFound(w, r)
+		return renderReply(htmlHeader, f.bannerDocument(site))
 	}
+	return notFound
 }
 
 // --- SMP portals -------------------------------------------------------------
@@ -256,109 +288,76 @@ func (f *Farm) serveProvider(w http.ResponseWriter, r *http.Request, providerNam
 // servePortal handles the subscription platform's own website:
 // GET / is the marketing page, POST /subscribe creates an account and
 // returns its token (the §4.4 "buy a one-month subscription" step).
-func (f *Farm) servePortal(w http.ResponseWriter, r *http.Request, p smp.Platform) {
+func (f *Farm) servePortal(r *http.Request, p smp.Platform) reply {
 	switch {
 	case r.Method == http.MethodGet && r.URL.Path == "/":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprintf(w, `<!DOCTYPE html><html lang="de"><head><title>%s</title></head><body>
+		return reply{status: http.StatusOK, header: htmlHeader, body: fmt.Sprintf(`<!DOCTYPE html><html lang="de"><head><title>%s</title></head><body>
 <h1>%s</h1><p>Alle Partnerseiten werbefrei und ohne Tracking für %s €/Monat.</p>
 <form method="post" action="/subscribe"><input name="email"><button>Jetzt abonnieren</button></form>
-</body></html>`, p.Name, p.Name, strings.Replace(fmt.Sprintf("%.2f", p.MonthlyPriceEUR), ".", ",", 1))
+</body></html>`, p.Name, p.Name, strings.Replace(fmt.Sprintf("%.2f", p.MonthlyPriceEUR), ".", ",", 1))}
 	case r.Method == http.MethodPost && r.URL.Path == "/subscribe":
 		if err := r.ParseForm(); err != nil {
-			http.Error(w, "bad form", http.StatusBadRequest)
-			return
+			return errorReply(http.StatusBadRequest, "bad form")
 		}
 		email := r.PostForm.Get("email")
 		if email == "" {
-			http.Error(w, "email required", http.StatusBadRequest)
-			return
+			return errorReply(http.StatusBadRequest, "email required")
 		}
 		acct, err := f.reg.SMP.Subscribe(p.Name, email)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return errorReply(http.StatusInternalServerError, err.Error())
 		}
-		w.Header().Set("Content-Type", "text/plain")
-		io.WriteString(w, acct.Token)
-	default:
-		http.NotFound(w, r)
+		return reply{status: http.StatusOK, header: textHeader, body: acct.Token}
 	}
+	return notFound
 }
 
 // --- sites --------------------------------------------------------------------
 
-func (f *Farm) serveSite(w http.ResponseWriter, r *http.Request, s *synthweb.Site) {
+func (f *Farm) serveSite(r *http.Request, s *synthweb.Site) reply {
 	if !s.Reachable {
 		// Normally intercepted at the transport; defense in depth.
-		http.Error(w, "unreachable", http.StatusServiceUnavailable)
-		return
+		return errorReply(http.StatusServiceUnavailable, "unreachable")
 	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/consent":
-		f.handleConsent(w, r)
+		if err := r.ParseForm(); err == nil && r.PostForm.Get("choice") == "reject" {
+			return consentRejected
+		}
+		return consentAccepted
 	case r.Method == http.MethodPost && r.URL.Path == "/smp-login":
-		f.handleSMPLogin(w, r, s)
+		return f.smpLogin(r, s)
 	case r.Method == http.MethodGet && r.URL.Path == "/cw-frame.html":
 		if s.Banner == synthweb.BannerNone {
-			http.NotFound(w, r)
-			return
+			return notFound
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeRender(w, f.bannerDocument(s))
+		return renderReply(htmlHeader, f.bannerDocument(s))
 	case r.Method == http.MethodGet:
-		f.handlePage(w, r, s)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return f.servePage(r, s)
 	}
+	return errorReply(http.StatusMethodNotAllowed, "method not allowed")
 }
 
-func (f *Farm) handleConsent(w http.ResponseWriter, r *http.Request) {
-	choice := "accepted"
-	if err := r.ParseForm(); err == nil && r.PostForm.Get("choice") == "reject" {
-		choice = "rejected"
-	}
-	http.SetCookie(w, &http.Cookie{
-		Name: "consent", Value: choice, Path: "/", MaxAge: 31536000,
-	})
-	w.Header().Set("Location", "/")
-	w.WriteHeader(http.StatusSeeOther)
-}
-
-func (f *Farm) handleSMPLogin(w http.ResponseWriter, r *http.Request, s *synthweb.Site) {
+func (f *Farm) smpLogin(r *http.Request, s *synthweb.Site) reply {
 	platform, ok := f.reg.SMP.PlatformOf(s.Domain)
 	if !ok {
 		// Independent cookiewalls take the user to their own checkout;
 		// we model that as an unimplemented flow.
-		http.Error(w, "no subscription platform", http.StatusNotFound)
-		return
+		return errorReply(http.StatusNotFound, "no subscription platform")
 	}
 	if err := r.ParseForm(); err != nil {
-		http.Error(w, "bad form", http.StatusBadRequest)
-		return
+		return errorReply(http.StatusBadRequest, "bad form")
 	}
 	token := r.PostForm.Get("token")
 	if !f.reg.SMP.ValidateToken(platform.Name, token) {
-		http.Error(w, "invalid subscription token", http.StatusForbidden)
-		return
+		return errorReply(http.StatusForbidden, "invalid subscription token")
 	}
-	http.SetCookie(w, &http.Cookie{
+	return redirectReply(&http.Cookie{
 		Name: smp.SubscriptionCookieName, Value: token, Path: "/", MaxAge: 2592000,
 	})
-	w.Header().Set("Location", "/")
-	w.WriteHeader(http.StatusSeeOther)
 }
 
-// headerAdopter is implemented by the in-process transport's recorder:
-// a handler whose complete response header is memoized (the page
-// handler's, cached alongside its render) hands the shared header over
-// wholesale instead of rebuilding it Add-by-Add per request. Adopted
-// headers are shared across requests and must never be mutated.
-type headerAdopter interface {
-	AdoptHeader(h http.Header)
-}
-
-func (f *Farm) handlePage(w http.ResponseWriter, r *http.Request, s *synthweb.Site) {
+func (f *Farm) servePage(r *http.Request, s *synthweb.Site) reply {
 	st := pageState{
 		site:   s,
 		vpName: r.Header.Get(vantage.GeoHeader),
@@ -377,34 +376,50 @@ func (f *Farm) handlePage(w http.ResponseWriter, r *http.Request, s *synthweb.Si
 
 	// The page's full response header — first-party Set-Cookie values
 	// and Content-Type — is a pure function of the render key, cached
-	// with the render itself: the in-process recorder adopts it shared,
-	// plain writers (httptest, the real listener) get a copy.
+	// with the render itself and shared by every reply that serves it.
 	page := f.renderSitePage(st)
-	writeHeader(w, page.header)
-	writeRender(w, page)
+	return renderReply(page.header, page)
 }
 
-// writeHeader hands a complete, never-again-mutated response header to
-// the in-process recorder, which adopts it as is; plain writers
-// (httptest, the real listener) get a copy.
-func writeHeader(w http.ResponseWriter, h http.Header) {
-	if a, ok := w.(headerAdopter); ok {
-		a.AdoptHeader(h)
-		return
-	}
-	dst := w.Header()
-	for k, vs := range h {
-		dst[k] = append(dst[k], vs...)
-	}
-}
-
-// pageHeader builds the complete response header for a page render —
-// the memoized counterpart of what setFirstPartyCookies plus the
-// Content-Type Set used to assemble per request.
+// pageHeader builds the complete response header for a page render:
+// Content-Type plus the Set-Cookie values that realize the site's
+// first-party cookie profile for the state, in one exactly sized slice.
 func (f *Farm) pageHeader(st pageState) http.Header {
-	h := http.Header{"Content-Type": {"text/html; charset=utf-8"}}
-	f.setFirstPartyCookies(h, st)
+	s := st.site
+	extraPrefix, extra := "", 0
+	switch {
+	case st.subscribed:
+		// Total first-party target SubFP: the subscription cookie plus
+		// session cookies count toward it.
+		extraPrefix = "subp"
+		extra = f.jitter(s.Cookies.SubFP, s.Domain, st.visit, "sub-fp") -
+			s.Cookies.PreConsentFP - 1
+	case st.consented:
+		extraPrefix = "pref"
+		extra = f.jitter(s.Cookies.PostFP, s.Domain, st.visit, "fp") -
+			s.Cookies.PreConsentFP - 1 // consent cookie itself is first-party
+	}
+	pre, extra := max(s.Cookies.PreConsentFP, 0), max(extra, 0)
+	h := http.Header{"Content-Type": htmlContentType}
+	if pre+extra > 0 {
+		vals := appendFPCookies(make([]string, 0, pre+extra), "sess", pre)
+		h["Set-Cookie"] = appendFPCookies(vals, extraPrefix, extra)
+	}
 	return h
+}
+
+// appendFPCookies appends the Set-Cookie values
+// "<prefix>_<i as %02d>=1; Path=/; Max-Age=604800" for i = 0..n-1.
+func appendFPCookies(vals []string, prefix string, n int) []string {
+	pre := fpCookieVals[prefix]
+	for i := 0; i < n; i++ {
+		if i < len(pre) {
+			vals = append(vals, pre[i])
+			continue
+		}
+		vals = append(vals, fmt.Sprintf("%s_%02d=1; Path=/; Max-Age=604800", prefix, i))
+	}
+	return vals
 }
 
 // fpCookieVals precomputes the full Set-Cookie values for the indexed
@@ -421,37 +436,3 @@ var fpCookieVals = func() map[string][]string {
 	}
 	return m
 }()
-
-// setFirstPartyCookies emits the Set-Cookie headers that realize the
-// site's first-party profile for the current state.
-func (f *Farm) setFirstPartyCookies(h http.Header, st pageState) {
-	s := st.site
-	set := func(prefix string, i int) {
-		vals := fpCookieVals[prefix]
-		if i < len(vals) {
-			h.Add("Set-Cookie", vals[i])
-			return
-		}
-		h.Add("Set-Cookie",
-			fmt.Sprintf("%s_%02d=1; Path=/; Max-Age=604800", prefix, i))
-	}
-	for i := 0; i < s.Cookies.PreConsentFP; i++ {
-		set("sess", i)
-	}
-	switch {
-	case st.subscribed:
-		// Total first-party target SubFP: the subscription cookie plus
-		// session cookies count toward it.
-		extra := f.jitter(s.Cookies.SubFP, s.Domain, st.visit, "sub-fp") -
-			s.Cookies.PreConsentFP - 1
-		for i := 0; i < extra; i++ {
-			set("subp", i)
-		}
-	case st.consented:
-		extra := f.jitter(s.Cookies.PostFP, s.Domain, st.visit, "fp") -
-			s.Cookies.PreConsentFP - 1 // consent cookie itself is first-party
-		for i := 0; i < extra; i++ {
-			set("pref", i)
-		}
-	}
-}

@@ -466,8 +466,8 @@ func TestFormatAmount(t *testing.T) {
 		{7, "XXX", "en", "7 XXX"},
 	}
 	for _, c := range cases {
-		if got := formatAmount(c.amount, c.code, c.lang); got != c.want {
-			t.Errorf("formatAmount(%g,%s,%s) = %q, want %q",
+		if got := string(appendAmount(nil, c.amount, c.code, c.lang)); got != c.want {
+			t.Errorf("appendAmount(%g,%s,%s) = %q, want %q",
 				c.amount, c.code, c.lang, got, c.want)
 		}
 	}

@@ -1,11 +1,10 @@
 package webfarm
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"cookiewalk/internal/categorize"
-	"cookiewalk/internal/htmlx"
 	"cookiewalk/internal/synthweb"
 	"cookiewalk/internal/xrand"
 )
@@ -116,113 +115,132 @@ func (f *Farm) renderSitePage(st pageState) render {
 }
 
 func (f *Farm) renderSitePageUncached(st pageState) string {
+	var w docWriter
+	for w.next() {
+		f.writeSitePage(&w, st)
+	}
+	return w.String()
+}
+
+func (f *Farm) writeSitePage(w *docWriter, st pageState) {
 	s := st.site
 	t := textFor(s.Language)
 	kw := keywordsFor(s)
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html lang=\"")
-	b.WriteString(s.Language)
-	b.WriteString("\">\n<head><meta charset=\"utf-8\"><title>")
-	b.WriteString(htmlx.EscapeText(siteTitle(s)))
-	b.WriteString("</title></head>\n<body")
+	w.str("<!DOCTYPE html>\n<html lang=\"")
+	w.str(s.Language)
+	w.str("\">\n<head><meta charset=\"utf-8\"><title>")
+	writeSiteTitle(w, s)
+	w.str("</title></head>\n<body")
 	if s.ScrollLock && s.Provider.Listed {
 		// Declarative anti-adblock: the browser locks scrolling when the
 		// referenced resource was blocked (promipool.de behaviour, §4.5).
-		fmt.Fprintf(&b, " data-scroll-lock-if-blocked=%q", s.Provider.ScriptURL())
+		w.str(" data-scroll-lock-if-blocked=")
+		w.quoted("https://", s.Provider.Host, "/cw.js") // listed providers all have a host
 	}
-	b.WriteString(">\n<header><h1>")
-	b.WriteString(htmlx.EscapeText(siteTitle(s)))
-	b.WriteString("</h1><nav><a href=\"/\">Home</a> <a href=\"/privacy\">Privacy</a></nav></header>\n<main>\n")
+	w.str(">\n<header><h1>")
+	writeSiteTitle(w, s)
+	w.str("</h1><nav><a href=\"/\">Home</a> <a href=\"/privacy\">Privacy</a></nav></header>\n<main>\n")
 
 	// Article body: three language-typical paragraphs threaded with the
 	// site's category keywords (classifier food).
-	fmt.Fprintf(&b, "<article><h2>%s</h2>\n", htmlx.EscapeText(kw[0]))
-	fmt.Fprintf(&b, "<p>%s</p>\n", htmlx.EscapeText(fmt.Sprintf(t.intro, kw[0], kw[1])))
-	fmt.Fprintf(&b, "<p>%s</p>\n", htmlx.EscapeText(fmt.Sprintf(t.body1, kw[2])))
-	fmt.Fprintf(&b, "<p>%s</p>\n", htmlx.EscapeText(fmt.Sprintf(t.body2, kw[0])))
-	b.WriteString("</article>\n</main>\n")
+	w.str("<article><h2>")
+	w.text(kw[0])
+	w.str("</h2>\n<p>")
+	w.textf(t.intro, kw[0], kw[1])
+	w.str("</p>\n<p>")
+	w.textf(t.body1, kw[2])
+	w.str("</p>\n<p>")
+	w.textf(t.body2, kw[0])
+	w.str("</p>\n</article>\n</main>\n")
 
 	if st.subscribed {
-		b.WriteString(`<div id="sub-badge" class="subscription-active">✓</div>` + "\n")
+		w.str(`<div id="sub-badge" class="subscription-active">✓</div>` + "\n")
 	}
 
 	if st.showBanner() {
-		f.writeBanner(&b, s)
+		f.writeBanner(w, s)
 	}
 	if s.AntiAdblock && s.Provider.Listed {
 		// hausbau-forum.de behaviour: a plea that the browser reveals
 		// when the cookiewall resource was blocked.
-		fmt.Fprintf(&b,
-			`<div id="adblock-plea" data-cw-if-blocked=%q hidden>Bitte deaktivieren Sie Ihren Werbeblocker, um diese Seite nutzen zu können.</div>`+"\n",
-			s.Provider.ScriptURL())
+		w.str(`<div id="adblock-plea" data-cw-if-blocked=`)
+		w.quoted("https://", s.Provider.Host, "/cw.js")
+		w.str(` hidden>Bitte deaktivieren Sie Ihren Werbeblocker, um diese Seite nutzen zu können.</div>` + "\n")
 	}
 
 	// Post-consent pages carry the ad/tracking load.
 	if st.consented {
-		f.writeTrackerEmbeds(&b, st, false)
+		f.writeTrackerEmbeds(w, st, false)
 	}
 	if st.subscribed {
-		f.writeTrackerEmbeds(&b, st, true)
+		f.writeTrackerEmbeds(w, st, true)
 	}
 
-	b.WriteString("<footer><p>© ")
-	b.WriteString(htmlx.EscapeText(s.Domain))
-	b.WriteString("</p></footer>\n</body></html>\n")
-	return b.String()
+	w.str("<footer><p>© ")
+	w.text(s.Domain)
+	w.str("</p></footer>\n</body></html>\n")
 }
 
-// siteTitle derives a stable human-ish title from the domain.
-func siteTitle(s *synthweb.Site) string {
+// writeSiteTitle writes the stable human-ish title derived from the
+// domain: its first label's "-"-separated words, capitalized.
+func writeSiteTitle(w *docWriter, s *synthweb.Site) {
 	name := s.Domain
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		name = name[:i]
 	}
-	words := strings.Split(name, "-")
-	for i, w := range words {
-		if w != "" {
-			words[i] = strings.ToUpper(w[:1]) + w[1:]
+	for sep := ""; ; sep = " " {
+		word, rest, more := strings.Cut(name, "-")
+		w.str(sep)
+		if word != "" {
+			if c := word[0]; 'a' <= c && c <= 'z' {
+				w.str(string(rune(c - 'a' + 'A')))
+			} else {
+				w.text(strings.ToUpper(word[:1])) // no copy unless non-ASCII
+			}
+			w.text(word[1:])
 		}
+		if !more {
+			return
+		}
+		name = rest
 	}
-	return strings.Join(words, " ")
 }
 
 // keywordsFor returns three deterministic category keywords for a site.
 func keywordsFor(s *synthweb.Site) [3]string {
-	ks := categorize.Keywords(s.Category)
-	if len(ks) == 0 {
-		ks = []string{"themen", "artikel", "beiträge"}
-	}
 	h := int(xrand.Hash64(s.Domain))
 	if h < 0 {
 		h = -h
 	}
 	var out [3]string
-	for i := 0; i < 3; i++ {
-		out[i] = ks[(h+i)%len(ks)]
+	for i := range out {
+		kw, ok := categorize.Keyword(s.Category, h+i)
+		if !ok {
+			kw = fallbackKeywords[(h+i)%len(fallbackKeywords)]
+		}
+		out[i] = kw
 	}
 	return out
 }
 
+// fallbackKeywords stand in for categories without keywords ("Others").
+var fallbackKeywords = [...]string{"themen", "artikel", "beiträge"}
+
 // writeBanner emits the banner in the site's configured embedding and
 // delivery mode.
-func (f *Farm) writeBanner(b *strings.Builder, s *synthweb.Site) {
+func (f *Farm) writeBanner(w *docWriter, s *synthweb.Site) {
 	if s.Provider.Host != "" {
 		// Third-party delivery: a slot plus a provider script. The
 		// emulated browser fetches the script URL (subject to content
 		// blocking) and injects the returned fragment into the slot.
-		fmt.Fprintf(b,
-			"<div id=\"cw-slot\"></div>\n<script src=%q data-cw-inject=\"#cw-slot\" async></script>\n",
-			providerScriptURL(s))
+		w.str("<div id=\"cw-slot\"></div>\n<script src=")
+		w.quoted("https://", s.Provider.Host, "/cw.js?site=", s.Domain)
+		w.str(" data-cw-inject=\"#cw-slot\" async></script>\n")
 		return
 	}
 	// Local (first-party) delivery.
-	b.WriteString(f.bannerFragment(s, "").body)
-	b.WriteString("\n")
-}
-
-// providerScriptURL is the third-party loader URL for a site.
-func providerScriptURL(s *synthweb.Site) string {
-	return s.Provider.ScriptURL() + "?site=" + s.Domain
+	w.str(f.bannerFragment(s, "").body)
+	w.str("\n")
 }
 
 // bannerFragment renders the injectable banner markup for a site in
@@ -243,25 +261,37 @@ func (f *Farm) bannerFragment(s *synthweb.Site, providerHost string) render {
 }
 
 func (f *Farm) bannerFragmentUncached(s *synthweb.Site, providerHost string) string {
+	var w docWriter
+	for w.next() {
+		writeBannerFragment(&w, s, providerHost)
+	}
+	return w.String()
+}
+
+func writeBannerFragment(w *docWriter, s *synthweb.Site, providerHost string) {
 	switch s.Embedding {
 	case synthweb.EmbedIFrame:
-		src := "/cw-frame.html"
+		w.str(`<iframe id="cw-frame" src=`)
 		if providerHost != "" {
-			src = "https://" + providerHost + "/frame?site=" + s.Domain
+			w.quoted("https://", providerHost, "/frame?site=", s.Domain)
+		} else {
+			w.quoted("/cw-frame.html")
 		}
-		return fmt.Sprintf(
-			`<iframe id="cw-frame" src=%q style="position:fixed;top:15%%;left:10%%;width:80%%;height:60%%;z-index:99999"></iframe>`,
-			src)
+		w.str(` style="position:fixed;top:15%;left:10%;width:80%;height:60%;z-index:99999"></iframe>`)
 	case synthweb.EmbedShadowOpen, synthweb.EmbedShadowClosed:
 		mode := "open"
 		if s.Embedding == synthweb.EmbedShadowClosed {
 			mode = "closed"
 		}
-		return fmt.Sprintf(
-			`<div id="cw-host" class=%q><template shadowrootmode=%q>%s</template></div>`,
-			overlayClass(s), mode, f.bannerCore(s))
+		w.str(`<div id="cw-host" class=`)
+		w.quoted(overlayClass(s))
+		w.str(`><template shadowrootmode=`)
+		w.quoted(mode)
+		w.str(`>`)
+		writeBannerCore(w, s)
+		w.str(`</template></div>`)
 	default:
-		return f.bannerCore(s)
+		writeBannerCore(w, s)
 	}
 }
 
@@ -276,9 +306,19 @@ func (f *Farm) bannerDocument(s *synthweb.Site) render {
 }
 
 func (f *Farm) bannerDocumentUncached(s *synthweb.Site) string {
-	return "<!DOCTYPE html>\n<html lang=\"" + s.Language +
-		"\"><head><meta charset=\"utf-8\"><title>Consent</title></head><body>\n" +
-		f.bannerCore(s) + "\n</body></html>\n"
+	var w docWriter
+	for w.next() {
+		writeBannerDocument(&w, s)
+	}
+	return w.String()
+}
+
+func writeBannerDocument(w *docWriter, s *synthweb.Site) {
+	w.str("<!DOCTYPE html>\n<html lang=\"")
+	w.str(s.Language)
+	w.str("\"><head><meta charset=\"utf-8\"><title>Consent</title></head><body>\n")
+	writeBannerCore(w, s)
+	w.str("\n</body></html>\n")
 }
 
 // overlayClass picks the banner's CSS class. Only the well-known
@@ -294,52 +334,60 @@ func overlayClass(s *synthweb.Site) string {
 	return "cw-overlay"
 }
 
-// bannerCore renders the banner element itself: a cookiewall (accept or
-// subscribe, no reject) or a regular banner (accept + reject).
-func (f *Farm) bannerCore(s *synthweb.Site) string {
+// writeBannerCore writes the banner element itself: a cookiewall
+// (accept or subscribe, no reject) or a regular banner (accept +
+// reject).
+func writeBannerCore(w *docWriter, s *synthweb.Site) {
 	t := textFor(s.Language)
-	consentTarget := "https://" + s.Domain + "/consent"
-	var b strings.Builder
 	if s.Banner == synthweb.BannerCookiewall {
-		loginTarget := "https://" + s.Domain + "/smp-login"
-		fmt.Fprintf(&b, `<div id="cw-banner" class="%s consent-layer" role="dialog" aria-modal="true" style="position:fixed;top:20%%;left:10%%;width:80%%;z-index:99999">`,
-			overlayClass(s))
-		fmt.Fprintf(&b, `<h2>%s</h2>`, htmlx.EscapeText(siteTitle(s)))
-		fmt.Fprintf(&b, `<p class="cw-text">%s</p>`,
-			htmlx.EscapeText(fmt.Sprintf(t.wallText, formatPricePhrase(s))))
-		b.WriteString(`<div class="cw-actions">`)
-		fmt.Fprintf(&b, `<button id="cw-accept" class="cw-btn cw-btn-accept" data-action="consent-accept" data-target=%q>%s</button>`,
-			consentTarget, htmlx.EscapeText(t.accept))
-		fmt.Fprintf(&b, `<button id="cw-subscribe" class="cw-btn cw-btn-sub" data-action="smp-subscribe" data-target=%q>%s</button>`,
-			loginTarget, htmlx.EscapeText(t.subscribe))
-		b.WriteString(`</div>`)
+		w.str(`<div id="cw-banner" class="`)
+		w.str(overlayClass(s))
+		w.str(` consent-layer" role="dialog" aria-modal="true" style="position:fixed;top:20%;left:10%;width:80%;z-index:99999"><h2>`)
+		writeSiteTitle(w, s)
+		w.str(`</h2><p class="cw-text">`)
+		var price [32]byte
+		w.textf(t.wallText, string(appendPricePhrase(price[:0], s)))
+		w.str(`</p><div class="cw-actions">`)
+		writeButton(w, `<button id="cw-accept" class="cw-btn cw-btn-accept" data-action="consent-accept" data-target=`, s, "/consent", t.accept)
+		writeButton(w, `<button id="cw-subscribe" class="cw-btn cw-btn-sub" data-action="smp-subscribe" data-target=`, s, "/smp-login", t.subscribe)
+		w.str(`</div>`)
 		if s.Provider.SMP {
-			fmt.Fprintf(&b, `<p class="cw-footnote">powered by %s</p>`,
-				htmlx.EscapeText(s.Provider.Name))
+			w.str(`<p class="cw-footnote">powered by `)
+			w.text(s.Provider.Name)
+			w.str(`</p>`)
 		}
-		b.WriteString(`</div>`)
-		return b.String()
+		w.str(`</div>`)
+		return
 	}
 	// Regular banner.
-	b.WriteString(`<div id="cmp-banner" class="cookie-banner consent-layer" role="dialog" style="position:fixed;bottom:0;left:0;width:100%;z-index:9999">`)
-	text := t.consentText
+	w.str(`<div id="cmp-banner" class="cookie-banner consent-layer" role="dialog" style="position:fixed;bottom:0;left:0;width:100%;z-index:9999"><p class="cmp-text">`)
+	w.text(t.consentText)
 	if s.Decoy {
-		text += " " + decoyPromoFor(s.Language)
+		w.str(" ")
+		w.text(decoyPromoFor(s.Language))
 	}
-	fmt.Fprintf(&b, `<p class="cmp-text">%s</p>`, htmlx.EscapeText(text))
-	fmt.Fprintf(&b, `<button id="cmp-accept" data-action="consent-accept" data-target=%q>%s</button>`,
-		consentTarget, htmlx.EscapeText(t.accept))
-	fmt.Fprintf(&b, `<button id="cmp-reject" data-action="consent-reject" data-target=%q>%s</button>`,
-		consentTarget, htmlx.EscapeText(t.reject))
-	fmt.Fprintf(&b, `<a href="/settings">%s</a>`, htmlx.EscapeText(t.settings))
-	b.WriteString(`</div>`)
-	return b.String()
+	w.str(`</p>`)
+	writeButton(w, `<button id="cmp-accept" data-action="consent-accept" data-target=`, s, "/consent", t.accept)
+	writeButton(w, `<button id="cmp-reject" data-action="consent-reject" data-target=`, s, "/consent", t.reject)
+	w.str(`<a href="/settings">`)
+	w.text(t.settings)
+	w.str(`</a></div>`)
+}
+
+// writeButton writes a banner button: open, the quoted
+// https://<site><path> target, and the escaped label.
+func writeButton(w *docWriter, open string, s *synthweb.Site, path, label string) {
+	w.str(open)
+	w.quoted("https://", s.Domain, path)
+	w.str(">")
+	w.text(label)
+	w.str("</button>")
 }
 
 // writeTrackerEmbeds emits the third-party resources for a consent or
 // subscription page view: tracker pixels (blocklisted domains) and
 // benign assets. Counts are the site's profile with per-visit jitter.
-func (f *Farm) writeTrackerEmbeds(b *strings.Builder, st pageState, subscription bool) {
+func (f *Farm) writeTrackerEmbeds(w *docWriter, st pageState, subscription bool) {
 	s := st.site
 	var tracking, benign int
 	if subscription {
@@ -350,30 +398,31 @@ func (f *Farm) writeTrackerEmbeds(b *strings.Builder, st pageState, subscription
 		benign = f.jitter(s.Cookies.PostBenignTP, s.Domain, st.visit, "benign")
 	}
 
-	writeSpread(b, f.trackerPool, tracking, 3, s.Domain, "p.gif", "img")
-	writeSpread(b, f.benignPool, benign, 2, s.Domain, "tag.js", "script")
+	writeSpread(w, f.trackerPool, tracking, 3, s.Domain, "p.gif", "img")
+	writeSpread(w, f.benignPool, benign, 2, s.Domain, "tag.js", "script")
 }
 
 // writeSpread distributes `total` cookies over a domain pool, perDomain
 // at a time, emitting one resource tag per (domain, chunk).
-func writeSpread(b *strings.Builder, pool []string, total, perDomain int, site, path, tag string) {
+func writeSpread(w *docWriter, pool []string, total, perDomain int, site, path, tag string) {
 	if total <= 0 {
 		return
 	}
+	open, end := "<img src=", " width=\"1\" height=\"1\" alt=\"\">\n"
+	if tag != "img" {
+		open, end = "<script src=", "></script>\n"
+	}
 	start := int(xrand.Hash64(site) % uint64(len(pool)))
+	var nbuf, obuf [20]byte
 	offset := 0
 	for total > 0 {
-		n := perDomain
-		if total < n {
-			n = total
-		}
+		n := min(perDomain, total)
 		host := pool[(start+offset/perDomain)%len(pool)]
-		url := fmt.Sprintf("https://%s/%s?site=%s&n=%d&o=%d", host, path, site, n, offset)
-		if tag == "img" {
-			fmt.Fprintf(b, "<img src=%q width=\"1\" height=\"1\" alt=\"\">\n", url)
-		} else {
-			fmt.Fprintf(b, "<script src=%q></script>\n", url)
-		}
+		w.str(open)
+		w.quoted("https://", host, "/", path, "?site=", site,
+			"&n=", string(strconv.AppendInt(nbuf[:0], int64(n), 10)),
+			"&o=", string(strconv.AppendInt(obuf[:0], int64(offset), 10)))
+		w.str(end)
 		offset += n
 		total -= n
 	}
@@ -391,4 +440,79 @@ func (f *Farm) jitter(base int, domain, visit, kind string) int {
 		v = 0
 	}
 	return v
+}
+
+// docWriter builds a render-miss document in two passes over the same
+// writer code, driven by `for w.next() { ... }`: the first only adds up
+// lengths, the second writes into a buffer grown to exactly that total,
+// so the document is one allocation with no growth slack and no
+// intermediate string. Writer code must write the same bytes twice.
+type docWriter struct {
+	b    strings.Builder
+	n    int // bytes measured by the counting pass
+	pass int // 1 counting, 2 writing
+}
+
+// next starts the next pass and reports whether one is due.
+func (w *docWriter) next() bool {
+	w.pass++
+	if w.pass == 2 {
+		w.b.Grow(w.n)
+	}
+	return w.pass <= 2
+}
+
+func (w *docWriter) String() string { return w.b.String() }
+
+// str writes s as is.
+func (w *docWriter) str(s string) {
+	if w.pass == 1 {
+		w.n += len(s)
+		return
+	}
+	w.b.WriteString(s)
+}
+
+// text writes s HTML-escaped, as htmlx.EscapeText does.
+func (w *docWriter) text(s string) {
+	for i := strings.IndexAny(s, "&<>"); i >= 0; i = strings.IndexAny(s, "&<>") {
+		w.str(s[:i])
+		w.str(htmlEntities[s[i]])
+		s = s[i+1:]
+	}
+	w.str(s)
+}
+
+var htmlEntities = map[byte]string{'&': "&amp;", '<': "&lt;", '>': "&gt;"}
+
+// textf writes tmpl with each "%s" replaced by the next arg, all
+// HTML-escaped: htmlx.EscapeText(fmt.Sprintf(tmpl, args...)) for a
+// template whose only verb is %s.
+func (w *docWriter) textf(tmpl string, args ...string) {
+	for _, a := range args {
+		before, after, _ := strings.Cut(tmpl, "%s")
+		w.text(before)
+		w.text(a)
+		tmpl = after
+	}
+	w.text(tmpl)
+}
+
+// quoted writes the concatenated parts quoted as fmt's %q does.
+// Printable ASCII without quotes or backslashes, which covers every URL
+// the farm renders, needs no escaping and is written as is.
+func (w *docWriter) quoted(parts ...string) {
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			if c := p[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+				w.str(strconv.Quote(strings.Join(parts, "")))
+				return
+			}
+		}
+	}
+	w.str(`"`)
+	for _, p := range parts {
+		w.str(p)
+	}
+	w.str(`"`)
 }

@@ -57,18 +57,15 @@ type render struct {
 	// real-listener HTTP client hashing what it downloaded — arrives at
 	// the same value.
 	fp uint64
-	// header is the complete, SHARED response header for page renders
-	// (Content-Type plus the state's first-party Set-Cookie values) —
-	// like the body, a pure function of the render key, built once and
-	// adopted read-only by the in-process transport's recorder on every
-	// repeat request. nil for fragment/banner-document renders, whose
-	// handlers set their one Content-Type themselves. Consumers must
-	// never mutate it.
+	// header is the complete, SHARED response header of a page render
+	// (Content-Type plus the state's first-party Set-Cookie values): like
+	// the body a pure function of the render key, built once and served
+	// read-only by every reply for the key. nil for other renders.
 	header http.Header
 }
 
 // bodyHash is the canonical content hash shared by the render cache,
-// the transport's response tagging and (via the same xrand.Hash64)
+// the replies' fingerprints and (via the same xrand.Hash64)
 // the emulated browser's plain-RoundTripper fallback.
 func bodyHash(body string) uint64 { return xrand.Hash64(body) }
 

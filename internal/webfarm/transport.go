@@ -13,13 +13,13 @@ import (
 // an error, exactly what a real crawler's HTTP client would surface.
 //
 // The returned transport also implements the emulated browser's
-// zero-copy fast path (RoundTripBody): the handler's response body is
-// handed over as a string — usually the farm's cached render, shared
-// unsliced — skipping the httptest recorder, the http.Response
-// reconstruction and the io.ReadAll round trip entirely. RoundTrip
-// remains as the compatibility path for plain net/http clients;
-// cmd/webfarm serves the identical handler on a real listener for
-// interactive exploration.
+// zero-copy fast path (RoundTripBody): the routed reply is handed over
+// as it is — its body usually the farm's cached render, shared
+// unsliced — with no response writer, http.Response reconstruction or
+// io.ReadAll in between. RoundTrip remains as the compatibility path
+// for plain net/http clients, serving the same reply through ServeHTTP
+// and an httptest recorder; cmd/webfarm serves the identical handler
+// on a real listener for interactive exploration.
 func (f *Farm) Transport() http.RoundTripper {
 	return &inProcessTransport{farm: f}
 }
@@ -69,124 +69,16 @@ func (t *inProcessTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return resp, nil
 }
 
-// RoundTripBody is the allocation-lean dispatch path: the response body
-// comes back as a string with no recorder, reader or double copy in
-// between, plus the body's stable content fingerprint when the handler
-// served a cached render (the render cache's memoized hash, tagged with
-// zero per-request hashing). Untagged responses — portal pages,
-// redirects, errors — return fp 0 and the caller hashes the bytes
-// lazily if it ever needs the token; the resulting value equals
-// bodyHash(body) either way, which is exactly what a plain-HTTP client
-// computes from the bytes it reads — so analysis memoization keys agree
-// across deployment modes. It matches the structural interface the
-// emulated browser probes for.
+// RoundTripBody is the allocation-free dispatch path the emulated
+// browser probes for: it returns the routed reply's fields directly.
+// fp is 0 when the body is not a cached render; the caller then hashes
+// the bytes lazily and gets bodyHash(body), exactly what a plain-HTTP
+// client computes from the bytes it reads, so analysis memoization
+// keys agree across deployment modes.
 func (t *inProcessTransport) RoundTripBody(req *http.Request) (status int, header http.Header, body string, fp uint64, err error) {
 	if err := t.resolve(req); err != nil {
 		return 0, nil, "", 0, err
 	}
-	var rec fastRecorder
-	t.farm.ServeHTTP(&rec, req)
-	return rec.status(), rec.header, rec.body(), rec.tag, nil
-}
-
-// fastRecorder is a minimal http.ResponseWriter that captures status,
-// headers and body. Handlers that write their whole body with a single
-// io.WriteString (the farm's page handlers do — their bodies come from
-// the render cache) hand the string through without any copy.
-type fastRecorder struct {
-	header http.Header
-	// adopted marks header as a SHARED map handed over by AdoptHeader —
-	// owned by the farm's render cache, served to every request hitting
-	// the same render. Header() clones it before exposing it for
-	// mutation; the response path only ever reads it.
-	adopted bool
-	code    int
-	str     string // body when captured from a single WriteString
-	buf     []byte // accumulation fallback
-	// tag is the body's memoized content fingerprint, set via TagBody
-	// by handlers serving cached renders. Any write after the tag
-	// invalidates it: the tag must describe the complete body.
-	tag uint64
-}
-
-// TagBody implements the farm's bodyTagger: fp is the memoized
-// bodyHash of everything written so far (in practice: the single
-// cached render the handler just wrote).
-func (r *fastRecorder) TagBody(fp uint64) { r.tag = fp }
-
-// AdoptHeader implements the farm's headerAdopter: the complete
-// response header arrives as one shared, read-only map — zero Add
-// calls, zero per-request header allocation. RoundTripBody returns it
-// directly; the emulated browser only reads response headers.
-func (r *fastRecorder) AdoptHeader(h http.Header) {
-	r.header = h
-	r.adopted = h != nil
-}
-
-// Header implements http.ResponseWriter. An adopted (shared) header is
-// deep-cloned on first access: Header() callers expect a map they may
-// mutate, and the shared original must stay frozen.
-func (r *fastRecorder) Header() http.Header {
-	if r.adopted {
-		r.header = r.header.Clone()
-		r.adopted = false
-	}
-	if r.header == nil {
-		r.header = make(http.Header, 4)
-	}
-	return r.header
-}
-
-// WriteHeader implements http.ResponseWriter; like the real server,
-// only the first call sticks.
-func (r *fastRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-}
-
-// Write implements io.Writer.
-func (r *fastRecorder) Write(p []byte) (int, error) {
-	r.WriteHeader(http.StatusOK)
-	r.tag = 0
-	r.flattenStr()
-	r.buf = append(r.buf, p...)
-	return len(p), nil
-}
-
-// WriteString implements io.StringWriter; the first write on a
-// response is retained as-is, with no copy.
-func (r *fastRecorder) WriteString(s string) (int, error) {
-	r.WriteHeader(http.StatusOK)
-	r.tag = 0
-	if r.str == "" && r.buf == nil {
-		r.str = s
-		return len(s), nil
-	}
-	r.flattenStr()
-	r.buf = append(r.buf, s...)
-	return len(s), nil
-}
-
-// flattenStr moves a previously captured zero-copy string into the
-// byte buffer when more writes follow.
-func (r *fastRecorder) flattenStr() {
-	if r.str != "" {
-		r.buf = append(r.buf, r.str...)
-		r.str = ""
-	}
-}
-
-func (r *fastRecorder) status() int {
-	if r.code == 0 {
-		return http.StatusOK
-	}
-	return r.code
-}
-
-func (r *fastRecorder) body() string {
-	if r.str != "" {
-		return r.str
-	}
-	return string(r.buf)
+	rep := t.farm.route(req)
+	return rep.status, rep.header, rep.body, rep.fp, nil
 }
