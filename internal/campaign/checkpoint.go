@@ -2,7 +2,7 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cookiewalk/internal/framelog"
 	"cookiewalk/internal/xrand"
 )
 
@@ -29,8 +30,9 @@ type Codec interface {
 
 // Checkpoint makes a campaign durable: every delivered result is
 // appended to a per-shard journal under Dir, and Resume replays those
-// journals instead of re-visiting. See journal.go for the on-disk
-// format and its crash-safety argument.
+// journals instead of re-visiting. See journal.go for the record
+// layout and internal/framelog for the file format and its
+// crash-safety argument.
 type Checkpoint struct {
 	// Dir holds the manifest and the per-shard journal files. Each
 	// campaign needs its own directory — Run wipes stale journals from
@@ -163,28 +165,18 @@ func prepareCheckpoint(cfg Config, nTargets int, resuming bool) (*checkpointStat
 	if cp.Codec == nil {
 		return nil, fmt.Errorf("campaign: Checkpoint.Codec is nil")
 	}
-	if err := os.MkdirAll(cp.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint dir: %w", err)
-	}
 	if !resuming {
-		if err := removeJournals(cp.Dir); err != nil {
-			return nil, fmt.Errorf("campaign: reset checkpoint dir: %w", err)
-		}
-		if err := writeManifest(cp.Dir, manifest{
-			Label: cfg.Label, Targets: nTargets, TargetsHash: cp.TargetsHash,
-		}); err != nil {
+		if err := InitCheckpointDir(cp.Dir, cfg.Label, nTargets, cp.TargetsHash); err != nil {
 			return nil, err
 		}
+	} else if err := os.MkdirAll(cp.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint dir: %w", err)
 	}
 	return &checkpointState{cp: cp}, nil
 }
 
 func writeManifest(dir string, m manifest) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644); err != nil {
+	if err := framelog.WriteManifest(filepath.Join(dir, manifestName), m); err != nil {
 		return fmt.Errorf("campaign: write manifest: %w", err)
 	}
 	return nil
@@ -196,32 +188,21 @@ func writeManifest(dir string, m manifest) error {
 // writes the manifest and journals from scratch).
 func loadCheckpoint(cfg Config, nTargets int) (map[int]journalRecord, error) {
 	cp := cfg.Checkpoint
-	data, err := os.ReadFile(filepath.Join(cp.Dir, manifestName))
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(cp.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint dir: %w", err)
-		}
+	var m manifest
+	err := framelog.ReadManifest(filepath.Join(cp.Dir, manifestName), &m)
+	if errors.Is(err, os.ErrNotExist) {
 		// No manifest means no trustworthy journal — wipe any stray .cwj
 		// files before journaling from scratch. Without this, journals
-		// orphaned by a torn/deleted manifest would survive next to the
-		// manifest written below, and a LATER resume would replay their
+		// orphaned by a deleted manifest would survive next to the
+		// manifest written here, and a LATER resume would replay their
 		// checksummed-but-foreign records as this campaign's results.
-		if err := removeJournals(cp.Dir); err != nil {
-			return nil, fmt.Errorf("campaign: reset checkpoint dir: %w", err)
-		}
-		if err := writeManifest(cp.Dir, manifest{
-			Label: cfg.Label, Targets: nTargets, TargetsHash: cp.TargetsHash,
-		}); err != nil {
+		if err := InitCheckpointDir(cp.Dir, cfg.Label, nTargets, cp.TargetsHash); err != nil {
 			return nil, err
 		}
 		return map[int]journalRecord{}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("campaign: parse manifest %s: %w", filepath.Join(cp.Dir, manifestName), err)
 	}
 	if m.Label != cfg.Label || m.Targets != nTargets || m.TargetsHash != cp.TargetsHash {
 		return nil, fmt.Errorf(

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cookiewalk/internal/campaign"
+	"cookiewalk/internal/framelog"
 )
 
 // CoordinatorConfig configures a fleet coordinator.
@@ -492,7 +493,7 @@ func (co *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 	}
 	final := filepath.Join(dir, campaign.ShardFilename(shard))
 	tmp := final + ".tmp-" + leaseID
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := framelog.WriteFile(tmp, data); err != nil {
 		http.Error(w, "stage journal: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -516,6 +517,14 @@ func (co *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 	if err := os.Rename(tmp, final); err != nil {
 		co.mu.Unlock()
 		os.Remove(tmp)
+		http.Error(w, "merge journal: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	// The merge event may only reach the ledger once the merged file is
+	// durable: its bytes were fsynced when staged, its name is durable
+	// once the directory is.
+	if err := framelog.SyncDir(dir); err != nil {
+		co.mu.Unlock()
 		http.Error(w, "merge journal: "+err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"cookiewalk/internal/framelog"
 )
 
 // TestLedgerRoundTripAndTornTail: events appended to a ledger survive
@@ -95,17 +98,10 @@ func TestLedgerCorruptLineStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one byte inside the SECOND event's payload (past the magic
-	// and the first full line).
-	lines := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines++
-			if lines == 2 { // magic is line 1
-				data[i+20] ^= 0x01
-				break
-			}
-		}
-	}
+	// and the first full frame).
+	seen := 0
+	_, second := framelog.Scan(data, ledgerMagic, func([]byte) bool { seen++; return seen < 2 })
+	data[second+20] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -192,4 +188,58 @@ func TestJitterBoundsAndDeterminism(t *testing.T) {
 	if same == 8 {
 		t.Fatal("two seeds produced identical 8-delay schedules — no decorrelation")
 	}
+}
+
+// FuzzLedgerOpen: any ledger.cwl content either opens — replaying a
+// prefix of events that survives a reopen and accepts a further event
+// — or is refused as a foreign file; it never panics.
+func FuzzLedgerOpen(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), ledgerName)
+	led, _, err := openLedger(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	led.append(ledgerEvent{Ev: evStart, Inc: 1, Fleet: 0xfeed})
+	led.append(ledgerEvent{Ev: evGrant, Seq: 1, Lease: "L01-000001", Worker: "w0", Label: "camp", Shard: 0, Lo: 0, Hi: 10})
+	led.append(ledgerEvent{Ev: evMerge, Lease: "L01-000001", Label: "camp", Shard: 0, Lo: 0, Hi: 10})
+	led.close()
+	seed, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-5])
+	f.Add([]byte(ledgerMagic))
+	f.Add([]byte("cwl"))
+	f.Add([]byte("cwled1\n0123456789abcdef {}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), ledgerName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		led, events, err := openLedger(path)
+		if err != nil {
+			if !errors.Is(err, framelog.ErrBadMagic) {
+				t.Fatalf("open failed for a reason other than bad magic: %v", err)
+			}
+			return
+		}
+		extra := ledgerEvent{Ev: evExpire, Lease: "L09-000009"}
+		if err := led.append(extra); err != nil {
+			t.Fatal(err)
+		}
+		led.close()
+		_, replayed, err := openLedger(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(replayed) != len(events)+1 || replayed[len(events)] != extra {
+			t.Fatalf("reopened with %d events, want %d ending in %+v", len(replayed), len(events)+1, extra)
+		}
+		for i, ev := range events {
+			if replayed[i] != ev {
+				t.Fatalf("event %d changed across reopen: %+v vs %+v", i, replayed[i], ev)
+			}
+		}
+	})
 }

@@ -16,6 +16,7 @@ import (
 
 	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/campaign/dist"
+	"cookiewalk/internal/framelog"
 )
 
 // mustCoordinator builds a coordinator over dir for the given specs
@@ -194,19 +195,21 @@ func TestRecoveryProbesFileWithoutMergeEvent(t *testing.T) {
 	}
 	srv1.Close()
 
-	// Drop the ledger's last line (the merge event), simulating a crash
+	// Drop the ledger's last frame (the merge event), simulating a crash
 	// after the rename but before the append reached the disk.
 	ledgerPath := filepath.Join(dir, "ledger.cwl")
 	data, err := os.ReadFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed := bytes.TrimRight(data, "\n")
-	cut := bytes.LastIndexByte(trimmed, '\n')
-	if cut < 0 {
-		t.Fatal("ledger has no event lines")
+	const ledgerMagic = "cwled2\n"
+	frames, _ := framelog.Scan(data, ledgerMagic, func([]byte) bool { return true })
+	seen := 0
+	_, cut := framelog.Scan(data, ledgerMagic, func([]byte) bool { seen++; return seen < frames })
+	if frames == 0 {
+		t.Fatal("ledger has no event frames")
 	}
-	if err := os.WriteFile(ledgerPath, data[:cut+1], 0o644); err != nil {
+	if err := os.WriteFile(ledgerPath, data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

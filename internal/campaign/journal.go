@@ -1,45 +1,33 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
+
+	"cookiewalk/internal/framelog"
 )
 
 // The journal is the campaign engine's durable record of delivered
-// results: one append-only file per shard, written in delivery order
-// (strictly increasing target index), so a crash at ANY byte leaves a
-// prefix-consistent log — every fully framed record describes a result
-// that the sink really observed, and at most the torn tail record is
-// lost (its target simply re-runs on resume).
+// results: one append-only internal/framelog file per shard (magic
+// "cwjl1\n"), written in delivery order (strictly increasing target
+// index), so a crash at ANY byte leaves a prefix-consistent log —
+// every fully framed record describes a result that the sink really
+// observed, and at most the torn tail record is lost (its target
+// simply re-runs on resume). framelog owns the frame format and the
+// crash-safety argument; a journal frame's payload is
 //
-// File layout:
+//	payload := uvarint(index) uvarint(len(err)) err value
 //
-//	file   := magic record*
-//	magic  := "cwjl1\n"
-//	record := uvarint(len(payload)) u64le(checksum) payload
-//	payload:= uvarint(index) uvarint(len(err)) err value
-//
-// The checksum is FNV-1a over the payload bytes (the same function as
-// xrand.Hash64, which never changes between releases); value is the
-// caller codec's encoding of the result, opaque to the journal. A
-// record whose length prefix overruns the file, whose checksum
-// mismatches, or whose payload is malformed invalidates the file FROM
-// THAT OFFSET ON: loading stops there, and a writer reopening the file
-// truncates the invalid tail before appending — torn writes can never
-// poison a journal, they only shrink it.
+// where value is the caller codec's encoding of the result, opaque to
+// the journal. A checksummed frame whose payload is malformed ends the
+// valid prefix exactly like a torn frame.
 
 // journalMagic identifies (and versions) journal files.
 const journalMagic = "cwjl1\n"
-
-// maxJournalRecord bounds a single record's payload. It exists purely
-// to reject absurd length prefixes when scanning a corrupted file, not
-// to limit real results (64 MiB dwarfs any serialized observation).
-const maxJournalRecord = 64 << 20
 
 // journalRecord is one replayable result loaded from a journal.
 type journalRecord struct {
@@ -47,31 +35,6 @@ type journalRecord struct {
 	// bytes are the codec's encoding of the result value.
 	errStr string
 	value  []byte
-}
-
-// hashPayload is FNV-1a over bytes — bit-identical to xrand.Hash64 on
-// the equivalent string, without the string conversion.
-func hashPayload(p []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// appendUvarint / appendString build payloads.
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // ShardFilename returns the journal file name of shard s inside a
@@ -96,9 +59,6 @@ func shardFile(dir string, shard int) string {
 // journal before merging, so a torn upload, a half-finished range or a
 // journal from the wrong range can never poison an assembled campaign.
 func CheckJournal(data []byte, lo, hi int) error {
-	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
-		return fmt.Errorf("campaign: journal missing magic header")
-	}
 	next, firstBad := lo, -1
 	records, valid := scanJournal(data, func(index int, rec journalRecord) {
 		if index != next && firstBad < 0 {
@@ -106,96 +66,56 @@ func CheckJournal(data []byte, lo, hi int) error {
 		}
 		next++
 	})
-	if valid == 0 {
-		valid = len(journalMagic) // magic-only file: scanJournal reports offset 0
-	}
-	if valid != len(data) {
+	switch {
+	case valid == 0:
+		return fmt.Errorf("campaign: journal missing magic header")
+	case valid != len(data):
 		return fmt.Errorf("campaign: journal invalid after %d of %d bytes (%d valid records)", valid, len(data), records)
-	}
-	if firstBad >= 0 {
+	case firstBad >= 0:
 		return fmt.Errorf("campaign: journal out of order: saw index %d where %d..%d expected in sequence", firstBad, lo, hi-1)
-	}
-	if records != hi-lo {
+	case records != hi-lo:
 		return fmt.Errorf("campaign: journal covers %d of %d records for range [%d,%d)", records, hi-lo, lo, hi)
 	}
 	return nil
 }
 
-// journalWriter appends framed records to one shard's journal file,
-// buffered, flushing every flushEvery records and syncing on close.
+// journalWriter appends records to one shard's journal, flushing every
+// `every` records and syncing on close.
 type journalWriter struct {
-	f     *os.File
-	w     *bufio.Writer
-	buf   []byte // frame scratch, reused across appends
+	w     *framelog.Writer
+	buf   []byte // payload scratch, reused across appends
 	every int
 	since int
 }
 
-// openJournal opens (or creates) a shard journal for appending. An
-// existing file is scanned first and truncated to its last valid
-// record, so appends always extend a consistent prefix.
+// openJournal opens (or creates) a shard journal for appending,
+// truncated to its last valid record so appends always extend a
+// consistent prefix. A file that is not a journal at all holds nothing
+// trustworthy and is rewritten from scratch.
 func openJournal(path string, flushEvery int) (*journalWriter, error) {
 	if flushEvery <= 0 {
 		flushEvery = defaultFlushEvery
 	}
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, err
+	w, err := framelog.Open(path, journalMagic, validPayload)
+	if errors.Is(err, framelog.ErrBadMagic) {
+		if err = os.Truncate(path, 0); err == nil {
+			w, err = framelog.Open(path, journalMagic, validPayload)
 		}
-		w := bufio.NewWriter(f)
-		if _, err := w.WriteString(journalMagic); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return &journalWriter{f: f, w: w, every: flushEvery}, nil
-	case err != nil:
-		return nil, err
 	}
-	_, valid := scanJournal(data, nil)
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	jw := &journalWriter{f: f, w: bufio.NewWriter(f), every: flushEvery}
-	if valid == 0 {
-		// The file existed but even the magic was torn: rewrite it.
-		if _, err := jw.w.WriteString(journalMagic); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return jw, nil
+	return &journalWriter{w: w, every: flushEvery}, nil
 }
 
 // append frames and buffers one record.
 func (jw *journalWriter) append(index int, errStr string, value []byte) error {
-	p := jw.buf[:0]
-	p = appendUvarint(p, uint64(index))
-	p = appendString(p, errStr)
+	p := binary.AppendUvarint(jw.buf[:0], uint64(index))
+	p = binary.AppendUvarint(p, uint64(len(errStr)))
+	p = append(p, errStr...)
 	p = append(p, value...)
 	jw.buf = p // keep the grown scratch for the next record
-
-	var frame [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(frame[:], uint64(len(p)))
-	if _, err := jw.w.Write(frame[:n]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(frame[:8], hashPayload(p))
-	if _, err := jw.w.Write(frame[:8]); err != nil {
-		return err
-	}
-	if _, err := jw.w.Write(p); err != nil {
+	if err := jw.w.Append(p); err != nil {
 		return err
 	}
 	jw.since++
@@ -209,53 +129,26 @@ func (jw *journalWriter) append(index int, errStr string, value []byte) error {
 // close flushes, syncs and closes the journal. Called at shard end, it
 // makes the shard's whole record sequence durable.
 func (jw *journalWriter) close() error {
-	err := jw.w.Flush()
-	if serr := jw.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := jw.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return jw.w.Close()
 }
 
-// scanJournal parses one journal's bytes, calling emit for every valid
-// record, and returns the record count and the byte offset of the end
-// of the last valid record (the truncation point for writers). Parsing
-// stops at the first invalid frame — a torn length prefix, an
-// overrunning length, a checksum mismatch or a malformed payload — so
-// only a prefix-consistent slice of the file is ever trusted.
+// scanJournal parses one journal's bytes, calling emit (if non-nil)
+// for every valid record, and returns the record count and the byte
+// offset of the end of the last valid record (0 without a magic).
 func scanJournal(data []byte, emit func(index int, rec journalRecord)) (records, valid int) {
-	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
-		return 0, 0
-	}
-	off := len(journalMagic)
-	for off < len(data) {
-		plen, n := binary.Uvarint(data[off:])
-		if n <= 0 || plen > maxJournalRecord {
-			return records, off
-		}
-		rest := data[off+n:]
-		if uint64(len(rest)) < 8+plen {
-			return records, off
-		}
-		sum := binary.LittleEndian.Uint64(rest[:8])
-		payload := rest[8 : 8+plen]
-		if hashPayload(payload) != sum {
-			return records, off
-		}
+	return framelog.Scan(data, journalMagic, func(payload []byte) bool {
 		index, errStr, value, ok := parsePayload(payload)
-		if !ok {
-			return records, off
-		}
-		if emit != nil {
+		if ok && emit != nil {
 			emit(index, journalRecord{errStr: errStr, value: value})
 		}
-		records++
-		off += n + 8 + int(plen)
-		valid = off
-	}
-	return records, valid
+		return ok
+	})
+}
+
+// validPayload reports whether a frame payload parses as a record.
+func validPayload(p []byte) bool {
+	_, _, _, ok := parsePayload(p)
+	return ok
 }
 
 // parsePayload splits a record payload into (index, errStr, value).
@@ -286,16 +179,12 @@ func loadJournals(dir string) (map[int]journalRecord, error) {
 		}
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".cwj") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	replay := make(map[int]journalRecord)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cwj") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}

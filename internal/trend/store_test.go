@@ -223,6 +223,35 @@ func TestStoreRefusesBadMagic(t *testing.T) {
 	}
 }
 
+// TestStoreTornMagicRewritten: a crash while the magic was being
+// written leaves a strict prefix of it; Open must treat that as an
+// empty store, never refuse the directory.
+func TestStoreTornMagicRewritten(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), []byte("cwt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, testManifest())
+	if err != nil {
+		t.Fatalf("torn-magic store refused: %v", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("torn-magic store has %d rounds", s.Len())
+	}
+	if err := s.Append(record(0)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r, err := Open(dir, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 1 {
+		t.Fatalf("rewritten store reopened with %d rounds, want 1", r.Len())
+	}
+}
+
 // TestStoreByteDeterminism mirrors TestExportDeterminism: two stores
 // built independently from the same records are byte-identical on
 // disk.
@@ -249,4 +278,61 @@ func TestStoreByteDeterminism(t *testing.T) {
 	if string(files[0]) != string(files[1]) {
 		t.Fatalf("store journals differ across independent builds (%d vs %d bytes)", len(files[0]), len(files[1]))
 	}
+}
+
+// FuzzStoreOpen: any rounds.cwt content either opens — as a gap-free
+// prefix that survives a reopen and accepts the next round — or is
+// refused as a foreign file; it never panics or loses appended rounds.
+func FuzzStoreOpen(f *testing.F) {
+	seedDir := f.TempDir()
+	s, err := Open(seedDir, testManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Append(record(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.Close()
+	seed, err := os.ReadFile(filepath.Join(seedDir, storeFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-7])
+	f.Add([]byte(storeMagic))
+	f.Add([]byte("cwt"))
+	f.Add([]byte("not a store\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, storeFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, testManifest())
+		if err != nil {
+			if !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("open failed for a reason other than bad magic: %v", err)
+			}
+			return
+		}
+		n := s.Len()
+		for i, rec := range s.Rounds(0, -1) {
+			if rec.Round != i {
+				t.Fatalf("round %d stored at position %d", rec.Round, i)
+			}
+		}
+		if err := s.Append(record(n)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		r, err := Open(dir, testManifest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.Len() != n+1 {
+			t.Fatalf("reopened with %d rounds, want %d", r.Len(), n+1)
+		}
+	})
 }
