@@ -11,30 +11,15 @@ import (
 	"time"
 
 	"cookiewalk"
-	"cookiewalk/internal/browser/faulttransport"
+	"cookiewalk/internal/fault"
 )
-
-// visitChaosSeed returns the fault-schedule seed for the flaky-transport
-// golden gate (CI pins it via COOKIEWALK_VISITCHAOS_SEED; default 1).
-// The seed drives the injector only — the UNIVERSE seed stays 42, so
-// every run must reproduce the same golden bytes.
-func visitChaosSeed(t *testing.T) uint64 {
-	t.Helper()
-	seed := uint64(1)
-	if env := os.Getenv("COOKIEWALK_VISITCHAOS_SEED"); env != "" {
-		if _, err := fmt.Sscanf(env, "%d", &seed); err != nil {
-			t.Fatalf("COOKIEWALK_VISITCHAOS_SEED=%q: %v", env, err)
-		}
-	}
-	return seed
-}
 
 // visitChaosProfile is the background fault mix for the golden gates:
 // every fault kind fires, at rates that hit thousands of requests per
 // run, with the per-request cap left at its default of 2 — so a retry
 // budget of 3 guarantees every request eventually succeeds.
-func visitChaosProfile() faulttransport.Profile {
-	return faulttransport.Profile{
+func visitChaosProfile() fault.VisitProfile {
+	return fault.VisitProfile{
 		Timeout:  8,
 		Reset:    8,
 		Err503:   8,
@@ -70,19 +55,21 @@ func visitChaosConfig() cookiewalk.Config {
 // golden test pins. Retries absorb every fault (the injector's
 // per-request cap guarantees eventual success), the limiter and
 // breakers stay out of the way, and the only admissible difference
-// from a clean run is timing.
+// from a clean run is timing. COOKIEWALK_SEED picks the fault schedule
+// (default 1); the universe seed stays 42, so every fault seed must
+// reproduce the same golden bytes.
 func TestGoldenFlakyTransport(t *testing.T) {
-	seed := visitChaosSeed(t)
+	seed := fault.Seeds(t, 1)[0]
 	want, err := os.ReadFile("testdata/golden_all.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var ft *faulttransport.Transport
+	var ft *fault.VisitTransport
 	var retries atomic.Int64
 	cfg := visitChaosConfig()
 	cfg.WrapTransport = func(base http.RoundTripper) http.RoundTripper {
-		rt, inj := faulttransport.Wrap(base, seed, visitChaosProfile())
+		rt, inj := fault.Wrap(base, seed, visitChaosProfile())
 		ft = inj
 		return rt
 	}
@@ -110,7 +97,7 @@ func TestGoldenFlakyTransport(t *testing.T) {
 	if retries.Load() == 0 {
 		t.Error("no retries surfaced in Progress despite injected faults")
 	}
-	diffGolden(t, got, string(want))
+	firstDiff(t, "flaky-transport report", got, string(want))
 }
 
 // TestGoldenFlakyCheckpointResume extends the gate across the
@@ -123,7 +110,7 @@ func TestGoldenFlakyCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full scale-0.02 experiment suite twice")
 	}
-	seed := visitChaosSeed(t)
+	seed := fault.Seeds(t, 1)[0]
 	want, err := os.ReadFile("testdata/golden_all.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -131,21 +118,21 @@ func TestGoldenFlakyCheckpointResume(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chaos-ck")
 	t.Cleanup(func() {
 		if t.Failed() {
-			saveVisitChaosArtifacts(t, seed, dir)
+			fault.SaveArtifacts(t, fmt.Sprintf("visit-chaos-seed-%d", seed), dir, nil)
 		}
 	})
 
 	cfg := visitChaosConfig()
 	cfg.CheckpointDir = dir
 	cfg.WrapTransport = func(base http.RoundTripper) http.RoundTripper {
-		rt, _ := faulttransport.Wrap(base, seed, visitChaosProfile())
+		rt, _ := fault.Wrap(base, seed, visitChaosProfile())
 		return rt
 	}
 	got, err := cookiewalk.New(cfg).Report(cookiewalk.ExpAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffGolden(t, got, string(want))
+	firstDiff(t, "flaky-transport report", got, string(want))
 
 	var replayed, fresh atomic.Int64
 	rcfg := cookiewalk.Config{
@@ -171,7 +158,7 @@ func TestGoldenFlakyCheckpointResume(t *testing.T) {
 	if f := fresh.Load(); f != 0 {
 		t.Errorf("resume crawled %d fresh visits; chaos-run journals should cover everything", f)
 	}
-	diffGolden(t, resumed, string(want))
+	firstDiff(t, "clean-transport resume", resumed, string(want))
 }
 
 // TestExhaustedRetriesSurfaceAsErrors covers the other half of the
@@ -194,7 +181,7 @@ func TestExhaustedRetriesSurfaceAsErrors(t *testing.T) {
 		BreakerThreshold:  2,
 		BreakerCooldown:   time.Hour,
 		WrapTransport: func(base http.RoundTripper) http.RoundTripper {
-			rt, inj := faulttransport.Wrap(base, 99, faulttransport.Profile{
+			rt, inj := fault.Wrap(base, 99, fault.VisitProfile{
 				Reset: 1000, MaxPerRequest: -1,
 			})
 			inj.Hosts = func(host string) bool { return host == victim }
@@ -254,7 +241,7 @@ func TestBreakerRecoversThroughHalfOpenProbe(t *testing.T) {
 		BreakerThreshold:  2,
 		BreakerCooldown:   cooldown,
 		WrapTransport: func(base http.RoundTripper) http.RoundTripper {
-			rt, inj := faulttransport.Wrap(base, 99, faulttransport.Profile{
+			rt, inj := fault.Wrap(base, 99, fault.VisitProfile{
 				Reset: 1000, MaxPerRequest: -1,
 			})
 			inj.Hosts = func(host string) bool { return host == victim && down.Load() }
@@ -294,43 +281,4 @@ func TestBreakerRecoversThroughHalfOpenProbe(t *testing.T) {
 			t.Fatalf("post-recovery report for %q, want %q", rep.Domain, victim)
 		}
 	}
-}
-
-// saveVisitChaosArtifacts copies the chaos run's checkpoint journals
-// to COOKIEWALK_VISITCHAOS_ARTIFACTS for CI upload on failure — the
-// seed fully determines the fault schedule, so the journals plus the
-// seed reproduce the failure offline.
-func saveVisitChaosArtifacts(t *testing.T, seed uint64, dir string) {
-	t.Helper()
-	root := os.Getenv("COOKIEWALK_VISITCHAOS_ARTIFACTS")
-	if root == "" {
-		return
-	}
-	dst := filepath.Join(root, fmt.Sprintf("visit-chaos-seed-%d", seed))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Logf("artifacts: %v", err)
-		return
-	}
-	if err := os.CopyFS(filepath.Join(dst, "checkpoint"), os.DirFS(dir)); err != nil {
-		t.Logf("artifacts: copy checkpoint: %v", err)
-	}
-	t.Logf("visit-chaos failure artifacts saved to %s", dst)
-}
-
-// diffGolden reports the first divergent line between got and the
-// golden snapshot (mirrors TestGoldenAllReport's failure output).
-func diffGolden(t *testing.T, got, want string) {
-	t.Helper()
-	if got == want {
-		return
-	}
-	gotLines := strings.Split(got, "\n")
-	wantLines := strings.Split(want, "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("output diverges from golden at line %d:\n got: %q\nwant: %q",
-				i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("output length changed: got %d lines, want %d lines", len(gotLines), len(wantLines))
 }

@@ -11,6 +11,7 @@ import (
 
 	"cookiewalk"
 	"cookiewalk/internal/campaign"
+	"cookiewalk/internal/fault"
 	"cookiewalk/internal/vantage"
 	"cookiewalk/internal/xrand"
 )
@@ -130,23 +131,14 @@ func TestResumeGoldenAfterKill(t *testing.T) {
 // for pseudo-random kill points, vantage points and worker/shard
 // geometries derived from a seed, an interrupted-then-resumed study
 // reports byte-identically to an uninterrupted one. CI runs it under
-// -race once per seed (COOKIEWALK_RESUME_SEED=1|2|3); without the env
-// var all three seeds run. On failure the checkpoint directory and the
-// got/want reports are copied to COOKIEWALK_RESUME_ARTIFACTS (when
-// set) for the workflow to upload.
+// -race once per seed (COOKIEWALK_SEED=1|2|3); without the env var all
+// three seeds run. On failure the checkpoint directory and the got/want
+// reports are copied under COOKIEWALK_ARTIFACTS (when set) for the
+// workflow to upload.
 func TestResumeDeterminismRandomKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crawls the scale-0.01 universe several times")
 	}
-	seeds := []uint64{1, 2, 3}
-	if env := os.Getenv("COOKIEWALK_RESUME_SEED"); env != "" {
-		var s uint64
-		if _, err := fmt.Sscanf(env, "%d", &s); err != nil {
-			t.Fatalf("COOKIEWALK_RESUME_SEED=%q: %v", env, err)
-		}
-		seeds = []uint64{s}
-	}
-
 	base := cookiewalk.Config{Seed: 42, Scale: 0.01, Reps: 1}
 	// One uninterrupted reference serves every seed: the report depends
 	// only on the universe config, never on scheduling or kill points.
@@ -157,7 +149,7 @@ func TestResumeDeterminismRandomKill(t *testing.T) {
 	targets := int64(len(cookiewalk.New(base).Targets()))
 	vps := cookiewalk.New(base).VantagePoints()
 
-	for _, seed := range seeds {
+	for _, seed := range fault.Seeds(t, 1, 2, 3) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := xrand.New(xrand.SubSeed(seed, "resume-determinism"))
 			killVP := vps[rng.Intn(len(vps))]
@@ -174,7 +166,8 @@ func TestResumeDeterminismRandomKill(t *testing.T) {
 			cfg.Shards = 1 + rng.Intn(5)
 			got, replayed := resumedReport(t, cfg, cookiewalk.ExpAll)
 			if got != reference {
-				saveResumeArtifacts(t, seed, dir, got, reference)
+				fault.SaveArtifacts(t, fmt.Sprintf("resume-seed-%d", seed), dir,
+					map[string]string{"got.txt": got, "want.txt": reference})
 				firstDiff(t, fmt.Sprintf("seed %d (kill %s@%d)", seed, killVP, killAfter), got, reference)
 			}
 			if replayed == 0 {
@@ -183,27 +176,6 @@ func TestResumeDeterminismRandomKill(t *testing.T) {
 			t.Logf("seed %d: killed %s after %d deliveries, replayed %d", seed, killVP, killAfter, replayed)
 		})
 	}
-}
-
-// saveResumeArtifacts copies the checkpoint dir and the diverging
-// reports somewhere a CI workflow can upload them.
-func saveResumeArtifacts(t *testing.T, seed uint64, checkpointDir, got, want string) {
-	t.Helper()
-	root := os.Getenv("COOKIEWALK_RESUME_ARTIFACTS")
-	if root == "" {
-		return
-	}
-	dst := filepath.Join(root, fmt.Sprintf("seed-%d", seed))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Logf("artifacts: %v", err)
-		return
-	}
-	if err := os.CopyFS(filepath.Join(dst, "checkpoint"), os.DirFS(checkpointDir)); err != nil {
-		t.Logf("artifacts: copy checkpoint: %v", err)
-	}
-	_ = os.WriteFile(filepath.Join(dst, "got.txt"), []byte(got), 0o644)
-	_ = os.WriteFile(filepath.Join(dst, "want.txt"), []byte(want), 0o644)
-	t.Logf("resume failure artifacts saved to %s", dst)
 }
 
 // TestResumeNonLandscapeExperimentJournal is the PR-5 acceptance test:

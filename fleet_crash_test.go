@@ -15,7 +15,7 @@ import (
 
 	"cookiewalk"
 	"cookiewalk/internal/campaign/dist"
-	"cookiewalk/internal/campaign/dist/distfault"
+	"cookiewalk/internal/fault"
 	"cookiewalk/internal/xrand"
 )
 
@@ -28,23 +28,23 @@ import (
 // fleet must finish, and the report assembled across both coordinator
 // incarnations must be byte-identical to testdata/golden_all.txt. The
 // fleet also runs with a shared bearer token, so the auth path is
-// exercised end to end. CI pins the seed via COOKIEWALK_CHAOS_SEED.
+// exercised end to end. COOKIEWALK_SEED picks the seed (default 1).
 func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scale-0.02 landscape across a crash-recovered fleet")
 	}
-	seed := uint64(1)
-	if env := os.Getenv("COOKIEWALK_CHAOS_SEED"); env != "" {
-		if _, err := fmt.Sscanf(env, "%d", &seed); err != nil {
-			t.Fatalf("COOKIEWALK_CHAOS_SEED=%q: %v", env, err)
-		}
-	}
+	seed := fault.Seeds(t, 1)[0]
 	want, err := os.ReadFile("testdata/golden_all.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := filepath.Join(t.TempDir(), "fleet")
+	t.Cleanup(func() {
+		if t.Failed() {
+			fault.SaveArtifacts(t, fmt.Sprintf("fleet-crash-seed-%d", seed), dir, nil)
+		}
+	})
 	const token = "fleet-chaos-secret"
 	cfg := cookiewalk.Config{
 		Seed: 42, Scale: 0.02, Reps: 2,
@@ -106,9 +106,9 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 3)
 	for i := range workerErrs {
-		tr := &distfault.Transport{
+		tr := &fault.Transport{
 			Seed:    xrand.Mix64(seed, uint64(i)+7),
-			Profile: distfault.DefaultProfile(),
+			Profile: fault.DefaultFleetProfile(),
 		}
 		client := &dist.Client{
 			BaseURL:    "http://" + addr,
@@ -144,7 +144,6 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 	coord2 := cookiewalk.New(cfg)
 	fc2, err := coord2.NewFleetCoordinator(t.Logf)
 	if err != nil {
-		saveFleetCrashArtifacts(t, seed, dir)
 		t.Fatalf("coordinator restart: %v", err)
 	}
 	var ln2 net.Listener
@@ -173,13 +172,11 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 	waitCtx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	if err := fc2.Wait(waitCtx); err != nil {
-		saveFleetCrashArtifacts(t, seed, dir)
 		t.Fatalf("recovered fleet never completed: %v", err)
 	}
 	wg.Wait()
 	for i, err := range workerErrs {
 		if err != nil {
-			saveFleetCrashArtifacts(t, seed, dir)
 			t.Fatalf("worker %d did not survive the coordinator crash: %v", i, err)
 		}
 	}
@@ -190,11 +187,9 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 
 	got, err := coord2.Report(cookiewalk.ExpAll)
 	if err != nil {
-		saveFleetCrashArtifacts(t, seed, dir)
 		t.Fatalf("post-recovery report: %v", err)
 	}
 	if got != string(want) {
-		saveFleetCrashArtifacts(t, seed, dir)
 	}
 	firstDiff(t, "crash-recovered fleet report", got, string(want))
 
@@ -216,24 +211,4 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// saveFleetCrashArtifacts copies the assembly dir — merged journals
-// plus the lease ledger — to COOKIEWALK_CHAOS_ARTIFACTS for CI upload
-// on failure.
-func saveFleetCrashArtifacts(t *testing.T, seed uint64, dir string) {
-	t.Helper()
-	root := os.Getenv("COOKIEWALK_CHAOS_ARTIFACTS")
-	if root == "" {
-		return
-	}
-	dst := filepath.Join(root, fmt.Sprintf("fleet-crash-seed-%d", seed))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Logf("artifacts: %v", err)
-		return
-	}
-	if err := os.CopyFS(filepath.Join(dst, "checkpoint"), os.DirFS(dir)); err != nil {
-		t.Logf("artifacts: copy checkpoint: %v", err)
-	}
-	t.Logf("fleet-crash failure artifacts saved to %s", dst)
 }

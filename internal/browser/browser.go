@@ -24,8 +24,8 @@
 // transfers never reach fingerprinting, retry exhaustion produces
 // stable error text, and definitive errors (DNS, 4xx) are returned
 // verbatim without retry — so campaign results are byte-identical
-// whenever faults eventually clear, which CI's visit-chaos gate pins
-// against the golden snapshot.
+// whenever faults eventually clear, which CI's determinism job pins
+// against the golden snapshot, with faults from internal/fault.
 package browser
 
 import (

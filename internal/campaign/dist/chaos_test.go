@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -13,7 +12,7 @@ import (
 
 	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/campaign/dist"
-	"cookiewalk/internal/campaign/dist/distfault"
+	"cookiewalk/internal/fault"
 	"cookiewalk/internal/xrand"
 )
 
@@ -23,18 +22,9 @@ import (
 // the coordinator answers through a 503-burst wrapper — all
 // deterministic per seed. The fleet must still converge, and the
 // assembled journals must replay byte-identically to a clean local
-// run. CI pins one seed per matrix job via COOKIEWALK_CHAOS_SEED;
-// without the env every seed runs in-process.
+// run. COOKIEWALK_SEED runs one seed; without it seeds 1–3 run.
 func TestFleetChaosMatrix(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if env := os.Getenv("COOKIEWALK_CHAOS_SEED"); env != "" {
-		var s uint64
-		if _, err := fmt.Sscanf(env, "%d", &s); err != nil {
-			t.Fatalf("COOKIEWALK_CHAOS_SEED=%q: %v", env, err)
-		}
-		seeds = []uint64{s}
-	}
-	for _, seed := range seeds {
+	for _, seed := range fault.Seeds(t, 1, 2, 3) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { runChaosFleet(t, seed) })
 	}
 }
@@ -45,6 +35,11 @@ func runChaosFleet(t *testing.T, seed uint64) {
 	hash := campaign.HashTargets(targets)
 	spec := dist.Spec{Label: "camp alpha", Targets: len(targets), TargetsHash: hash, Shards: shards}
 	dir := t.TempDir()
+	t.Cleanup(func() {
+		if t.Failed() {
+			fault.SaveArtifacts(t, fmt.Sprintf("fleet-chaos-seed-%d", seed), dir, nil)
+		}
+	})
 
 	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Dir: dir, Specs: []dist.Spec{spec},
@@ -57,7 +52,7 @@ func runChaosFleet(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosHandler := &distfault.Handler{Inner: co.Handler(), Seed: seed, Burst: 25, Logf: t.Logf}
+	chaosHandler := &fault.Handler{Inner: co.Handler(), Seed: seed, Burst: 25, Logf: t.Logf}
 	srv := httptest.NewServer(chaosHandler)
 	defer srv.Close()
 
@@ -71,13 +66,13 @@ func runChaosFleet(t *testing.T, seed uint64) {
 		return filepath.Join(scratch, campaign.ShardFilename(lease.Shard)), nil
 	}
 
-	var transports []*distfault.Transport
+	var transports []*fault.Transport
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := range errs {
-		tr := &distfault.Transport{
+		tr := &fault.Transport{
 			Seed:    xrand.Mix64(seed, uint64(i)+100),
-			Profile: distfault.DefaultProfile(),
+			Profile: fault.DefaultFleetProfile(),
 			Logf:    t.Logf,
 		}
 		transports = append(transports, tr)
@@ -100,14 +95,12 @@ func runChaosFleet(t *testing.T, seed uint64) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			saveChaosArtifacts(t, seed, dir)
 			t.Fatalf("chaos worker %d died: %v", i, err)
 		}
 	}
 	waitCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := co.Wait(waitCtx); err != nil {
-		saveChaosArtifacts(t, seed, dir)
 		t.Fatalf("chaos fleet never converged: %v", err)
 	}
 	injected := uint64(chaosHandler.Injected())
@@ -137,37 +130,14 @@ func runChaosFleet(t *testing.T, seed uint64) {
 			return "", nil
 		}, sink(&got))
 	if err != nil {
-		saveChaosArtifacts(t, seed, dir)
 		t.Fatal(err)
 	}
 	if stats.Replayed != int64(len(targets)) {
-		saveChaosArtifacts(t, seed, dir)
 		t.Fatalf("replayed %d of %d", stats.Replayed, len(targets))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			saveChaosArtifacts(t, seed, dir)
 			t.Fatalf("delivery %d: got %q, want %q", i, got[i], want[i])
 		}
 	}
-}
-
-// saveChaosArtifacts copies the assembly dir — merged journals plus
-// the lease ledger — to COOKIEWALK_CHAOS_ARTIFACTS for CI upload on
-// failure.
-func saveChaosArtifacts(t *testing.T, seed uint64, dir string) {
-	t.Helper()
-	root := os.Getenv("COOKIEWALK_CHAOS_ARTIFACTS")
-	if root == "" {
-		return
-	}
-	dst := filepath.Join(root, fmt.Sprintf("chaos-seed-%d", seed))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Logf("artifacts: %v", err)
-		return
-	}
-	if err := os.CopyFS(filepath.Join(dst, "assembly"), os.DirFS(dir)); err != nil {
-		t.Logf("artifacts: copy assembly: %v", err)
-	}
-	t.Logf("chaos failure artifacts saved to %s", dst)
 }

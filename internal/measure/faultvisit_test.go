@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"cookiewalk/internal/browser/faulttransport"
+	"cookiewalk/internal/fault"
 	"cookiewalk/internal/synthweb"
 	"cookiewalk/internal/webfarm"
 )
@@ -44,7 +44,7 @@ func TestTruncatedThenRetrySuccessMatchesClean(t *testing.T) {
 	reg, farm, targets := faultFixture(t)
 	domain := targets[0]
 
-	rt, ft := faulttransport.Wrap(farm.Transport(), 7, faulttransport.Profile{
+	rt, ft := fault.Wrap(farm.Transport(), 7, fault.VisitProfile{
 		Truncate: 1000, MaxPerRequest: 1,
 	})
 	flaky := New(reg, rt)
@@ -80,7 +80,7 @@ func TestTornBodyRetryMatchesClean(t *testing.T) {
 	reg, farm, targets := faultFixture(t)
 	domain := targets[1]
 
-	rt, ft := faulttransport.Wrap(plainOnly{farm.Transport()}, 11, faulttransport.Profile{
+	rt, ft := fault.Wrap(plainOnly{farm.Transport()}, 11, fault.VisitProfile{
 		Truncate: 1000, MaxPerRequest: 1,
 	})
 	flaky := New(reg, rt)
@@ -113,7 +113,7 @@ func TestFailedVisitNeverSeedsMemo(t *testing.T) {
 	reg, farm, targets := faultFixture(t)
 	domain := targets[2]
 
-	rt, _ := faulttransport.Wrap(farm.Transport(), 13, faulttransport.Profile{
+	rt, _ := fault.Wrap(farm.Transport(), 13, fault.VisitProfile{
 		Truncate: 1000, MaxPerRequest: -1,
 	})
 	broken := New(reg, rt)
@@ -144,7 +144,7 @@ func TestMemoClaimRaceUnderFaults(t *testing.T) {
 	reg, farm, targets := faultFixture(t)
 	domain := targets[3]
 
-	rt, _ := faulttransport.Wrap(farm.Transport(), 17, faulttransport.Profile{
+	rt, _ := fault.Wrap(farm.Transport(), 17, fault.VisitProfile{
 		Truncate: 1000, MaxPerRequest: -1,
 	})
 	broken := New(reg, rt)

@@ -12,15 +12,16 @@ import (
 	"time"
 
 	"cookiewalk"
+	"cookiewalk/internal/fault"
 )
 
 // TestSchedulerDeterminismAcrossParallelism pins the DAG scheduler's
 // central promise: the COMPLETE experiment output is byte-identical to
 // the golden snapshot for any ExperimentParallelism — serial, a small
 // pool, or one slot per core. Scheduling (and the shared worker
-// budget) must never leak into results. CI runs one parallelism level
-// per matrix job under -race via COOKIEWALK_SCHED_PARALLELISM
-// (0 means GOMAXPROCS); without the env var all three levels run.
+// budget) must never leak into results. Without COOKIEWALK_SEED all
+// three levels run; CI runs one level per matrix leg, seed 1, 2 or 3
+// selecting parallelism 1, 4 or GOMAXPROCS.
 func TestSchedulerDeterminismAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full scale-0.02 experiment per parallelism level")
@@ -30,17 +31,8 @@ func TestSchedulerDeterminismAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
-	if env := os.Getenv("COOKIEWALK_SCHED_PARALLELISM"); env != "" {
-		var p int
-		if _, err := fmt.Sscanf(env, "%d", &p); err != nil {
-			t.Fatalf("COOKIEWALK_SCHED_PARALLELISM=%q: %v", env, err)
-		}
-		if p == 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-		levels = []int{p}
-	}
-	for _, par := range levels {
+	for _, seed := range fault.Seeds(t, 1, 2, 3) {
+		par := levels[(seed-1)%uint64(len(levels))]
 		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
 			got, err := cookiewalk.New(cookiewalk.Config{
 				Seed: 42, Scale: 0.02, Reps: 2, ExperimentParallelism: par,
