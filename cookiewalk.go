@@ -315,7 +315,7 @@ func (s *Study) VantagePoints() []string {
 func (s *Study) CookiewallDomains() []string {
 	var out []string
 	for _, site := range s.reg.CookiewallSites() {
-		if len(site.Lists) > 0 {
+		if site.Lists.Len() > 0 {
 			out = append(out, site.Domain)
 		}
 	}

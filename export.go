@@ -113,11 +113,9 @@ func (s *Study) BuildDataset() (Dataset, error) {
 		}
 		if site, ok := s.reg.Site(o.Domain); ok {
 			rec.Provider = site.Provider.Name
-			for cc := range site.Lists {
-				rec.OnToplists = append(rec.OnToplists, cc)
-			}
-			// Map iteration order is random: without this sort two
-			// exports of the same study would differ byte-for-byte.
+			rec.OnToplists = site.Lists.Countries()
+			// Countries() sorts already; the sort stays so the export
+			// order never depends on how a site stores its lists.
 			sort.Strings(rec.OnToplists)
 		}
 		ds.Walls = append(ds.Walls, rec)

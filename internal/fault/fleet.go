@@ -40,6 +40,9 @@ func (p FleetProfile) pick(roll uint64) kind {
 
 // Transport is a fault-injecting http.RoundTripper for fleet worker
 // clients; each decision is a pure function of (Seed, request number).
+// The roll mixes the seed before folding in the request number, so
+// that neighbouring seeds fault unrelated requests: Seed ^ n alone
+// would give them one schedule in permuted order.
 // The invariants it probes are the fleet's real ones: a torn PUT must
 // surface as a validation reject and be re-shipped fresh; a dropped
 // lease response must expire into a re-lease; a duplicated upload must
@@ -93,7 +96,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body.Close()
 	}
 
-	h := xrand.Mix64(t.Seed, t.n.Add(1))
+	h := xrand.Mix64(xrand.SubSeed(t.Seed, "fleet-transport"), t.n.Add(1))
 	k := t.Profile.pick(h % 1000)
 	isJournalPut := req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/v1/journal")
 	isHeartbeat := strings.HasSuffix(req.URL.Path, "/v1/heartbeat")
@@ -176,7 +179,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.burstLeft--
 		inject = true
 	} else if h.Burst > 0 {
-		roll := xrand.Mix64(h.Seed+1, h.n)
+		roll := xrand.Mix64(xrand.SubSeed(h.Seed, "fleet-handler"), h.n)
 		if roll%1000 < uint64(h.Burst) {
 			h.burstLeft = int(roll>>32%3) + 1
 			inject, started = true, h.burstLeft+1

@@ -157,8 +157,11 @@ func burstPattern(seed uint64, burst, n int) string {
 }
 
 // TestSchedulePin pins the fault schedule of seeds 1–3 on every seam.
-// The literals were recorded from the two injectors this package
-// replaced; a change here changes which requests a chaos run faults.
+// The visit literals were recorded from the two injectors this package
+// replaced. The fleet and burst literals were re-recorded when the
+// fleet seams moved to rolling on a mixed seed, so that seeds 1–3 fault
+// different requests; a change here changes which requests a chaos run
+// faults.
 func TestSchedulePin(t *testing.T) {
 	want := map[uint64]struct {
 		visit, fleet string
@@ -167,23 +170,24 @@ func TestSchedulePin(t *testing.T) {
 	}{
 		1: {
 			visit: "S...5.S...5.TS..T.T..X..XT....TX.T...X..R..S..R.",
-			fleet: "P..HD.55H.D.UPDHPH.P5DPU.H5.HUH.5.DPDPPD5..U.S5SH5S5..H...SSDH.U",
-			cuts:  []int{789, 349, 931, 360, 935, 837, 177, 572},
-			burst: ".55.........55...5555.555..........5555.........................",
+			fleet: ".5D.HSPUPSP...S..5U.D....HHHH.D.S...UPP.5.SU..55...S.55US5..S..D",
+			cuts:  []int{265, 211, 874, 728, 449},
+			burst: "......55........5555......555555......5555.........555555...555.",
 		},
 		2: {
 			visit: "5...R..S..T.X...R.T..X..5..XT....R.....RT.5.....",
-			fleet: ".P.5.DHD.H5DPU..HPHPD5P5H.UHUH.D.5.PPDP..5D5S.US5HSH..5S....HDSS",
-			cuts:  []int{789, 349, 931, 935, 360, 572, 177, 837},
-			burst: "..55.......55.....5555.............5555.........................",
+			fleet: ".....H5HU5UDU.5U....USPUSUHUP..DD5...UDD....SP.DHH..P.P.HD.S.SUH",
+			cuts:  []int{611, 371, 753, 495, 0},
+			burst: ".555.5555........5555555.......555555.5555..55...55....555....55",
 		},
 		3: {
 			visit: ".R..X..X.5..5S.....S.S..5...X....TS........S....",
-			fleet: "..P.5HD.D5HPD.UH.HPDPP5H5U.UH.H.D.5PPPD..D5S5U.5SSH.H5..S..H.SD.",
-			cuts:  []int{789, 349, 931, 935, 360, 177, 572, 837},
-			burst: "...55.....55....55555...........5555............................",
+			fleet: "..H.SS5D.HP..DPS...SUUDHD.H5D55.PUH.S5D.DD5.....U.HSH.HDHHUU.UDD",
+			cuts:  []int{223, 757, 733},
+			burst: "...555....................5555..................55..............",
 		},
 	}
+	cutSeed := map[int]uint64{}
 	for _, seed := range []uint64{1, 2, 3} {
 		var visit strings.Builder
 		rt, inj := fault.Wrap(plainOnly{&okBase{body: "visit reply"}}, seed, visitMix)
@@ -192,6 +196,15 @@ func TestSchedulePin(t *testing.T) {
 		}
 		fleet, cuts := fleetDecisions(t, seed, fault.FleetProfile{TornPut: 100, StallHB: 100, Drop: 100, ShortRead: 100, Err503: 100, Dup: 100}, 64)
 		burst := burstPattern(seed, 100, 64)
+
+		// The three CI seeds must tear journal PUTs at different
+		// offsets, or the chaos legs test one schedule three times.
+		for _, c := range cuts {
+			if other, dup := cutSeed[c]; dup && other != seed {
+				t.Errorf("seeds %d and %d both cut a torn PUT at %d", other, seed, c)
+			}
+			cutSeed[c] = seed
+		}
 
 		w := want[seed]
 		if visit.String() != w.visit || fleet != w.fleet || fmt.Sprint(cuts) != fmt.Sprint(w.cuts) || burst != w.burst {

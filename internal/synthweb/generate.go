@@ -62,13 +62,15 @@ func Generate(cfg Config) *Registry {
 	if cfg.FillerScale <= 0 {
 		cfg.FillerScale = 1
 	}
+	n := siteCountHint(cfg.FillerScale)
 	r := &Registry{
 		cfg:      cfg,
-		byDomain: make(map[string]*Site),
+		sites:    make([]*Site, 0, n),
+		byDomain: make(map[string]*Site, n),
 		SMP:      smp.NewRegistry(),
 	}
 	rng := xrand.New(xrand.SubSeed(cfg.Seed, "synthweb"))
-	nf := newNameFactory(rng)
+	nf := newNameFactory(rng, n)
 
 	cws := buildCookiewalls(rng, nf)
 	for _, s := range cws {
@@ -85,6 +87,19 @@ func Generate(cfg Config) *Registry {
 		r.selfCheck()
 	}
 	return r
+}
+
+// siteCountHint estimates how many sites Generate builds, to size its
+// tables. Every toplist holds one entry per country for each global
+// site, two for each paired site, and one for everything else on a
+// list; the out-of-list SMP partners come on top. The estimate is
+// exact when every list fills to its nominal size.
+func siteCountHint(scale float64) int {
+	nc := vantage.NumCountries
+	global := scaleCount(globalTop1k, scale) + scaleCount(globalTop10k, scale)
+	n := nc*scaleCount(listSize, scale) - (nc-1)*global - scaleCount(pairSites, scale) +
+		extraContentpass + extraFreechoice
+	return max(n, 0)
 }
 
 func (r *Registry) add(s *Site) {
@@ -431,14 +446,13 @@ func buildCookiewalls(rng *xrand.Rand, nf *nameFactory) []*Site {
 			Banner:    BannerCookiewall,
 			Embedding: embeds[i],
 			Provider:  prov,
-			Lists:     map[string]int{},
 			Reachable: true,
 		}
 		bucket := 1000
 		if !sh.list1k {
 			bucket = 10000
 		}
-		s.Lists[sh.listCC] = bucket
+		s.Lists.Set(sh.listCC, bucket)
 
 		// Visibility policy.
 		switch sh.lang {
@@ -448,7 +462,7 @@ func buildCookiewalls(rng *xrand.Rand, nf *nameFactory) []*Site {
 		case "en":
 			s.ShowToVPs = englishVisibility(sh.visIdx)
 		case "pt":
-			s.ShowToVPs = []string{"Germany", "Sweden"}
+			s.ShowToVPs = euOnly
 		default:
 			s.ShowToVPs = nil // global
 		}
@@ -502,6 +516,10 @@ func germanVisibility(i int) []string {
 	}
 	return vps
 }
+
+// euOnly is the visibility set of EU-only banners. Sites share it, so
+// it must never be modified.
+var euOnly = []string{"Germany", "Sweden"}
 
 func englishVisibility(i int) []string {
 	vps := []string{"Germany", "Sweden"}
@@ -636,11 +654,11 @@ func buildDecoys(rng *xrand.Rand, nf *nameFactory) []*Site {
 			Banner:    BannerRegular,
 			Embedding: EmbedMainDOM,
 			Provider:  mustProvider("local"),
-			Lists:     map[string]int{"DE": bucket},
 			Reachable: true,
 			Decoy:     true,
 			Cookies:   regularCookieProfile(rng.Fork(fmt.Sprintf("decoy%d", i))),
 		}
+		s.Lists.Set("DE", bucket)
 		out = append(out, s)
 	}
 	return out
@@ -676,7 +694,6 @@ func (r *Registry) buildExtraPartners(rng *xrand.Rand, nf *nameFactory) {
 				Banner:    BannerCookiewall,
 				Embedding: emb,
 				Provider:  mustProvider(provider),
-				Lists:     map[string]int{},
 				Reachable: true,
 			}
 			sh := cwShell{lang: "de", tld: "de", bucket: 3}
@@ -715,6 +732,9 @@ var countryTLD = map[string]string{
 
 var genericTLDs = []string{"com", "net", "org", "info", "online", "site"}
 
+// fillerChunk is how many filler Sites share one allocation.
+const fillerChunk = 128
+
 // buildFiller populates the country toplists with regular/no-banner
 // sites, shared "global" sites, paired sites, and unreachable entries.
 func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
@@ -722,13 +742,20 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 	countries := vantage.Countries()
 	frng := rng.Fork("filler")
 
+	var slab []Site
 	newFiller := func(lang, tld string) *Site {
-		s := &Site{
+		// Filler sites are the bulk of the universe and live as long
+		// as it does: carve them from chunks, one allocation per chunk.
+		if len(slab) == 0 {
+			slab = make([]Site, fillerChunk)
+		}
+		s := &slab[0]
+		slab = slab[1:]
+		*s = Site{
 			Domain:    nf.next(lang, tld),
 			TLD:       tld,
 			Language:  lang,
 			Category:  pickCategory(frng),
-			Lists:     map[string]int{},
 			Reachable: true,
 		}
 		if frng.Bool(0.62) {
@@ -738,7 +765,7 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 				s.Embedding = EmbedIFrame
 			}
 			if frng.Bool(0.30) {
-				s.ShowToVPs = []string{"Germany", "Sweden"} // EU-only banner
+				s.ShowToVPs = euOnly
 			}
 			// A small share of sites detect crawlers and hide their
 			// banner (the §3 bot-detection limitation).
@@ -764,7 +791,7 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 			bucket = 1000
 		}
 		for _, cc := range countries {
-			s.Lists[cc] = bucket
+			s.Lists.Set(cc, bucket)
 		}
 		r.add(s)
 	}
@@ -782,8 +809,8 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 		p := pairs[i%len(pairs)]
 		lang := countryLanguage[p[0]]
 		s := newFiller(lang, genericTLDs[frng.Intn(len(genericTLDs))])
-		s.Lists[p[0]] = 10000
-		s.Lists[p[1]] = 10000
+		s.Lists.Set(p[0], 10000)
+		s.Lists.Set(p[1], 10000)
 		r.add(s)
 	}
 
@@ -792,10 +819,10 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 	lSize := scaleCount(listSize, scale)
 	nUnreach := scaleCount(unreachablePerCC, scale)
 	nUnreach1k := scaleCount(unreachableIn1k, scale)
-	for _, cc := range countries {
+	for ci, cc := range countries {
 		assigned1k, assignedTotal := 0, 0
 		for _, s := range r.sites {
-			if b, ok := s.Lists[cc]; ok {
+			if b := s.Lists.bucket[ci]; b != 0 {
 				assignedTotal++
 				if b == 1000 {
 					assigned1k++
@@ -811,7 +838,7 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 				bucket = 1000
 				assigned1k++
 			}
-			s.Lists[cc] = bucket
+			s.Lists.Set(cc, bucket)
 			r.add(s)
 			assignedTotal++
 		}
@@ -824,7 +851,7 @@ func (r *Registry) buildFiller(rng *xrand.Rand, nf *nameFactory) {
 				bucket = 1000
 				assigned1k++
 			}
-			s.Lists[cc] = bucket
+			s.Lists.Set(cc, bucket)
 			r.add(s)
 			assignedTotal++
 		}
@@ -867,7 +894,7 @@ func (r *Registry) registerPartners() {
 func (r *Registry) buildTargetList() {
 	var t []string
 	for _, s := range r.sites {
-		if s.Reachable && len(s.Lists) > 0 {
+		if s.Reachable && s.Lists.Len() > 0 {
 			t = append(t, s.Domain)
 		}
 	}
@@ -883,7 +910,7 @@ func (r *Registry) selfCheck() {
 	cws := r.CookiewallSites()
 	inList := 0
 	for _, s := range cws {
-		if len(s.Lists) > 0 {
+		if s.Lists.Len() > 0 {
 			inList++
 		}
 	}
@@ -905,7 +932,7 @@ func (r *Registry) selfCheck() {
 	for _, vp := range vantage.All() {
 		n := 0
 		for _, s := range cws {
-			if len(s.Lists) > 0 && s.ShowsBannerTo(vp.Name) {
+			if s.Lists.Len() > 0 && s.ShowsBannerTo(vp.Name) {
 				n++
 			}
 		}
@@ -917,7 +944,7 @@ func (r *Registry) selfCheck() {
 		"it": 6, "at": 4, "fr": 2, "es": 1, "info": 1, "news": 1}
 	gotTLD := map[string]int{}
 	for _, s := range cws {
-		if len(s.Lists) > 0 {
+		if s.Lists.Len() > 0 {
 			gotTLD[s.TLD]++
 		}
 	}
@@ -930,7 +957,7 @@ func (r *Registry) selfCheck() {
 		"es": 2, "pt": 2, "nl": 2, "da": 2}
 	gotLang := map[string]int{}
 	for _, s := range cws {
-		if len(s.Lists) > 0 {
+		if s.Lists.Len() > 0 {
 			gotLang[s.Language]++
 		}
 	}
@@ -942,7 +969,7 @@ func (r *Registry) selfCheck() {
 	wantList := map[string]int{"DE": 259, "SE": 15, "AU": 5, "BR": 1}
 	gotList := map[string]int{}
 	for _, s := range cws {
-		for cc := range s.Lists {
+		for _, cc := range s.Lists.Countries() {
 			gotList[cc]++
 		}
 	}
@@ -953,7 +980,7 @@ func (r *Registry) selfCheck() {
 	// Embedding marginal (§3).
 	var shadow, iframe, main int
 	for _, s := range cws {
-		if len(s.Lists) == 0 {
+		if s.Lists.Len() == 0 {
 			continue
 		}
 		switch {
@@ -972,20 +999,22 @@ func (r *Registry) selfCheck() {
 	// Blockable share (§4.5): 196 of 280 use listed providers.
 	listed := 0
 	for _, s := range cws {
-		if len(s.Lists) > 0 && s.Provider.Listed {
+		if s.Lists.Len() > 0 && s.Provider.Listed {
 			listed++
 		}
 	}
 	check("listed providers", listed, 196)
 
 	// Per-country list sizes.
-	listTotals := map[string]int{}
+	var listTotals [vantage.NumCountries]int
 	for _, s := range r.sites {
-		for cc := range s.Lists {
-			listTotals[cc]++
+		for ci, b := range s.Lists.bucket {
+			if b != 0 {
+				listTotals[ci]++
+			}
 		}
 	}
-	for _, cc := range vantage.Countries() {
-		check("list size "+cc, listTotals[cc], listSize)
+	for ci, cc := range vantage.Countries() {
+		check("list size "+cc, listTotals[ci], listSize)
 	}
 }

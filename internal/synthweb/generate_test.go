@@ -21,7 +21,7 @@ func TestFullScaleMarginals(t *testing.T) {
 	cws := r.CookiewallSites()
 	inList := 0
 	for _, s := range cws {
-		if len(s.Lists) > 0 {
+		if s.Lists.Len() > 0 {
 			inList++
 		}
 	}
@@ -75,7 +75,7 @@ func TestLanguageVPCells(t *testing.T) {
 	for vpName, wantN := range want {
 		n := 0
 		for _, s := range r.CookiewallSites() {
-			if len(s.Lists) > 0 && s.Language == "en" && s.ShowsBannerTo(vpName) {
+			if s.Lists.Len() > 0 && s.Language == "en" && s.ShowsBannerTo(vpName) {
 				n++
 			}
 		}
@@ -86,7 +86,7 @@ func TestLanguageVPCells(t *testing.T) {
 	// Brazilian-list pt site must not be visible from Brazil (the
 	// pt.climate-data.org footnote).
 	for _, s := range r.CookiewallSites() {
-		if _, ok := s.Lists["BR"]; ok {
+		if s.Lists.Bucket("BR") != 0 {
 			if s.ShowsBannerTo("Brazil") {
 				t.Error("BR-list cookiewall visible from Brazil")
 			}
@@ -116,7 +116,7 @@ func TestPriceECDFShape(t *testing.T) {
 	// §4.2: ~80% charge <= 3 EUR, ~90% <= 4 EUR, a handful >= 8 EUR.
 	var le3, le4, ge8, total int
 	for _, s := range fullRegistry.CookiewallSites() {
-		if len(s.Lists) == 0 {
+		if s.Lists.Len() == 0 {
 			continue
 		}
 		total++
@@ -149,7 +149,7 @@ func TestDecoys(t *testing.T) {
 			if s.Banner != BannerRegular {
 				t.Error("decoy must carry a regular banner")
 			}
-			if len(s.Lists) == 0 || !s.Reachable {
+			if s.Lists.Len() == 0 || !s.Reachable {
 				t.Error("decoy must be a reachable list member")
 			}
 		}
@@ -180,7 +180,7 @@ func TestQuirkSites(t *testing.T) {
 func TestGermanOnlySites(t *testing.T) {
 	n := 0
 	for _, s := range fullRegistry.CookiewallSites() {
-		if len(s.Lists) == 0 {
+		if s.Lists.Len() == 0 {
 			continue
 		}
 		if len(s.ShowToVPs) == 1 && s.ShowToVPs[0] == "Germany" {
@@ -197,7 +197,7 @@ func TestScaledRegistryStructure(t *testing.T) {
 	// Cookiewall structure is never scaled.
 	inList := 0
 	for _, s := range r.CookiewallSites() {
-		if len(s.Lists) > 0 {
+		if s.Lists.Len() > 0 {
 			inList++
 		}
 	}
@@ -214,7 +214,7 @@ func TestScaledRegistryStructure(t *testing.T) {
 		targets[d] = true
 	}
 	for _, s := range r.CookiewallSites() {
-		if len(s.Lists) > 0 && !targets[s.Domain] {
+		if s.Lists.Len() > 0 && !targets[s.Domain] {
 			t.Fatalf("cookiewall %s missing from target list", s.Domain)
 		}
 	}
@@ -247,7 +247,7 @@ func TestTopListBuckets(t *testing.T) {
 	r := fullRegistry
 	var cw1k, reach1k int
 	for _, s := range r.Sites() {
-		b, ok := s.Lists["DE"]
+		b, ok := s.OnList("DE")
 		if !ok || b != 1000 {
 			continue
 		}
@@ -285,7 +285,7 @@ func TestCookieProfileShapes(t *testing.T) {
 	var cwTracking, smpTracking, regTracking []int
 	for _, s := range fullRegistry.Sites() {
 		switch {
-		case s.Banner == BannerCookiewall && len(s.Lists) > 0:
+		case s.Banner == BannerCookiewall && s.Lists.Len() > 0:
 			cwTracking = append(cwTracking, s.Cookies.PostTracking)
 			if s.Provider.SMP {
 				smpTracking = append(smpTracking, s.Cookies.PostTracking)

@@ -1,8 +1,9 @@
 package synthweb
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"cookiewalk/internal/xrand"
 )
@@ -43,32 +44,41 @@ var nameSuffixes = []string{"", "24", "-heute", "-online", "-aktuell",
 	"-live", "-plus", "-now", "-hub", "-net", "-today", "-info", "-zone",
 	"-base", "-point", "-world", "-land", "-direct", "-go", "-pro"}
 
-// nameFactory issues unique domain names.
+// nameFactory issues unique domain names. Each attempt is built in buf
+// and probed against used without allocating; only the winning name
+// becomes a string.
 type nameFactory struct {
 	used map[string]bool
 	rng  *xrand.Rand
 	n    int
+	buf  []byte
 }
 
-func newNameFactory(rng *xrand.Rand) *nameFactory {
-	return &nameFactory{used: make(map[string]bool), rng: rng.Fork("names")}
+func newNameFactory(rng *xrand.Rand, sizeHint int) *nameFactory {
+	return &nameFactory{used: make(map[string]bool, sizeHint), rng: rng.Fork("names")}
 }
 
-// next returns a fresh domain for the given language and TLD.
+var reservedWord = []byte("example")
+
+// next returns a fresh domain for the given language and TLD. Every
+// attempt draws stem, suffix and, after the ninth, a number, in that
+// order: the draws are part of the universe's seed contract.
 func (f *nameFactory) next(lang, tld string) string {
 	stems := nameStems[lang]
 	if len(stems) == 0 {
 		stems = nameStems["en"]
 	}
 	for attempt := 0; attempt < 64; attempt++ {
-		stem := stems[f.rng.Intn(len(stems))]
-		suffix := nameSuffixes[f.rng.Intn(len(nameSuffixes))]
-		name := stem + suffix
+		b := append(f.buf[:0], stems[f.rng.Intn(len(stems))]...)
+		b = append(b, nameSuffixes[f.rng.Intn(len(nameSuffixes))]...)
 		if attempt > 8 {
-			name = fmt.Sprintf("%s%d", name, f.rng.Intn(1000))
+			b = strconv.AppendInt(b, int64(f.rng.Intn(1000)), 10)
 		}
-		domain := name + "." + tld
-		if !f.used[domain] && !strings.Contains(domain, "example") {
+		b = append(b, '.')
+		b = append(b, tld...)
+		f.buf = b
+		if !f.used[string(b)] && !bytes.Contains(b, reservedWord) {
+			domain := string(b)
 			f.used[domain] = true
 			return domain
 		}

@@ -7,10 +7,27 @@
 // Ground truth lives here and is used for two things only: page
 // generation in package webfarm, and accuracy evaluation (§3's manual
 // verification). The detector never reads it.
+//
+// Generator contract: the same Config gives the same universe, byte
+// for byte — the same sites in the same order with the same
+// attributes, the same target list and the same SMP partners. The
+// order of the generator's RNG draws is part of that contract: an
+// optimisation may change how a value is computed or stored, never
+// which draws are made or in what order. TestUniversePin hashes the
+// whole universe at two (seed, scale) points and fails on any change.
+//
+// A site's toplist membership is a Toplists value: one rank bucket per
+// vantage-point country, indexed in vantage.Countries() order, so a
+// site costs no map and a membership test is an array read.
 package synthweb
 
 import (
+	"fmt"
+	"math"
+	"sort"
+
 	"cookiewalk/internal/currency"
+	"cookiewalk/internal/vantage"
 )
 
 // BannerKind is the ground-truth banner class of a site.
@@ -167,12 +184,13 @@ type Site struct {
 
 	// ShowToVPs restricts cookiewall/banner display to these VP names;
 	// nil means show everywhere. Regular banners use the same policy
-	// mechanism (EU-only banners are common).
+	// mechanism (EU-only banners are common). Sites may share the
+	// slice: treat it as read-only.
 	ShowToVPs []string
 
-	// Lists maps country code -> rank bucket (1000 or 10000) for the
-	// CrUX-style toplists the site appears on.
-	Lists map[string]int
+	// Lists holds the rank bucket (1000 or 10000) of every CrUX-style
+	// toplist the site appears on.
+	Lists Toplists
 	// Reachable marks the site as crawlable; unreachable sites fail
 	// every request (the paper's ~11% per-list unreachable share).
 	Reachable bool
@@ -214,6 +232,61 @@ func (s *Site) ShowsBannerTo(vpName string) bool {
 // OnList reports whether the site is on the country's toplist, and in
 // which bucket (1000 or 10000).
 func (s *Site) OnList(country string) (int, bool) {
-	b, ok := s.Lists[country]
-	return b, ok
+	b := s.Lists.Bucket(country)
+	return b, b != 0
+}
+
+// Toplists records a site's rank bucket on each country toplist. It is
+// a value: one uint16 bucket per vantage-point country, indexed in
+// vantage.Countries() order, with 0 meaning "not on that list". The
+// zero Toplists is on no list.
+type Toplists struct {
+	bucket [vantage.NumCountries]uint16
+}
+
+// Bucket returns the site's rank bucket on the country's toplist, or 0
+// when it is not on it (or the country has no toplist).
+func (t *Toplists) Bucket(cc string) int {
+	i, ok := vantage.CountryIndex(cc)
+	if !ok {
+		return 0
+	}
+	return int(t.bucket[i])
+}
+
+// Set puts the site on the country's toplist in bucket b; b == 0 takes
+// it off. It panics for a country without a vantage point or a bucket
+// outside [0, 65535], both generator bugs.
+func (t *Toplists) Set(cc string, b int) {
+	i, ok := vantage.CountryIndex(cc)
+	if !ok {
+		panic("synthweb: no toplist for country " + cc)
+	}
+	if b < 0 || b > math.MaxUint16 {
+		panic(fmt.Sprintf("synthweb: toplist bucket %d out of range", b))
+	}
+	t.bucket[i] = uint16(b)
+}
+
+// Len returns how many toplists the site is on.
+func (t *Toplists) Len() int {
+	n := 0
+	for _, b := range t.bucket {
+		if b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Countries returns the codes of the toplists the site is on, sorted.
+func (t *Toplists) Countries() []string {
+	var out []string
+	for i, cc := range vantage.Countries() {
+		if t.bucket[i] != 0 {
+			out = append(out, cc)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -10,6 +10,8 @@
 // documented substitution for IP geolocation).
 package vantage
 
+import "slices"
+
 // GeoHeader carries the vantage point name on every emulated-browser
 // request. It substitutes for IP geolocation: a real crawler's region
 // is implied by its source address, which an in-process transport does
@@ -116,16 +118,35 @@ func ByCountry(code string) (VP, bool) {
 	return VP{}, false
 }
 
-// Countries returns the distinct VP countries in stable order
-// (US, BR, DE, SE, ZA, IN, AU) — the countries that have CrUX toplists.
-func Countries() []string {
+// NumCountries is the number of distinct VP countries, the length of
+// Countries().
+const NumCountries = 7
+
+// countries is derived from all once: the distinct VP countries in
+// Table 1 row order.
+var countries = distinctCountries()
+
+func distinctCountries() []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, v := range all {
-		if !seen[v.Country] {
-			seen[v.Country] = true
+		if !slices.Contains(out, v.Country) {
 			out = append(out, v.Country)
 		}
 	}
+	if len(out) != NumCountries {
+		panic("vantage: NumCountries out of date")
+	}
 	return out
+}
+
+// Countries returns the distinct VP countries in stable order
+// (US, BR, DE, SE, ZA, IN, AU) — the countries that have CrUX toplists.
+// The slice is shared: callers must not modify it.
+func Countries() []string { return countries }
+
+// CountryIndex returns the position of a country code in Countries(),
+// or false if no vantage point is in that country.
+func CountryIndex(code string) (int, bool) {
+	i := slices.Index(countries, code)
+	return i, i >= 0
 }

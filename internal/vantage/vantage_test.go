@@ -61,12 +61,33 @@ func TestCountriesDistinct(t *testing.T) {
 	if len(cs) != 7 { // two US VPs share a toplist country
 		t.Fatalf("countries = %v", cs)
 	}
+	if len(cs) != NumCountries {
+		t.Fatalf("len(Countries()) = %d, NumCountries = %d", len(cs), NumCountries)
+	}
 	seen := map[string]bool{}
-	for _, c := range cs {
+	for i, c := range cs {
 		if seen[c] {
 			t.Fatalf("duplicate country %s", c)
 		}
 		seen[c] = true
+		if j, ok := CountryIndex(c); !ok || j != i {
+			t.Fatalf("CountryIndex(%s) = %d, %v; want %d", c, j, ok, i)
+		}
+	}
+	if _, ok := CountryIndex("XX"); ok {
+		t.Fatal("CountryIndex found a country without a vantage point")
+	}
+}
+
+func TestCountriesAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = Countries()
+		_, _ = CountryIndex("SE")
+	}); n != 0 {
+		t.Fatalf("Countries + CountryIndex allocate %.0f times", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -253,6 +254,41 @@ func queryGet(rawQuery, key string) string {
 	return ""
 }
 
+// cookieValue is http.Request.Cookie(name).Value without building the
+// cookie list: it scans the Cookie header lines in place and returns the
+// first valid value of the named cookie, unquoted, skipping the pairs
+// net/http rejects. name must be a valid, non-empty cookie name.
+func cookieValue(h http.Header, name string) (string, bool) {
+	for _, line := range h["Cookie"] {
+		for line != "" {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			k, v, _ := strings.Cut(textproto.TrimString(part), "=")
+			if textproto.TrimString(k) != name {
+				continue
+			}
+			if len(v) > 1 && v[0] == '"' && v[len(v)-1] == '"' {
+				v = v[1 : len(v)-1]
+			}
+			if validCookieValue(v) {
+				return v, true
+			}
+		}
+	}
+	return "", false
+}
+
+// validCookieValue reports whether every byte of v may appear in a
+// cookie value, by net/http's rule.
+func validCookieValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if b := v[i]; b < 0x20 || b >= 0x7f || b == '"' || b == ';' || b == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
 // gifPixel is the constant tracker response with its fingerprint
 // computed once — trackers answer thousands of requests per campaign.
 // Its constant header values are shared read-only across responses.
@@ -364,13 +400,13 @@ func (f *Farm) servePage(r *http.Request, s *synthweb.Site) reply {
 		visit:  r.Header.Get(vantage.VisitHeader),
 		botUA:  looksLikeBot(r.Header.Get("User-Agent")),
 	}
-	if c, err := r.Cookie("consent"); err == nil {
-		st.consented = c.Value == "accepted"
-		st.rejected = c.Value == "rejected"
+	if v, ok := cookieValue(r.Header, "consent"); ok {
+		st.consented = v == "accepted"
+		st.rejected = v == "rejected"
 	}
-	if c, err := r.Cookie(smp.SubscriptionCookieName); err == nil {
+	if v, ok := cookieValue(r.Header, smp.SubscriptionCookieName); ok {
 		if platform, ok := f.reg.SMP.PlatformOf(s.Domain); ok {
-			st.subscribed = f.reg.SMP.ValidateToken(platform.Name, c.Value)
+			st.subscribed = f.reg.SMP.ValidateToken(platform.Name, v)
 		}
 	}
 

@@ -337,6 +337,66 @@ func TestQueryGetMatchesValuesGet(t *testing.T) {
 	}
 }
 
+func TestCookieValueMatchesRequestCookie(t *testing.T) {
+	for _, lines := range [][]string{
+		nil,
+		{},
+		{""},
+		{"consent=accepted"},
+		{`consent="accepted"`},
+		{`consent="rejected`},
+		{`consent=""`},
+		{`consent="`},
+		{"consent="},
+		{"consent"},
+		{"a=1; consent=rejected; b=2"},
+		{"consent=accepted; consent=rejected"},
+		{"consent=bad\\value; consent=accepted"},
+		{"consent=bad\"value; consent=rejected"},
+		{"consent=caf\xc3\xa9; consent=accepted"},
+		{"consent=tab\tin; consent=accepted"},
+		{"  consent = accepted  "},
+		{"\tconsent=accepted\r\n"},
+		{"consent= accepted"},
+		{"consent =accepted;consent=rejected"},
+		{";;consent=accepted;;"},
+		{"Consent=accepted"},
+		{"xconsent=accepted; consentx=rejected"},
+		{"smp_subscription=tok1", "consent=accepted"},
+		{"consent=rejected", "consent=accepted"},
+		{"a=b=c; consent=x=y"},
+		{"smp_subscription=\"tok 2\"; consent=accepted", "smp_subscription=tok3"},
+	} {
+		r := &http.Request{Header: http.Header{}}
+		if lines != nil {
+			r.Header["Cookie"] = lines
+		}
+		for _, name := range []string{"consent", smp.SubscriptionCookieName} {
+			want, wantOK := "", false
+			if c, err := r.Cookie(name); err == nil {
+				want, wantOK = c.Value, true
+			}
+			if got, ok := cookieValue(r.Header, name); got != want || ok != wantOK {
+				t.Errorf("cookieValue(%q, %q) = %q, %v; Request.Cookie gives %q, %v",
+					lines, name, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+func TestCookieValueAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	h := http.Header{"Cookie": {"a=1; consent=\"accepted\"; " + smp.SubscriptionCookieName + "=tok"}}
+	if n := testing.AllocsPerRun(100, func() {
+		cookieValue(h, "consent")
+		cookieValue(h, smp.SubscriptionCookieName)
+	}); n != 0 {
+		t.Fatalf("cookieValue allocates %.0f times", n)
+	}
+}
+
 func TestTrackerEndpointClampsN(t *testing.T) {
 	resp := get(t, "https://trackpix1.example/p.gif?n=9999", "", nil)
 	if len(resp.Header.Values("Set-Cookie")) != 0 {
