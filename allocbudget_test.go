@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cookiewalk"
+	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/core"
 	"cookiewalk/internal/measure"
 	"cookiewalk/internal/vantage"
@@ -22,7 +23,7 @@ import (
 //     (regular) with the single-allocation Node.Text and the in-place
 //     eTLD+1 (62 / 56 before those two).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 419
+//     click, reload with every tracker, tally the jar. Measured 412
 //     allocs on the first cookiewall domain with the zero-alloc eTLD+1
 //     and tally, single-parse subresource fetches, map-free tracker
 //     responses and recorder-free farm replies (1 942 before them).
@@ -41,7 +42,9 @@ const (
 
 // TestVisitAllocBudget pins the allocation count of the single-visit
 // hot path in both memo states, so allocation regressions fail tier-1
-// instead of surfacing months later in campaign wall-clock time.
+// instead of surfacing months later in campaign wall-clock time. The
+// visits run under campaign.WithAffinity, the way a campaign worker
+// runs them: one browser session reused across visits.
 func TestVisitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
@@ -52,11 +55,12 @@ func TestVisitAllocBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("no Germany VP")
 	}
+	ctx := campaign.WithAffinity(context.Background())
 
 	wall := s.CookiewallDomains()[0]
 	regular := ""
 	for _, d := range s.Targets() {
-		if o := s.Crawler().Visit(context.Background(), vp, d, measure.VisitOpts{}); o.Err == "" && o.Kind == core.KindRegular {
+		if o := s.Crawler().Visit(ctx, vp, d, measure.VisitOpts{}); o.Err == "" && o.Kind == core.KindRegular {
 			regular = d
 			break
 		}
@@ -76,9 +80,9 @@ func TestVisitAllocBudget(t *testing.T) {
 		{"regular-uncached", regular, noMemo.Crawler(), regularUncachedAllocBudget},
 	} {
 		c := tc.crawler
-		c.Visit(context.Background(), vp, tc.domain, measure.VisitOpts{}) // warm render + analysis caches
+		c.Visit(ctx, vp, tc.domain, measure.VisitOpts{}) // warm render + analysis caches
 		got := testing.AllocsPerRun(50, func() {
-			if o := c.Visit(context.Background(), vp, tc.domain, measure.VisitOpts{}); o.Err != "" {
+			if o := c.Visit(ctx, vp, tc.domain, measure.VisitOpts{}); o.Err != "" {
 				t.Fatal(o.Err)
 			}
 		})
@@ -94,7 +98,7 @@ func TestVisitAllocBudget(t *testing.T) {
 	// each run is exactly one cookie visit.
 	c := s.Crawler()
 	visit := func() {
-		res, err := c.MeasureCookies(context.Background(), vp, "alloc budget", []string{wall}, 1, measure.ModeAccept, "")
+		res, err := c.MeasureCookies(ctx, vp, "alloc budget", []string{wall}, 1, measure.ModeAccept, "")
 		if err != nil || len(res) != 1 || res[0].Err != "" || res[0].Tally.Tracking == 0 {
 			t.Fatalf("MeasureCookies(%s) = %+v, %v", wall, res, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cookiewalk"
+	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/core"
 	"cookiewalk/internal/measure"
 	"cookiewalk/internal/vantage"
@@ -183,6 +184,9 @@ func smallScale(b *testing.B) *cookiewalk.Study {
 //   - cached-repeat runs the default memoizing path on a warm cache —
 //     the steady-state cost of the 2nd..8th vantage point loading an
 //     identical render (fetch + fingerprint lookup, no parse).
+//
+// Visits run under campaign.WithAffinity, reusing one browser session
+// the way a campaign worker does.
 func BenchmarkVisit(b *testing.B) {
 	s := smallScale(b)
 	vp, _ := vantage.ByName("Germany")
@@ -199,11 +203,12 @@ func BenchmarkVisit(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := bc.crawler
-			c.Visit(context.Background(), vp, bc.domain, measure.VisitOpts{}) // warm render + analysis caches
+			ctx := campaign.WithAffinity(context.Background())
+			c.Visit(ctx, vp, bc.domain, measure.VisitOpts{}) // warm render + analysis caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if o := c.Visit(context.Background(), vp, bc.domain, measure.VisitOpts{}); o.Err != "" {
+				if o := c.Visit(ctx, vp, bc.domain, measure.VisitOpts{}); o.Err != "" {
 					b.Fatal(o.Err)
 				}
 			}

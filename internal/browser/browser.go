@@ -85,9 +85,9 @@ type Browser struct {
 	composeErr error
 	// parser is the session-owned HTML parser: a Browser is
 	// single-goroutine by contract, so its parse state (token stacks,
-	// node-arena tail) stays worker-local for the whole session's
-	// lifetime instead of bouncing through dom's global pool per page.
-	parser *dom.Parser
+	// node-arena tail) lives as long as the session and is retained
+	// across Reset.
+	parser dom.Parser
 	// scratch is the reusable request/header state behind the
 	// zero-resilience in-process fast path; see scratchRequest.
 	scratch reqScratch
@@ -116,8 +116,8 @@ func New(rt http.RoundTripper, vp vantage.VP) *Browser {
 
 // Reset reinitializes the session in place to the state New returns: a
 // fresh profile (the jar is emptied, not reallocated) and default
-// knobs. Pool-based crawls reuse the allocation across visits while
-// keeping the paper's fresh-profile-per-visit semantics.
+// knobs. A crawl worker reuses one Browser across its visits this way
+// while keeping the paper's fresh-profile-per-visit semantics.
 func (b *Browser) Reset(rt http.RoundTripper, vp vantage.VP) {
 	if b.Jar == nil {
 		b.Jar = cookies.NewJar()
@@ -273,7 +273,7 @@ func (b *Browser) Compose(fr FetchResult) *Page {
 	b.composeErr = nil
 	page := &Page{
 		URL:         fr.URL,
-		Doc:         b.parse(fr.Body),
+		Doc:         b.parser.Parse(fr.Body),
 		Status:      fr.Status,
 		Fingerprint: fr.Fingerprint,
 	}
@@ -283,23 +283,6 @@ func (b *Browser) Compose(fr FetchResult) *Page {
 	b.applyCosmetics(page)
 	b.applyAdblockDetectors(page)
 	return page
-}
-
-// parse parses a document through the session-owned parser,
-// lazily created on first use and retained across Reset.
-func (b *Browser) parse(src string) *dom.Node {
-	if b.parser == nil {
-		b.parser = dom.NewParser()
-	}
-	return b.parser.Parse(src)
-}
-
-// parseFragment is parse for fragments.
-func (b *Browser) parseFragment(src string) *dom.Node {
-	if b.parser == nil {
-		b.parser = dom.NewParser()
-	}
-	return b.parser.ParseFragment(src)
 }
 
 // ComposeErr reports whether the most recent Compose was degraded by
@@ -614,7 +597,7 @@ func (b *Browser) runScriptDirectives(page *Page) {
 		if !ok {
 			continue
 		}
-		for _, child := range b.parseFragment(frag).Children() {
+		for _, child := range b.parser.ParseFragment(frag).Children() {
 			child.Detach()
 			target.AppendChild(child)
 		}
@@ -641,7 +624,7 @@ func (b *Browser) loadFrames(page *Page, root *dom.Node, depth int) {
 		if !ok {
 			continue
 		}
-		fr.FrameDoc = b.parse(body)
+		fr.FrameDoc = b.parser.Parse(body)
 		b.loadFrames(page, fr.FrameDoc, depth-1)
 	}
 }

@@ -239,17 +239,19 @@ func withMeter(ctx context.Context, m *Meter) context.Context {
 // Affinity is a worker-affine scratch slot. Every worker goroutine of a
 // campaign carries its own Affinity in the visit context, so the visit
 // layer can keep expensive per-session state (a browser, its parser
-// arenas, its cookie-jar map) pinned to one worker instead of bouncing
-// it through a global sync.Pool on every visit. A worker runs its
-// visits strictly sequentially, so the slot needs no locking; it must
-// never be shared outside the visit that read it from its context.
+// arenas, its cookie-jar map) pinned to one worker instead of
+// allocating it on every visit. A worker runs its visits strictly
+// sequentially, so the slot needs no locking; it must never be shared
+// outside the visit that read it from its context.
 //
 // The slot holds state only between visits of one worker: take the
 // value with Take at acquire time (leaving the slot empty guards
 // against nested acquires aliasing one session) and Put it back at
-// release time. Visits running outside a campaign (direct calls,
-// tests) see a nil *Affinity, on which both methods are safe no-ops —
-// callers fall back to their global pool.
+// release time. Visits running outside a campaign see a nil
+// *Affinity, on which both methods are safe no-ops — callers then
+// allocate fresh state per visit. A caller outside a campaign that
+// wants one reused session opens a slot with WithAffinity, exactly as
+// a worker does.
 type Affinity struct {
 	val any
 }
@@ -281,8 +283,11 @@ func AffinityFrom(ctx context.Context) *Affinity {
 	return a
 }
 
-func withAffinity(ctx context.Context, a *Affinity) context.Context {
-	return context.WithValue(ctx, affinityKey{}, a)
+// WithAffinity returns ctx carrying a new, empty Affinity slot. The
+// slot belongs to the one goroutine that runs visits under the
+// returned context, strictly one after another.
+func WithAffinity(ctx context.Context) context.Context {
+	return context.WithValue(ctx, affinityKey{}, &Affinity{})
 }
 
 // Result carries one visit's outcome to the sink.
@@ -512,7 +517,7 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			// One context wrap per worker goroutine, not per visit: the
 			// meter and the worker-affine scratch slot ride to the visit
 			// layer as context values.
-			vctx := withAffinity(withMeter(ctx, meter), &Affinity{})
+			vctx := WithAffinity(withMeter(ctx, meter))
 			var batch []shardResult[R]
 			flush := func() {
 				if len(batch) > 0 {

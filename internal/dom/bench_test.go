@@ -11,23 +11,16 @@ var benchPage = `<!DOCTYPE html><html><head><title>t</title></head><body>
 <div id="host"><template shadowrootmode="open"><p class="inner">shadow</p></template></div>
 <footer>© site</footer></body></html>`
 
-func BenchmarkParse(b *testing.B) {
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchPage)))
-	for i := 0; i < b.N; i++ {
-		Parse(benchPage)
-	}
-}
-
-// BenchmarkDOMParse is the crawl-facing alias of BenchmarkParse used
-// by the hot-path benchmark suite (BenchmarkVisit /
-// BenchmarkRenderSitePage / BenchmarkDOMParse / BenchmarkCosmetics):
-// one full farm-shaped page through the pooled parser.
+// BenchmarkDOMParse is the parse layer of the hot-path benchmark
+// suite (BenchmarkVisit / BenchmarkRenderSitePage / BenchmarkDOMParse /
+// BenchmarkCosmetics): one full farm-shaped page through one reused
+// Parser, as a crawl worker's browser parses.
 func BenchmarkDOMParse(b *testing.B) {
+	var p Parser
 	b.ReportAllocs()
 	b.SetBytes(int64(len(benchPage)))
 	for i := 0; i < b.N; i++ {
-		if doc := Parse(benchPage); doc.Body() == nil {
+		if doc := p.Parse(benchPage); doc.Body() == nil {
 			b.Fatal("no body")
 		}
 	}

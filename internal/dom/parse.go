@@ -2,7 +2,6 @@ package dom
 
 import (
 	"strings"
-	"sync"
 
 	"cookiewalk/internal/htmlx"
 )
@@ -24,43 +23,25 @@ import (
 // Parse never fails: like a browser, it produces a best-effort tree for
 // arbitrary input.
 func Parse(src string) *Node {
-	return pooledParse(src, false)
+	return new(parser).parse(src, false)
 }
 
 // ParseFragment parses src as a fragment (no html/head/body synthesis)
 // and returns the fragment root. Used for banner markup delivered by
 // CMP/SMP scripts, which is injected into an existing page.
 func ParseFragment(src string) *Node {
-	return pooledParse(src, true)
-}
-
-// parserPool recycles parser state — token stacks, the embedded
-// tokenizer, and the tail of the current node arena — for callers of
-// the package-level Parse/ParseFragment functions. Nothing handed out
-// to a document is ever reused: arenas are consumed, never rewound.
-// Worker-affine callers (the emulated browser) hold their own Parser
-// instead, so their arenas never bounce between cores through here.
-var parserPool = sync.Pool{New: func() any { return new(parser) }}
-
-func pooledParse(src string, fragment bool) *Node {
-	p := parserPool.Get().(*parser)
-	doc := p.parse(src, fragment)
-	parserPool.Put(p)
-	return doc
+	return new(parser).parse(src, true)
 }
 
 // Parser is a reusable HTML parser owning its token stacks, tokenizer
-// and node-arena tail. It is NOT safe for concurrent use: it exists so
-// a single-goroutine session (one crawl worker's browser) can keep its
-// parse state core-local across visits instead of round-tripping it
-// through the global pool on every page. Produced trees are identical
-// to the package-level Parse/ParseFragment results.
+// and node-arena tail; the zero value is ready to use. It is NOT safe
+// for concurrent use: it exists so a single-goroutine session (one
+// crawl worker's browser) can keep its parse state across visits
+// instead of rebuilding it on every page, as the package-level
+// Parse/ParseFragment do. Produced trees are identical either way.
 type Parser struct {
 	p parser
 }
-
-// NewParser returns an empty reusable parser.
-func NewParser() *Parser { return &Parser{} }
 
 // Parse is Parse using this parser's recycled state.
 func (ps *Parser) Parse(src string) *Node { return ps.p.parse(src, false) }

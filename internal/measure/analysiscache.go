@@ -14,10 +14,10 @@ import (
 // crawl loads at most two distinct renders per site (banner shown or
 // not), so up to eight visits collapse onto one analysis.
 //
-// The cache is process-global (like the browser pool): fingerprints
-// are content hashes, so entries from different studies can only
-// collide the way any 64-bit content hash can, and byte-identical
-// pages genuinely share their analysis.
+// The cache is process-global: fingerprints are content hashes, so
+// entries from different studies can only collide the way any 64-bit
+// content hash can, and byte-identical pages genuinely share their
+// analysis.
 //
 // Concurrency: shards keep worker contention negligible, and each
 // entry is a singleflight slot — the first goroutine to claim a

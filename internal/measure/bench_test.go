@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cookiewalk/internal/browser"
+	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/core"
 	"cookiewalk/internal/synthweb"
 	"cookiewalk/internal/webfarm"
@@ -70,7 +71,8 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 // BenchmarkCookieVisit measures one cookie-measurement visit, the unit
 // of Figures 4-6: load a cookiewall page, click accept, reload with the
 // consent cookie (trackers and all), then tally the jar by party and
-// blocklist.
+// blocklist. It runs under campaign.WithAffinity, reusing one browser
+// session the way a campaign worker does.
 func BenchmarkCookieVisit(b *testing.B) {
 	reg := synthweb.Generate(synthweb.Config{Seed: 42, FillerScale: 0.02})
 	c := New(reg, webfarm.New(reg).Transport())
@@ -84,7 +86,7 @@ func BenchmarkCookieVisit(b *testing.B) {
 	if domain == "" {
 		b.Fatal("no reachable cookiewall site")
 	}
-	ctx := context.Background()
+	ctx := campaign.WithAffinity(context.Background())
 	want, err := c.cookieVisit(ctx, germanyVP(), domain, 0, ModeAccept, "")
 	if err != nil {
 		b.Fatal(err)

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"cookiewalk/internal/adblock"
@@ -159,76 +158,53 @@ func runExperimentCampaign[R any](ctx context.Context, c *Crawler, label string,
 	return run(ctx, cfg, targets, visit, sink)
 }
 
-// browserPool recycles emulated-browser sessions — and their cookie-jar
-// maps, request scratch and parser arenas — for visits running OUTSIDE
-// a campaign worker (direct Visit calls, tests). Campaign visits use
-// the worker's Affinity slot instead: each worker goroutine keeps one
-// session pinned for its whole lifetime, so session state never
-// bounces between cores through a global pool on the crawl hot path.
-// Every acquire resets the session to a fresh profile, so reuse is
-// invisible to the measurement either way.
-var browserPool = sync.Pool{New: func() any { return new(browser.Browser) }}
-
-// acquireBrowser returns a fresh-profile session for one visit — the
-// campaign worker's affine session when ctx carries one, the global
-// pool's otherwise. Release it with releaseBrowser (passing the same
-// affinity slot) when no page state is needed anymore.
-func (c *Crawler) acquireBrowser(ctx context.Context, vp vantage.VP) (*browser.Browser, *campaign.Affinity) {
-	aff := campaign.AffinityFrom(ctx)
-	var b *browser.Browser
-	if aff != nil {
-		// Take empties the slot, so a (hypothetical) nested acquire on
-		// the same worker falls through to a fresh session instead of
-		// aliasing this one.
-		b, _ = aff.Take().(*browser.Browser)
-		if b == nil {
-			b = new(browser.Browser)
-		}
-	} else {
-		b = browserPool.Get().(*browser.Browser)
-	}
-	b.Reset(c.Transport, vp)
-	return b, aff
+// session is one visit's fresh-profile browser, armed with the
+// crawler's resilience policy (visit deadline, retries, host gate, and
+// the campaign meter carried by ctx). The browser comes from the
+// campaign worker's Affinity slot, so each worker keeps one session —
+// cookie-jar map, request scratch, parser arenas — pinned for its
+// whole lifetime; outside a slot every visit gets a new browser.
+// Reset makes reuse invisible to the measurement either way. Call
+// release when no page state is needed anymore.
+type session struct {
+	*browser.Browser
+	aff    *campaign.Affinity
+	cancel context.CancelFunc
 }
 
-func releaseBrowser(b *browser.Browser, aff *campaign.Affinity) {
-	if aff != nil {
-		aff.Put(b)
-		return
+func (c *Crawler) session(ctx context.Context, vp vantage.VP) session {
+	s := session{aff: campaign.AffinityFrom(ctx)}
+	// Take empties the slot, so a (hypothetical) nested session on the
+	// same worker gets a fresh browser instead of aliasing this one.
+	s.Browser, _ = s.aff.Take().(*browser.Browser)
+	if s.Browser == nil {
+		s.Browser = new(browser.Browser)
 	}
-	browserPool.Put(b)
-}
-
-// session returns a fresh-profile browser armed with the crawler's
-// resilience policy (visit deadline, retries, host gate, and the
-// campaign meter carried by ctx), plus a cancel that is non-nil
-// exactly when a visit timeout was armed — call it (and
-// releaseBrowser) when the visit is done. With no policy configured
-// it degenerates to acquireBrowser: the zero-Resilience browser pays
-// nothing.
-func (c *Crawler) session(ctx context.Context, vp vantage.VP) (*browser.Browser, *campaign.Affinity, context.CancelFunc) {
-	b, aff := c.acquireBrowser(ctx, vp)
-	var cancel context.CancelFunc
+	s.Reset(c.Transport, vp)
 	if c.VisitTimeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		var tctx context.Context
-		tctx, cancel = context.WithTimeout(ctx, c.VisitTimeout)
-		b.Resilience.Ctx = tctx
+		tctx, s.cancel = context.WithTimeout(ctx, c.VisitTimeout)
+		s.Resilience.Ctx = tctx
 	}
 	if c.VisitRetries > 0 || c.Gate != nil {
-		b.Resilience.Retries = c.VisitRetries
-		b.Resilience.Backoff = c.RetryBackoff
-		b.Resilience.Seed = c.RetrySeed
-		b.Resilience.Gate = c.Gate
-		if ctx != nil {
-			if m := campaign.MeterFrom(ctx); m != nil {
-				b.Resilience.Meter = m
-			}
+		s.Resilience.Retries = c.VisitRetries
+		s.Resilience.Backoff = c.RetryBackoff
+		s.Resilience.Seed = c.RetrySeed
+		s.Resilience.Gate = c.Gate
+		if m := campaign.MeterFrom(ctx); m != nil {
+			s.Resilience.Meter = m
 		}
 	}
-	return b, aff, cancel
+	return s
+}
+
+// release disarms the visit deadline and hands the browser back to
+// the slot it came from, if ctx carried one.
+func (s session) release() {
+	if s.cancel != nil {
+		s.cancel()
+	}
+	s.aff.Put(s.Browser)
 }
 
 // Observation is the per-site outcome of one measurement visit.
@@ -292,9 +268,11 @@ type VisitOpts struct {
 }
 
 // Visit loads one site from one vantage point with a fresh profile and
-// analyzes its banner. ctx carries the campaign's cancellation,
-// deadline base and resilience meter; direct callers pass
-// context.Background().
+// analyzes its banner. ctx must be non-nil. It carries the campaign's
+// cancellation, deadline base, resilience meter and the worker's
+// session slot; direct callers pass context.Background(), or wrap it
+// with campaign.WithAffinity to reuse one browser across visits the
+// way a campaign worker does.
 //
 // The visit is split in two: a per-visit FETCH (transport dispatch,
 // cookies, vantage headers) and a VP-independent ANALYSIS (parse,
@@ -312,11 +290,8 @@ type VisitOpts struct {
 // waiting on the same fingerprint re-claim and recompute.
 func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts VisitOpts) Observation {
 	obs := Observation{Domain: domain, VP: vp.Name}
-	b, aff, cancel := c.session(ctx, vp)
-	defer releaseBrowser(b, aff)
-	if cancel != nil {
-		defer cancel()
-	}
+	b := c.session(ctx, vp)
+	defer b.release()
 	b.Visit = opts.Visit
 	b.Blocker = opts.Blocker
 	fr, err := b.FetchTopDomain(domain)
@@ -521,11 +496,8 @@ func (c *Crawler) MeasureCookies(ctx context.Context, vp vantage.VP, label strin
 }
 
 func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain string, rep int, mode InteractionMode, smpToken string) (cookies.Tally, error) {
-	b, aff, cancel := c.session(ctx, vp)
-	defer releaseBrowser(b, aff)
-	if cancel != nil {
-		defer cancel()
-	}
+	b := c.session(ctx, vp)
+	defer b.release()
 	b.Visit = fmt.Sprintf("%s|%d|%s", vp.Name, rep, modeLabel(mode))
 	b.SMPToken = smpToken
 	page, err := b.Open("https://" + domain + "/")

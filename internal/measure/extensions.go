@@ -40,11 +40,8 @@ func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []
 	var a Ablation
 	_, err := runExperimentCampaign(ctx, c, LabelAblation, ablationCodec{}, wallDomains,
 		func(ctx context.Context, domain string) (ablationCounts, error) {
-			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
-			if cancel != nil {
-				defer cancel()
-			}
+			b := c.session(ctx, vp)
+			defer b.release()
 			page, err := b.Open("https://" + domain + "/")
 			if err != nil {
 				return ablationCounts{}, nil
@@ -111,11 +108,8 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 	var a AutoReject
 	_, err := runExperimentCampaign(ctx, c, LabelAutoReject, autoRejectCodec{}, domains,
 		func(ctx context.Context, domain string) (rejectOutcome, error) {
-			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
-			if cancel != nil {
-				defer cancel()
-			}
+			b := c.session(ctx, vp)
+			defer b.release()
 			page, err := b.Open("https://" + domain + "/")
 			if err != nil {
 				return outFailed, nil
@@ -179,11 +173,8 @@ func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []stri
 	_, err := runExperimentCampaign(ctx, c, LabelBotCheck, botCheckCodec{}, domains,
 		func(ctx context.Context, domain string) (botPair, error) {
 			showsBanner := func(ua string) bool {
-				b, aff, cancel := c.session(ctx, vp)
-				defer releaseBrowser(b, aff)
-				if cancel != nil {
-					defer cancel()
-				}
+				b := c.session(ctx, vp)
+				defer b.release()
 				b.UserAgent = ua
 				page, err := b.Open("https://" + domain + "/")
 				if err != nil {
@@ -241,11 +232,8 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 	var r Revocation
 	_, err := runExperimentCampaign(ctx, c, LabelRevocation, revocationCodec{}, domains,
 		func(ctx context.Context, domain string) (revOutcome, error) {
-			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
-			if cancel != nil {
-				defer cancel()
-			}
+			b := c.session(ctx, vp)
+			defer b.release()
 			page, err := b.Open("https://" + domain + "/")
 			if err != nil {
 				return revOutcome{}, err
