@@ -230,19 +230,24 @@ func main() {
 	}
 }
 
-// printProgress is the serial (-j 1) -progress sink: a stderr status
-// line per campaign snapshot, terminated when the campaign completes.
-// On a resumed crawl it splits the visit counter into journal replays
-// and fresh visits, so the operator sees how much work the checkpoint
-// saved as it streams by.
-func printProgress(p cookiewalk.Progress) {
+// progressLine renders one campaign snapshot as a -progress status
+// line. On a resumed crawl it splits the visit counter into journal
+// replays and fresh visits, so the operator sees how much work the
+// checkpoint saved as it streams by.
+func progressLine(p cookiewalk.Progress) string {
+	split := ""
 	if p.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, "\r%-24s shard %d/%d  %d/%d visits (%d replayed + %d fresh)  %d errors%s",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Replayed, p.Done-p.Replayed, p.Errors, resilienceSuffix(p))
-	} else {
-		fmt.Fprintf(os.Stderr, "\r%-24s shard %d/%d  %d/%d visits  %d errors%s",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Errors, resilienceSuffix(p))
+		split = fmt.Sprintf(" (%d replayed + %d fresh)", p.Replayed, p.Fresh())
 	}
+	return fmt.Sprintf("%-24s shard %d/%d  %d/%d visits%s  %d errors%s",
+		p.Label+":", p.Shard, p.Shards, p.Done, p.Total, split, p.Errors, resilienceSuffix(p))
+}
+
+// printProgress is the serial (-j 1) -progress sink: one status line
+// rewritten in place per campaign snapshot, terminated when the
+// campaign completes.
+func printProgress(p cookiewalk.Progress) {
+	fmt.Fprint(os.Stderr, "\r"+progressLine(p))
 	if p.Done >= p.Total {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -267,13 +272,7 @@ func resilienceSuffix(p cookiewalk.Progress) string {
 // multiplexed by the campaign label's experiment-name prefix
 // ("landscape Germany", "fig4 cookiewall", "bypass", ...).
 func printProgressLines(p cookiewalk.Progress) {
-	if p.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, "%-24s shard %d/%d  %d/%d visits (%d replayed + %d fresh)  %d errors%s\n",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Replayed, p.Done-p.Replayed, p.Errors, resilienceSuffix(p))
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%-24s shard %d/%d  %d/%d visits  %d errors%s\n",
-		p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Errors, resilienceSuffix(p))
+	fmt.Fprintln(os.Stderr, progressLine(p))
 }
 
 // printShardAccounting dumps the per-shard visit/error counters of the

@@ -195,28 +195,11 @@ type Config struct {
 	WrapTransport func(http.RoundTripper) http.RoundTripper
 }
 
-// Progress is a point-in-time snapshot of a running crawl campaign.
-type Progress struct {
-	// Label names the campaign ("landscape Germany", "cookies accept").
-	Label string
-	// Shard/Shards locate the shard in flight (1-based).
-	Shard, Shards int
-	// Done/Total/Errors count visits across the whole campaign.
-	Done, Total, Errors int64
-	// Replayed counts deliveries served from a checkpoint journal
-	// instead of a fresh visit (always ≤ Done; nonzero only when
-	// resuming). Done - Replayed is the fresh-visit count.
-	Replayed int64
-	// Retries counts transient-failure retry attempts across the
-	// campaign (zero unless Config.VisitRetries is set and transport
-	// faults occur).
-	Retries int64
-	// BreakerTrips counts per-host circuit-breaker openings;
-	// BreakerDenials counts visits rejected fast because a host's
-	// breaker was open (both zero unless Config.BreakerThreshold is
-	// set).
-	BreakerTrips, BreakerDenials int64
-}
+// Progress is a point-in-time snapshot of a running crawl campaign,
+// labelled like "landscape Germany" or "cookies accept". Retries and
+// the breaker counters stay zero unless Config.VisitRetries or
+// Config.BreakerThreshold is set.
+type Progress = campaign.Progress
 
 // Study owns a generated universe and its measurement machinery.
 // Artefacts — the landscape campaign, derived domain lists, follow-up
@@ -281,16 +264,7 @@ func New(cfg Config) *Study {
 		// parallelism reorders work instead of multiplying it.
 		crawler.Budget = campaign.NewBudget(cfg.Workers)
 	}
-	if cfg.Progress != nil {
-		crawler.Progress = func(p campaign.Progress) {
-			cfg.Progress(Progress{
-				Label: p.Label, Shard: p.Shard, Shards: p.Shards,
-				Done: p.Done, Total: p.Total, Errors: p.Errors,
-				Replayed: p.Replayed,
-				Retries:  p.Retries, BreakerTrips: p.BreakerTrips, BreakerDenials: p.BreakerDenials,
-			})
-		}
-	}
+	crawler.Progress = cfg.Progress
 	return &Study{
 		cfg: cfg, reg: reg, farm: farm, crawler: crawler,
 		sem:   make(chan struct{}, par),

@@ -18,7 +18,7 @@
 //	domain##selector   — cosmetic rule restricted to one site
 //
 // The engine answers ShouldBlock(pageHost, resourceURL) for network
-// requests and CosmeticSelectors(pageHost) for element hiding.
+// requests and CompiledCosmetics(pageHost) for element hiding.
 package adblock
 
 import (
@@ -203,26 +203,11 @@ func (e *Engine) ShouldBlock(pageHost, resourceURL string) bool {
 	return true
 }
 
-// CosmeticSelectors returns the element-hiding selectors that apply on
-// pageHost: global rules plus rules scoped to the page's registrable
-// domain.
-func (e *Engine) CosmeticSelectors(pageHost string) []string {
-	site, _ := publicsuffix.ETLDPlusOne(pageHost)
-	host := strings.ToLower(pageHost)
-	var out []string
-	for _, c := range e.cosmetic {
-		if c.Domain == "" || c.Domain == host || c.Domain == site {
-			out = append(out, c.Selector)
-		}
-	}
-	return out
-}
-
 // CompiledCosmetics returns the precompiled element-hiding selectors
-// that apply on pageHost, in rule order — the same rules
-// CosmeticSelectors reports, minus any whose selector does not
-// compile. Hosts without scoped rules share one precompiled slice;
-// callers must not mutate the result.
+// that apply on pageHost, in rule order: global rules plus rules scoped
+// to the page's host or registrable domain, minus any whose selector
+// does not compile. Hosts without scoped rules share one precompiled
+// slice; callers must not mutate the result.
 func (e *Engine) CompiledCosmetics(pageHost string) []*dom.Selector {
 	if !e.hasScopedCosmetics {
 		return e.globalCosmetics
@@ -250,12 +235,6 @@ func (e *Engine) CompiledCosmetics(pageHost string) []*dom.Selector {
 		}
 	}
 	return out
-}
-
-// RuleCount returns (block, exception, cosmetic) rule counts, for
-// diagnostics.
-func (e *Engine) RuleCount() (int, int, int) {
-	return len(e.block), len(e.exceptions), len(e.cosmetic)
 }
 
 func hostOf(url string) string {

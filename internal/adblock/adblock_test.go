@@ -65,7 +65,7 @@ func TestExceptionRule(t *testing.T) {
 
 func TestCommentsAndJunkSkipped(t *testing.T) {
 	e := NewEngine("! comment\n[Adblock Plus 2.0]\n\n||real.example^\n*\n||^")
-	b, x, c := e.RuleCount()
+	b, x, c := len(e.block), len(e.exceptions), len(e.cosmetic)
 	if b != 1 || x != 0 || c != 0 {
 		t.Fatalf("counts = %d %d %d", b, x, c)
 	}
@@ -80,12 +80,12 @@ func TestOptionSuffixStripped(t *testing.T) {
 
 func TestCosmeticRules(t *testing.T) {
 	e := NewEngine("##div.cw-overlay\nspiegel.de##.paywall")
-	all := e.CosmeticSelectors("www.zeit.de")
-	if len(all) != 1 || all[0] != "div.cw-overlay" {
+	all := e.CompiledCosmetics("www.zeit.de")
+	if len(all) != 1 || all[0].String() != "div.cw-overlay" {
 		t.Fatalf("global cosmetic = %v", all)
 	}
-	sp := e.CosmeticSelectors("www.spiegel.de")
-	if len(sp) != 2 {
+	sp := e.CompiledCosmetics("www.spiegel.de")
+	if len(sp) != 2 || sp[0].String() != "div.cw-overlay" || sp[1].String() != ".paywall" {
 		t.Fatalf("scoped cosmetic = %v", sp)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cookiewalk/internal/adblock"
+	"cookiewalk/internal/cookies"
 	"cookiewalk/internal/dom"
 	"cookiewalk/internal/synthweb"
 	"cookiewalk/internal/trackdb"
@@ -36,6 +37,18 @@ func findSite(t *testing.T, pred func(*synthweb.Site) bool) *synthweb.Site {
 	return nil
 }
 
+// query runs a selector the way the detector does: compiled once, then
+// matched with Query.
+func query(n *dom.Node, sel string) *dom.Node {
+	return n.Query(dom.MustCompileSelector(sel))
+}
+
+// jarTally counts the browser's cookies as the crawl does after a visit
+// to host.
+func jarTally(b *Browser, host string) cookies.Tally {
+	return cookies.Count(b.Jar, host, trackdb.IsTracking)
+}
+
 func TestOpenParsesPage(t *testing.T) {
 	s := findSite(t, func(s *synthweb.Site) bool {
 		return s.Banner == synthweb.BannerCookiewall && s.Provider.Name == "local" &&
@@ -49,10 +62,10 @@ func TestOpenParsesPage(t *testing.T) {
 	if page.Status != 200 {
 		t.Fatalf("status %d", page.Status)
 	}
-	if page.Doc.QuerySelector("#cw-banner") == nil {
+	if query(page.Doc, "#cw-banner") == nil {
 		t.Fatal("banner not in DOM")
 	}
-	if b.Jar.Len() == 0 {
+	if jarTally(b, s.Domain) == (cookies.Tally{}) {
 		t.Fatal("no cookies stored")
 	}
 }
@@ -69,11 +82,11 @@ func TestScriptInjection(t *testing.T) {
 	}
 	// The provider script must have been fetched and its fragment
 	// injected into the slot.
-	slot := page.Doc.QuerySelector("#cw-slot")
+	slot := query(page.Doc, "#cw-slot")
 	if slot == nil {
 		t.Fatal("slot missing")
 	}
-	if slot.QuerySelector("#cw-banner") == nil {
+	if query(slot, "#cw-banner") == nil {
 		t.Fatal("banner fragment not injected")
 	}
 	found := false
@@ -98,7 +111,7 @@ func TestShadowDOMMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Banner must NOT be reachable by plain selector...
-	if page.Doc.QuerySelector("#cw-banner") != nil {
+	if query(page.Doc, "#cw-banner") != nil {
 		t.Fatal("shadow content leaked into light DOM")
 	}
 	// ...but must exist inside a shadow root.
@@ -108,7 +121,7 @@ func TestShadowDOMMaterialized(t *testing.T) {
 	}
 	found := false
 	for _, sr := range roots {
-		if sr.Root.QuerySelector("#cw-banner") != nil {
+		if query(sr.Root, "#cw-banner") != nil {
 			found = true
 		}
 	}
@@ -131,7 +144,7 @@ func TestInjectedShadowViaProvider(t *testing.T) {
 	if len(roots) != 1 || roots[0].Mode != dom.ShadowClosed {
 		t.Fatalf("shadow roots = %v", roots)
 	}
-	if roots[0].Root.QuerySelector("#cw-banner") == nil {
+	if query(roots[0].Root, "#cw-banner") == nil {
 		t.Fatal("closed shadow banner missing")
 	}
 }
@@ -152,7 +165,7 @@ func TestIFrameLoaded(t *testing.T) {
 	}
 	found := false
 	for _, fd := range frames {
-		if fd.QuerySelector("#cw-banner") != nil {
+		if query(fd, "#cw-banner") != nil {
 			found = true
 		}
 	}
@@ -171,8 +184,8 @@ func TestAcceptFlowSetsTrackingCookies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := b.Jar.Len()
-	accept := page.Doc.QuerySelector("#cw-accept")
+	before := jarTally(b, s.Domain)
+	accept := query(page.Doc, "#cw-accept")
 	if accept == nil {
 		t.Fatal("accept button missing")
 	}
@@ -180,20 +193,15 @@ func TestAcceptFlowSetsTrackingCookies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#cw-banner") != nil {
+	if query(after.Doc, "#cw-banner") != nil {
 		t.Fatal("banner persists after accept")
 	}
-	if b.Jar.Len() <= before {
+	tally := jarTally(b, s.Domain)
+	if tally.FirstParty+tally.ThirdParty <= before.FirstParty+before.ThirdParty {
 		t.Fatal("no new cookies after accept")
 	}
 	// Tracking cookies must now exist.
-	tracking := 0
-	for _, c := range b.Jar.All() {
-		if trackdb.IsTracking(c.Domain) {
-			tracking++
-		}
-	}
-	if tracking == 0 {
+	if tally.Tracking == 0 {
 		t.Fatal("no tracking cookies after accepting a cookiewall")
 	}
 }
@@ -208,7 +216,7 @@ func TestRejectFlowOnRegularBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := page.Doc.QuerySelector("#cmp-reject")
+	reject := query(page.Doc, "#cmp-reject")
 	if reject == nil {
 		t.Fatal("reject button missing")
 	}
@@ -216,13 +224,11 @@ func TestRejectFlowOnRegularBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#cmp-banner") != nil {
+	if query(after.Doc, "#cmp-banner") != nil {
 		t.Fatal("banner persists after reject")
 	}
-	for _, c := range b.Jar.All() {
-		if trackdb.IsTracking(c.Domain) {
-			t.Fatal("tracking cookie set after reject")
-		}
+	if jarTally(b, s.Domain).Tracking != 0 {
+		t.Fatal("tracking cookie set after reject")
 	}
 }
 
@@ -241,11 +247,11 @@ func TestSubscriptionFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sub *dom.Node
-	sub = page.Doc.QuerySelector("#cw-subscribe")
+	sub = query(page.Doc, "#cw-subscribe")
 	if sub == nil {
 		// banner might be injected into the slot
 		for _, sr := range page.Doc.ShadowRoots() {
-			if n := sr.Root.QuerySelector("#cw-subscribe"); n != nil {
+			if n := query(sr.Root, "#cw-subscribe"); n != nil {
 				sub = n
 			}
 		}
@@ -257,13 +263,11 @@ func TestSubscriptionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#sub-badge") == nil {
+	if query(after.Doc, "#sub-badge") == nil {
 		t.Fatal("subscription badge missing after login")
 	}
-	for _, c := range b.Jar.All() {
-		if trackdb.IsTracking(c.Domain) {
-			t.Fatal("tracking cookie for subscriber")
-		}
+	if jarTally(b, s.Domain).Tracking != 0 {
+		t.Fatal("tracking cookie for subscriber")
 	}
 }
 
@@ -278,7 +282,7 @@ func TestBlockerSuppressesBannerScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No banner anywhere: not in DOM, not in shadow roots, not in frames.
-	if page.Doc.QuerySelector("#cw-banner") != nil {
+	if query(page.Doc, "#cw-banner") != nil {
 		t.Fatal("banner present despite blocker")
 	}
 	if len(page.Doc.ShadowRoots()) != 0 || len(page.Doc.FrameDocs()) != 0 {
@@ -300,7 +304,7 @@ func TestBlockerDoesNotAffectLocalBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.Doc.QuerySelector("#cw-banner") == nil {
+	if query(page.Doc, "#cw-banner") == nil {
 		t.Fatal("locally-served banner must survive the blocker")
 	}
 }
@@ -316,14 +320,12 @@ func TestBlockerTrackerSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accept := page.Doc.QuerySelector("#cw-accept")
+	accept := query(page.Doc, "#cw-accept")
 	if _, err := b.Click(page, accept); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range b.Jar.All() {
-		if trackdb.IsTracking(c.Domain) {
-			t.Fatal("tracking cookie set despite base list")
-		}
+	if jarTally(b, s.Domain).Tracking != 0 {
+		t.Fatal("tracking cookie set despite base list")
 	}
 }
 
@@ -348,7 +350,7 @@ func TestAdblockQuirks(t *testing.T) {
 	if !page.AdblockPlea {
 		t.Fatal("anti-adblock plea not detected")
 	}
-	if page.Doc.QuerySelector("#adblock-plea") == nil {
+	if query(page.Doc, "#adblock-plea") == nil {
 		t.Fatal("plea element should be revealed")
 	}
 
@@ -368,7 +370,7 @@ func TestAdblockQuirks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page3.AdblockPlea || page3.Doc.QuerySelector("#adblock-plea") != nil {
+	if page3.AdblockPlea || query(page3.Doc, "#adblock-plea") != nil {
 		t.Fatal("plea visible without blocker")
 	}
 }
@@ -382,7 +384,7 @@ func TestGeoHidesBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.Doc.QuerySelector("#cw-banner, #cw-slot, #cw-host, #cw-frame") != nil {
+	if query(page.Doc, "#cw-banner, #cw-slot, #cw-host, #cw-frame") != nil {
 		t.Fatal("geo-restricted banner visible from US East")
 	}
 }
@@ -415,7 +417,7 @@ func TestClickErrors(t *testing.T) {
 		t.Fatal("nil button must error")
 	}
 	// Subscribe without token.
-	sub := page.Doc.QuerySelector("#cw-subscribe")
+	sub := query(page.Doc, "#cw-subscribe")
 	if _, err := b.Click(page, sub); err == nil {
 		t.Fatal("subscribe without token must error")
 	}

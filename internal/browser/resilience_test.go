@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,9 +255,10 @@ func TestHalfOpenProbeRetriesDoNotBrickHost(t *testing.T) {
 	g := hostgate.New(hostgate.Config{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: clock})
 
 	vp, _ := vantage.ByName("Germany")
+	meter := &countingMeter{}
 	open := func() error {
 		b := New(dt, vp)
-		b.Resilience = Resilience{Retries: 2, Gate: g, Sleep: noSleep}
+		b.Resilience = Resilience{Retries: 2, Gate: g, Meter: meter, Sleep: noSleep}
 		_, err := b.Open("https://h.example/")
 		return err
 	}
@@ -291,8 +293,19 @@ func TestHalfOpenProbeRetriesDoNotBrickHost(t *testing.T) {
 	if err := open(); err != nil {
 		t.Fatalf("visit 6 (closed breaker) = %v", err)
 	}
-	trips, _ := g.Counters()
-	if trips != 2 {
+	if trips := meter.trips.Load(); trips != 2 {
 		t.Fatalf("trips = %d, want 2 (initial open + failed probe)", trips)
 	}
+	if denials := meter.denials.Load(); denials != 2 {
+		t.Fatalf("denials = %d, want 2 (visits 2 and 4)", denials)
+	}
 }
+
+// countingMeter is a Meter that counts each resilience event.
+type countingMeter struct {
+	retries, trips, denials atomic.Int64
+}
+
+func (m *countingMeter) VisitRetry()    { m.retries.Add(1) }
+func (m *countingMeter) BreakerTrip()   { m.trips.Add(1) }
+func (m *countingMeter) BreakerDenial() { m.denials.Add(1) }

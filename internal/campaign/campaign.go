@@ -330,9 +330,6 @@ type ShardStats struct {
 	BreakerDenials int64
 }
 
-// Fresh returns the shard's fresh-visit count (Done - Replayed).
-func (s ShardStats) Fresh() int64 { return s.Done - s.Replayed }
-
 // Stats is the whole-campaign account, the sum of its shards.
 type Stats struct {
 	Targets  int

@@ -70,18 +70,6 @@ var keywords = map[string][]string{
 		"finanza", "ekonomi", "bourse", "bolsa", "zinsen"},
 }
 
-// Categories returns the taxonomy in Figure 1 display order plus
-// "Others" last.
-func Categories() []string {
-	return []string{
-		"News and Media", "Business", "Information Technology",
-		"Entertainment", "Sports", "Reference", "Society and Lifestyles",
-		"Search Engines and Portals", "Health and Wellness", "Games",
-		"Web-based Email", "Travel", "Personal Vehicles",
-		"Restaurant and Dining", "Finance and Banking", "Others",
-	}
-}
-
 // Keywords returns the keyword list for a category ("Others" and
 // unknown categories return nil). The returned slice is a copy.
 func Keywords(category string) []string {

@@ -1,6 +1,11 @@
 package categorize
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"cookiewalk/internal/synthweb"
+)
 
 func TestClassifyByKeywords(t *testing.T) {
 	cases := map[string]string{
@@ -54,8 +59,10 @@ func TestClassifyDeterministic(t *testing.T) {
 	}
 }
 
+// TestCategoriesMatchFigure1 checks the taxonomy the generator and the
+// report use against the classifier's keyword table.
 func TestCategoriesMatchFigure1(t *testing.T) {
-	cats := Categories()
+	cats := synthweb.Categories
 	if len(cats) != 16 {
 		t.Fatalf("got %d categories", len(cats))
 	}
@@ -81,7 +88,7 @@ func TestKeywordsReturnsCopy(t *testing.T) {
 }
 
 func TestKeywordIndexesKeywords(t *testing.T) {
-	for _, cat := range append(Categories(), "unknown") {
+	for _, cat := range append(slices.Clone(synthweb.Categories), "unknown") {
 		ks := Keywords(cat)
 		if _, ok := Keyword(cat, 0); ok != (len(ks) > 0) {
 			t.Errorf("Keyword(%q, 0) ok = %v with %d keywords", cat, ok, len(ks))
@@ -97,7 +104,7 @@ func TestKeywordIndexesKeywords(t *testing.T) {
 func TestKeywordsAreSelfClassifying(t *testing.T) {
 	// Every category must be recoverable from a sentence built of its
 	// own first three keywords — the generator relies on this.
-	for _, cat := range Categories()[:15] {
+	for _, cat := range synthweb.Categories[:15] {
 		ks := Keywords(cat)
 		text := ks[0] + " und " + ks[1] + " sowie " + ks[2]
 		if got := Classify(text); got != cat {

@@ -14,7 +14,6 @@ package cookies
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,22 +41,13 @@ func (c *Cookie) Expired(now time.Time) bool {
 	return !c.Expires.IsZero() && !now.Before(c.Expires)
 }
 
-// ParseSetCookie parses one Set-Cookie header value received from
-// requestHost. It returns nil for malformed or rejected cookies
-// (empty name, domain not matching the request host).
-func ParseSetCookie(header, requestHost string, now time.Time) *Cookie {
-	c, ok := parseSetCookie(header, requestHost, now)
-	if !ok {
-		return nil
-	}
-	return &c
-}
-
-// parseSetCookie is ParseSetCookie returning the cookie by value: the
-// jar stores values, so its header-ingest path never allocates a
-// per-cookie box. Segments are walked with IndexByte and attribute
-// names matched case-insensitively in place — every page view of every
-// crawl parses a handful of these headers, so the old
+// parseSetCookie parses one Set-Cookie header value received from
+// requestHost. ok is false for malformed or rejected cookies (empty
+// name, domain not matching the request host). The cookie comes back
+// by value: the jar stores values, so its header-ingest path never
+// allocates a per-cookie box. Segments are walked with IndexByte and
+// attribute names matched case-insensitively in place — every page
+// view of every crawl parses a handful of these headers, so the old
 // Split/SplitN/ToLower allocations added up.
 func parseSetCookie(header, requestHost string, now time.Time) (Cookie, bool) {
 	seg, rest, _ := strings.Cut(header, ";")
@@ -201,13 +191,6 @@ func (j *Jar) SetFromHeaders(host string, headers []string) {
 	}
 }
 
-// Set stores a cookie directly (used by declarative page directives).
-func (j *Jar) Set(c *Cookie) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cookies[key(c)] = *c
-}
-
 // sendable reports whether c would be sent on a request to (h, path,
 // secure) at now; h must already be canonical.
 func (c *Cookie) sendable(h, path string, secure bool, now time.Time) bool {
@@ -227,48 +210,14 @@ func (c *Cookie) sendable(h, path string, secure bool, now time.Time) bool {
 	return pathMatch(path, c.Path)
 }
 
-// sendOrder is the deterministic Cookie-header order: longest path,
-// then name, then domain.
-func sendOrder(a, b *Cookie) bool {
-	if len(a.Path) != len(b.Path) {
-		return len(a.Path) > len(b.Path)
-	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.Domain < b.Domain
-}
-
-// CookiesFor returns copies of the cookies that would be sent on a
-// request to host+path over a connection that is secure when secure is
-// true, sorted by longest path then name for deterministic header
-// order.
-func (j *Jar) CookiesFor(host, path string, secure bool) []*Cookie {
-	if path == "" {
-		path = "/"
-	}
-	h := canonicalHost(host)
-	now := j.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []*Cookie
-	for _, c := range j.cookies {
-		if c.sendable(h, path, secure, now) {
-			cc := c
-			out = append(out, &cc)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return sendOrder(out[a], out[b]) })
-	return out
-}
-
 // AppendCookieHeader appends the Cookie header value for a request to
-// host+path — "name1=v1; name2=v2" in the same deterministic order as
-// CookiesFor — onto dst and returns it. An empty jar (the stateless
-// landscape crawl's steady state) and a reused dst make the whole call
-// allocation-free; the emulated browser's request scratch path builds
-// its Cookie header here instead of materializing a []*Cookie per
-// request.
+// host+path over a connection that is secure when secure is true —
+// "name1=v1; name2=v2", ordered by longest path, then name, then domain
+// so the header is deterministic — onto dst and returns it. An empty
+// jar (the stateless landscape crawl's steady state) and a reused dst
+// make the whole call allocation-free; the emulated browser's request
+// scratch path builds its Cookie header here instead of materializing
+// a []*Cookie per request.
 func (j *Jar) AppendCookieHeader(dst []byte, host, path string, secure bool) []byte {
 	if path == "" {
 		path = "/"
@@ -306,38 +255,6 @@ func (j *Jar) AppendCookieHeader(dst []byte, host, path string, secure bool) []b
 		dst = append(dst, j.scratch[i].Value...)
 	}
 	return dst
-}
-
-// All returns copies of every live cookie in the jar, deterministically
-// ordered.
-func (j *Jar) All() []*Cookie {
-	now := j.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []*Cookie
-	for _, c := range j.cookies {
-		if !c.Expired(now) {
-			cc := c
-			out = append(out, &cc)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Domain != out[b].Domain {
-			return out[a].Domain < out[b].Domain
-		}
-		if out[a].Name != out[b].Name {
-			return out[a].Name < out[b].Name
-		}
-		return out[a].Path < out[b].Path
-	})
-	return out
-}
-
-// Len returns the number of live cookies.
-func (j *Jar) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.cookies)
 }
 
 // Clear removes all cookies — the paper's §5 note that revoking a

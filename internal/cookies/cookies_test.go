@@ -17,10 +17,16 @@ func fixedJar() *Jar {
 	return j
 }
 
+// header is the Cookie header the browser sends on a request to
+// host+path.
+func header(j *Jar, host, path string, secure bool) string {
+	return string(j.AppendCookieHeader(nil, host, path, secure))
+}
+
 func TestParseSetCookieBasic(t *testing.T) {
-	c := ParseSetCookie("sid=abc123; Path=/; HttpOnly", "www.spiegel.de", t0)
-	if c == nil {
-		t.Fatal("nil cookie")
+	c, ok := parseSetCookie("sid=abc123; Path=/; HttpOnly", "www.spiegel.de", t0)
+	if !ok {
+		t.Fatal("cookie rejected")
 	}
 	if c.Name != "sid" || c.Value != "abc123" || !c.HTTPOnly || !c.HostOnly {
 		t.Fatalf("cookie = %+v", c)
@@ -31,39 +37,39 @@ func TestParseSetCookieBasic(t *testing.T) {
 }
 
 func TestParseSetCookieDomainAttribute(t *testing.T) {
-	c := ParseSetCookie("t=1; Domain=.spiegel.de", "www.spiegel.de", t0)
-	if c == nil || c.Domain != "spiegel.de" || c.HostOnly {
+	c, ok := parseSetCookie("t=1; Domain=.spiegel.de", "www.spiegel.de", t0)
+	if !ok || c.Domain != "spiegel.de" || c.HostOnly {
 		t.Fatalf("cookie = %+v", c)
 	}
 }
 
 func TestParseSetCookieRejectsForeignDomain(t *testing.T) {
-	if c := ParseSetCookie("t=1; Domain=zeit.de", "www.spiegel.de", t0); c != nil {
+	if c, ok := parseSetCookie("t=1; Domain=zeit.de", "www.spiegel.de", t0); ok {
 		t.Fatalf("foreign domain accepted: %+v", c)
 	}
 }
 
 func TestParseSetCookieRejectsPublicSuffixDomain(t *testing.T) {
-	if c := ParseSetCookie("t=1; Domain=de", "www.spiegel.de", t0); c != nil {
+	if c, ok := parseSetCookie("t=1; Domain=de", "www.spiegel.de", t0); ok {
 		t.Fatalf("public suffix domain accepted: %+v", c)
 	}
 }
 
 func TestParseSetCookieMalformed(t *testing.T) {
 	for _, h := range []string{"", "noequals", "=value", "  =x; Path=/"} {
-		if c := ParseSetCookie(h, "a.de", t0); c != nil {
-			t.Errorf("ParseSetCookie(%q) = %+v, want nil", h, c)
+		if c, ok := parseSetCookie(h, "a.de", t0); ok {
+			t.Errorf("parseSetCookie(%q) = %+v, want rejected", h, c)
 		}
 	}
 }
 
 func TestParseSetCookieMaxAge(t *testing.T) {
-	c := ParseSetCookie("t=1; Max-Age=60", "a.de", t0)
+	c, _ := parseSetCookie("t=1; Max-Age=60", "a.de", t0)
 	if c.Expires != t0.Add(60*time.Second) {
 		t.Fatalf("expires = %v", c.Expires)
 	}
 	// Max-Age <= 0 expires immediately.
-	c = ParseSetCookie("t=1; Max-Age=0", "a.de", t0)
+	c, _ = parseSetCookie("t=1; Max-Age=0", "a.de", t0)
 	if !c.Expired(t0) {
 		t.Fatal("Max-Age=0 not expired")
 	}
@@ -71,7 +77,7 @@ func TestParseSetCookieMaxAge(t *testing.T) {
 
 func TestParseSetCookieExpires(t *testing.T) {
 	h := "t=1; Expires=" + t0.Add(time.Hour).Format(time.RFC1123)
-	c := ParseSetCookie(h, "a.de", t0)
+	c, _ := parseSetCookie(h, "a.de", t0)
 	if c.Expired(t0) || !c.Expired(t0.Add(2*time.Hour)) {
 		t.Fatalf("expires handling wrong: %+v", c)
 	}
@@ -83,39 +89,51 @@ func TestJarStoreAndRetrieve(t *testing.T) {
 		"sid=1; Path=/",
 		"pref=dark; Domain=spiegel.de",
 	})
-	got := j.CookiesFor("www.spiegel.de", "/article", false)
-	if len(got) != 2 {
-		t.Fatalf("got %d cookies", len(got))
+	if got := header(j, "www.spiegel.de", "/article", false); got != "pref=dark; sid=1" {
+		t.Fatalf("got %q", got)
 	}
 	// Host-only cookie must not match a sibling subdomain; domain
 	// cookie must.
-	got = j.CookiesFor("abo.spiegel.de", "/", false)
-	if len(got) != 1 || got[0].Name != "pref" {
-		t.Fatalf("sibling got %v", names(got))
+	if got := header(j, "abo.spiegel.de", "/", false); got != "pref=dark" {
+		t.Fatalf("sibling got %q", got)
+	}
+}
+
+// TestJarSendOrder pins the Cookie header order: longest path first,
+// then name, then domain, so two cookies of one name sent to one host
+// come out in a fixed order.
+func TestJarSendOrder(t *testing.T) {
+	j := fixedJar()
+	j.SetFromHeaders("www.site.de", []string{
+		"b=1; Domain=site.de", "a=2", "k=host", "k=dom; Domain=site.de", "z=3; Path=/shop",
+	})
+	const want = "z=3; a=2; b=1; k=dom; k=host"
+	if got := header(j, "www.site.de", "/shop/cart", false); got != want {
+		t.Fatalf("header = %q, want %q", got, want)
 	}
 }
 
 func TestJarPathMatching(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"p=1; Path=/shop"})
-	if n := len(j.CookiesFor("a.de", "/shop/cart", false)); n != 1 {
-		t.Fatalf("/shop/cart: %d", n)
+	if got := header(j, "a.de", "/shop/cart", false); got != "p=1" {
+		t.Fatalf("/shop/cart: %q", got)
 	}
-	if n := len(j.CookiesFor("a.de", "/shopping", false)); n != 0 {
-		t.Fatalf("/shopping must not match /shop: %d", n)
+	if got := header(j, "a.de", "/shopping", false); got != "" {
+		t.Fatalf("/shopping must not match /shop: %q", got)
 	}
-	if n := len(j.CookiesFor("a.de", "/", false)); n != 0 {
-		t.Fatalf("/: %d", n)
+	if got := header(j, "a.de", "/", false); got != "" {
+		t.Fatalf("/: %q", got)
 	}
 }
 
 func TestJarSecure(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"s=1; Secure"})
-	if n := len(j.CookiesFor("a.de", "/", false)); n != 0 {
+	if header(j, "a.de", "/", false) != "" {
 		t.Fatal("secure cookie sent over insecure channel")
 	}
-	if n := len(j.CookiesFor("a.de", "/", true)); n != 1 {
+	if header(j, "a.de", "/", true) != "s=1" {
 		t.Fatal("secure cookie not sent over secure channel")
 	}
 }
@@ -124,9 +142,8 @@ func TestJarOverwrite(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"k=old"})
 	j.SetFromHeaders("a.de", []string{"k=new"})
-	all := j.All()
-	if len(all) != 1 || all[0].Value != "new" {
-		t.Fatalf("all = %+v", all)
+	if got := header(j, "a.de", "/", false); got != "k=new" || len(j.cookies) != 1 {
+		t.Fatalf("header = %q with %d stored", got, len(j.cookies))
 	}
 }
 
@@ -134,7 +151,7 @@ func TestJarDeleteViaExpiry(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"k=v"})
 	j.SetFromHeaders("a.de", []string{"k=; Max-Age=0"})
-	if j.Len() != 0 {
+	if len(j.cookies) != 0 {
 		t.Fatal("expired set must delete")
 	}
 }
@@ -144,11 +161,11 @@ func TestJarExpiryOnRead(t *testing.T) {
 	now := t0
 	j.Now = func() time.Time { return now }
 	j.SetFromHeaders("a.de", []string{"k=v; Max-Age=10"})
-	if len(j.All()) != 1 {
+	if header(j, "a.de", "/", false) != "k=v" {
 		t.Fatal("cookie missing")
 	}
 	now = t0.Add(time.Minute)
-	if len(j.All()) != 0 {
+	if header(j, "a.de", "/", false) != "" {
 		t.Fatal("expired cookie returned")
 	}
 }
@@ -157,7 +174,7 @@ func TestJarClear(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"k=v"})
 	j.Clear()
-	if j.Len() != 0 {
+	if len(j.cookies) != 0 {
 		t.Fatal("clear failed")
 	}
 }
@@ -165,12 +182,10 @@ func TestJarClear(t *testing.T) {
 func TestJarDeterministicOrder(t *testing.T) {
 	j := fixedJar()
 	j.SetFromHeaders("a.de", []string{"b=2", "a=1", "c=3"})
-	var prev string
-	for _, c := range j.All() {
-		if c.Name < prev {
-			t.Fatal("All() not sorted")
+	for range 10 {
+		if got := header(j, "a.de", "/", false); got != "a=1; b=2; c=3" {
+			t.Fatalf("header = %q, want name order", got)
 		}
-		prev = c.Name
 	}
 }
 
@@ -213,15 +228,22 @@ func mixedJar() *Jar {
 }
 
 // Count walks the jar map in place; it must agree with the tally built
-// from the sorted live-cookie copy All returns.
+// over all live cookies, one by one, from Classify and the blocklist.
 func TestCountMatchesAll(t *testing.T) {
 	j := mixedJar()
-	if j.Len() != 9 || len(j.All()) != 7 {
-		t.Fatalf("jar holds %d cookies, %d live; want 9, 7", j.Len(), len(j.All()))
+	var live []Cookie
+	for _, c := range j.cookies {
+		if !c.Expired(j.Now()) {
+			live = append(live, c)
+		}
+	}
+	if len(j.cookies) != 9 || len(live) != 7 {
+		t.Fatalf("jar holds %d cookies, %d live; want 9, 7", len(j.cookies), len(live))
 	}
 	for _, page := range []string{"www.site.de", "cdn.assets.example", "other.de", "de"} {
 		var want Tally
-		for _, c := range j.All() {
+		for i := range live {
+			c := &live[i]
 			if Classify(c, page) == FirstParty {
 				want.FirstParty++
 			} else {
@@ -232,7 +254,7 @@ func TestCountMatchesAll(t *testing.T) {
 			}
 		}
 		if got := Count(j, page, trackdb.IsTracking); got != want {
-			t.Errorf("Count(%q) = %+v, tally from All = %+v", page, got, want)
+			t.Errorf("Count(%q) = %+v, tally from Classify = %+v", page, got, want)
 		}
 	}
 	if got := Count(j, "www.site.de", nil); got.Tracking != 0 || got.FirstParty != 3 || got.ThirdParty != 4 {
@@ -256,14 +278,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func names(cs []*Cookie) []string {
-	var out []string
-	for _, c := range cs {
-		out = append(out, c.Name)
-	}
-	return out
-}
-
 // Property: a stored, unexpired host cookie is always returned for its
 // own host and path /.
 func TestQuickRoundTrip(t *testing.T) {
@@ -275,8 +289,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		value = sanitizeToken(value)
 		j := fixedJar()
 		j.SetFromHeaders("host.de", []string{name + "=" + value})
-		cs := j.CookiesFor("host.de", "/", true)
-		return len(cs) == 1 && cs[0].Name == name && cs[0].Value == value
+		return header(j, "host.de", "/", true) == name+"="+value
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -87,9 +87,6 @@ type Banner struct {
 	MonthlyEUR float64
 }
 
-// HasBanner reports whether any banner was detected.
-func (b *Banner) HasBanner() bool { return b != nil && b.Kind != KindNone }
-
 // candidate is an element under consideration during detection.
 type candidate struct {
 	node   *dom.Node

@@ -71,7 +71,7 @@ func TestDetectCookiewall(t *testing.T) {
 
 func TestDetectNoBanner(t *testing.T) {
 	b := Detect(dom.Parse(`<html><body><main><p>Just an article about cooking.</p></main></body></html>`))
-	if b.Kind != KindNone || b.HasBanner() {
+	if b.Kind != KindNone {
 		t.Fatalf("kind = %v", b.Kind)
 	}
 }

@@ -26,14 +26,6 @@ func BenchmarkDOMParse(b *testing.B) {
 	}
 }
 
-func BenchmarkRender(b *testing.B) {
-	doc := Parse(benchPage)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Render(doc)
-	}
-}
-
 func BenchmarkQuerySelector(b *testing.B) {
 	doc := Parse(benchPage)
 	sel := MustCompileSelector("div.consent-layer > button")

@@ -58,7 +58,7 @@ type ShadowRoot struct {
 }
 
 // Node is a single DOM node. The zero value is not useful; create nodes
-// with NewElement/NewText/NewDocument or by parsing.
+// with NewElement/NewDocument or by parsing.
 type Node struct {
 	Type NodeType
 	// Tag is the lower-case element name for ElementNode.
@@ -98,9 +98,6 @@ func NewElement(tag string, kv ...string) *Node {
 	}
 	return n
 }
-
-// NewText returns a detached text node.
-func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
 
 // AppendChild adds c as the last child of n. c is detached first if
 // necessary.
@@ -243,32 +240,6 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 	return true
 }
 
-// Descendants returns all element descendants in document order
-// (light DOM only).
-func (n *Node) Descendants() []*Node {
-	var out []*Node
-	n.Walk(func(d *Node) bool {
-		if d != n && d.Type == ElementNode {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
-// ElementsByTag returns descendant elements with the given tag.
-func (n *Node) ElementsByTag(tag string) []*Node {
-	tag = strings.ToLower(tag)
-	var out []*Node
-	n.Walk(func(d *Node) bool {
-		if d.Type == ElementNode && d.Tag == tag {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
 // ByID returns the first descendant element with the given id, or nil.
 func (n *Node) ByID(id string) *Node {
 	var found *Node
@@ -316,18 +287,12 @@ func (n *Node) Body() *Node {
 	return nil
 }
 
-// Clone returns a deep copy of n's subtree. Shadow roots are cloned;
-// FrameDoc pointers are shared (frames are separate documents owned by
-// the browser, and cloning a host must not re-load the frame).
-func (n *Node) Clone() *Node {
-	c, _ := n.CloneWithMap()
-	return c
-}
-
 // CloneWithMap deep-copies n's subtree and returns a map from each
-// clone back to its original node. This is the primitive behind the
-// BannerClick shadow-DOM workaround: search the clone with ordinary
-// selectors, then interact with mapped originals.
+// clone back to its original node. Shadow roots are cloned; FrameDoc
+// pointers are shared (frames are separate documents owned by the
+// browser, and cloning a host must not re-load the frame). This is the
+// primitive behind the BannerClick shadow-DOM workaround: search the
+// clone with ordinary selectors, then interact with mapped originals.
 func (n *Node) CloneWithMap() (*Node, map[*Node]*Node) {
 	backMap := make(map[*Node]*Node)
 	return cloneInto(n, backMap), backMap

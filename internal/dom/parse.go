@@ -26,19 +26,12 @@ func Parse(src string) *Node {
 	return new(parser).parse(src, false)
 }
 
-// ParseFragment parses src as a fragment (no html/head/body synthesis)
-// and returns the fragment root. Used for banner markup delivered by
-// CMP/SMP scripts, which is injected into an existing page.
-func ParseFragment(src string) *Node {
-	return new(parser).parse(src, true)
-}
-
 // Parser is a reusable HTML parser owning its token stacks, tokenizer
 // and node-arena tail; the zero value is ready to use. It is NOT safe
 // for concurrent use: it exists so a single-goroutine session (one
 // crawl worker's browser) can keep its parse state across visits
-// instead of rebuilding it on every page, as the package-level
-// Parse/ParseFragment do. Produced trees are identical either way.
+// instead of rebuilding it on every page, as the package-level Parse
+// does. Produced trees are identical either way.
 type Parser struct {
 	p parser
 }
@@ -46,7 +39,9 @@ type Parser struct {
 // Parse is Parse using this parser's recycled state.
 func (ps *Parser) Parse(src string) *Node { return ps.p.parse(src, false) }
 
-// ParseFragment is ParseFragment using this parser's recycled state.
+// ParseFragment parses src as a fragment (no html/head/body synthesis)
+// and returns the fragment root. The browser injects banner markup
+// delivered by CMP/SMP scripts into an existing page this way.
 func (ps *Parser) ParseFragment(src string) *Node { return ps.p.parse(src, true) }
 
 // parse runs one full parse and resets the parser's reusable state.

@@ -15,7 +15,7 @@ func TestParseBasicDocument(t *testing.T) {
 	if body == nil {
 		t.Fatal("no <body>")
 	}
-	p := body.QuerySelector("p")
+	p := query(body, "p")
 	if p == nil || p.Text() != "hi" {
 		t.Fatalf("p = %v", p)
 	}
@@ -26,10 +26,10 @@ func TestParseScaffoldsSparseInput(t *testing.T) {
 	if doc.Body() == nil {
 		t.Fatal("body not synthesized")
 	}
-	if doc.Body().QuerySelector("p") == nil {
+	if query(doc.Body(), "p") == nil {
 		t.Fatal("content not placed in body")
 	}
-	if doc.DocumentElement().QuerySelector("head") == nil {
+	if query(doc.DocumentElement(), "head") == nil {
 		t.Fatal("head not synthesized")
 	}
 }
@@ -38,17 +38,17 @@ func TestParseHeadOnlyElements(t *testing.T) {
 	doc := Parse(`<meta charset="utf-8"><title>x</title><div>content</div>`)
 	html := doc.DocumentElement()
 	head := childElement(html, "head")
-	if head == nil || len(head.ElementsByTag("meta")) != 1 {
+	if head == nil || len(queryAll(head, "meta")) != 1 {
 		t.Fatal("meta not in head")
 	}
-	if doc.Body().QuerySelector("div") == nil {
+	if query(doc.Body(), "div") == nil {
 		t.Fatal("div not in body")
 	}
 }
 
 func TestParseNesting(t *testing.T) {
 	doc := Parse(`<div><ul><li>a</li><li>b<li>c</ul></div>`)
-	lis := doc.QuerySelectorAll("ul > li")
+	lis := queryAll(doc, "ul > li")
 	if len(lis) != 3 {
 		t.Fatalf("want 3 li (implied close), got %d", len(lis))
 	}
@@ -59,12 +59,12 @@ func TestParseNesting(t *testing.T) {
 
 func TestParseImpliedParagraphClose(t *testing.T) {
 	doc := Parse(`<p>one<p>two<div>three</div>`)
-	ps := doc.QuerySelectorAll("p")
+	ps := queryAll(doc, "p")
 	if len(ps) != 2 {
 		t.Fatalf("want 2 p, got %d", len(ps))
 	}
 	// div must be a sibling of the p's, not nested inside.
-	div := doc.QuerySelector("div")
+	div := query(doc, "div")
 	if div.Parent.Tag != "body" {
 		t.Fatalf("div parent = %q", div.Parent.Tag)
 	}
@@ -72,17 +72,17 @@ func TestParseImpliedParagraphClose(t *testing.T) {
 
 func TestParseTableCells(t *testing.T) {
 	doc := Parse(`<table><tr><td>a<td>b<tr><td>c</table>`)
-	if n := len(doc.QuerySelectorAll("td")); n != 3 {
+	if n := len(queryAll(doc, "td")); n != 3 {
 		t.Fatalf("want 3 td, got %d", n)
 	}
-	if n := len(doc.QuerySelectorAll("tr")); n != 2 {
+	if n := len(queryAll(doc, "tr")); n != 2 {
 		t.Fatalf("want 2 tr, got %d", n)
 	}
 }
 
 func TestParseUnmatchedEndTagIgnored(t *testing.T) {
 	doc := Parse(`<div>a</span>b</div>`)
-	div := doc.QuerySelector("div")
+	div := query(doc, "div")
 	if got := div.Text(); got != "ab" {
 		t.Fatalf("text = %q", got)
 	}
@@ -90,12 +90,12 @@ func TestParseUnmatchedEndTagIgnored(t *testing.T) {
 
 func TestParseVoidElements(t *testing.T) {
 	doc := Parse(`<div><img src="x"><br><input type="text">after</div>`)
-	img := doc.QuerySelector("img")
+	img := query(doc, "img")
 	if img.FirstChild != nil {
 		t.Fatal("img must not take children")
 	}
-	if doc.QuerySelector("div").Text() != "after" {
-		t.Fatalf("text = %q", doc.QuerySelector("div").Text())
+	if query(doc, "div").Text() != "after" {
+		t.Fatalf("text = %q", query(doc, "div").Text())
 	}
 }
 
@@ -109,14 +109,14 @@ func TestParseDeclarativeShadowOpen(t *testing.T) {
 		t.Fatalf("mode = %q", host.Shadow.Mode)
 	}
 	// Shadow content is in the fragment, not the light DOM.
-	if host.QuerySelector("p.inner") != nil {
+	if query(host, "p.inner") != nil {
 		t.Fatal("selector must not cross shadow boundary")
 	}
-	if p := host.Shadow.Root.QuerySelector("p.inner"); p == nil || p.Text() != "shadow text" {
+	if p := query(host.Shadow.Root, "p.inner"); p == nil || p.Text() != "shadow text" {
 		t.Fatal("shadow content missing")
 	}
 	// Light DOM sibling preserved.
-	if host.QuerySelector("span") == nil {
+	if query(host, "span") == nil {
 		t.Fatal("light DOM lost")
 	}
 }
@@ -157,18 +157,19 @@ func TestParseNestedShadow(t *testing.T) {
 
 func TestParsePlainTemplateIsElement(t *testing.T) {
 	doc := Parse(`<div><template><p>inert</p></template></div>`)
-	div := doc.QuerySelector("div")
+	div := query(doc, "div")
 	if div.Shadow != nil {
 		t.Fatal("plain template must not attach shadow")
 	}
-	if doc.QuerySelector("template") == nil {
+	if query(doc, "template") == nil {
 		t.Fatal("template element missing")
 	}
 }
 
 func TestParseFragment(t *testing.T) {
-	frag := ParseFragment(`<div class="cw"><button>Accept</button></div>`)
-	if frag.QuerySelector("div.cw > button") == nil {
+	var p Parser
+	frag := p.ParseFragment(`<div class="cw"><button>Accept</button></div>`)
+	if query(frag, "div.cw > button") == nil {
 		t.Fatal("fragment structure wrong")
 	}
 	if frag.DocumentElement() != nil {
@@ -178,7 +179,7 @@ func TestParseFragment(t *testing.T) {
 
 func TestParseScriptContentPreserved(t *testing.T) {
 	doc := Parse(`<script>var x = "<div>"; if (1<2) {}</script>`)
-	scripts := doc.ElementsByTag("script")
+	scripts := queryAll(doc, "script")
 	if len(scripts) != 1 {
 		t.Fatalf("scripts = %d", len(scripts))
 	}
@@ -230,13 +231,13 @@ func TestCloneWithMap(t *testing.T) {
 
 func TestDetachAndInsertBefore(t *testing.T) {
 	doc := Parse(`<ul><li id="a">a</li><li id="b">b</li><li id="c">c</li></ul>`)
-	ul := doc.QuerySelector("ul")
+	ul := query(doc, "ul")
 	c := doc.ByID("c")
 	a := doc.ByID("a")
 	c.Detach()
 	ul.InsertBefore(c, a)
 	var order []string
-	for _, li := range ul.QuerySelectorAll("li") {
+	for _, li := range queryAll(ul, "li") {
 		order = append(order, li.ID())
 	}
 	if strings.Join(order, "") != "cab" {

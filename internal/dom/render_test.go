@@ -6,10 +6,11 @@ import (
 	"cookiewalk/internal/htmlx"
 )
 
-// Render serializes n's subtree back to HTML. Declarative shadow roots
-// are emitted as <template shadowrootmode=...> so a render/parse round
-// trip preserves shadow structure. iframe content documents are NOT
-// inlined (they are separate resources).
+// Render serializes n's subtree back to HTML: the oracle of the parse
+// round-trip and fuzz tests, which no crawl path needs. Declarative
+// shadow roots are emitted as <template shadowrootmode=...> so a
+// render/parse round trip preserves shadow structure. iframe content
+// documents are NOT inlined (they are separate resources).
 func Render(n *Node) string {
 	var b strings.Builder
 	renderNode(&b, n)
@@ -69,17 +70,4 @@ func renderNode(b *strings.Builder, n *Node) {
 		b.WriteString(n.Tag)
 		b.WriteByte('>')
 	}
-}
-
-// OuterHTML is Render restricted to element nodes, matching the DOM
-// property of the same name.
-func (n *Node) OuterHTML() string { return Render(n) }
-
-// InnerHTML serializes only n's children.
-func (n *Node) InnerHTML() string {
-	var b strings.Builder
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		renderNode(&b, c)
-	}
-	return b.String()
 }

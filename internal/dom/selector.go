@@ -328,17 +328,6 @@ func matchRest(cx *complexSelector, idx int, n *Node, scope *Node) bool {
 	return false
 }
 
-// Matches reports whether element n matches the selector (with n's
-// document as scope).
-func (s *Selector) Matches(n *Node) bool {
-	for i := range s.alternatives {
-		if s.alternatives[i].matches(n, n.Root()) {
-			return true
-		}
-	}
-	return false
-}
-
 // Query returns the first descendant of n (excluding n) matching the
 // selector, in document order, or nil. Matching follows querySelector
 // semantics: the selector is evaluated against the whole tree (ancestor
@@ -376,23 +365,4 @@ func (n *Node) QueryAll(sel *Selector) []*Node {
 		return true
 	})
 	return out
-}
-
-// QuerySelector compiles src and runs Query; it returns nil on a bad
-// selector. Convenience for tests and tools.
-func (n *Node) QuerySelector(src string) *Node {
-	sel, err := CompileSelector(src)
-	if err != nil {
-		return nil
-	}
-	return n.Query(sel)
-}
-
-// QuerySelectorAll compiles src and runs QueryAll; nil on a bad selector.
-func (n *Node) QuerySelectorAll(src string) []*Node {
-	sel, err := CompileSelector(src)
-	if err != nil {
-		return nil
-	}
-	return n.QueryAll(sel)
 }

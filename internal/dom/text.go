@@ -174,39 +174,12 @@ func NormalizeSpace(s string) string {
 
 // --- inline style and visibility heuristics ------------------------------
 
-// StyleProps parses the element's style attribute into a property map
-// with lower-cased keys and trimmed values. Malformed declarations are
-// skipped.
-func (n *Node) StyleProps() map[string]string {
-	style, ok := n.Attr("style")
-	if !ok || style == "" {
-		return nil
-	}
-	props := make(map[string]string)
-	for _, decl := range strings.Split(style, ";") {
-		colon := strings.IndexByte(decl, ':')
-		if colon < 0 {
-			continue
-		}
-		key := strings.ToLower(strings.TrimSpace(decl[:colon]))
-		val := strings.TrimSpace(decl[colon+1:])
-		if key != "" && val != "" {
-			props[key] = val
-		}
-	}
-	return props
-}
-
-// Style returns one inline style property value ("" when absent).
-func (n *Node) Style(prop string) string {
-	return n.styleVal(strings.ToLower(prop))
-}
-
-// styleVal scans the style attribute for one property without building
-// the StyleProps map — visibility checks run per element on the
-// detection hot path. Like the map (where later declarations
-// overwrite earlier ones), the LAST well-formed declaration wins.
-// prop must be lower-case.
+// styleVal returns the value of one inline style property, "" when
+// absent. It scans the style attribute in place without building a
+// property map, because visibility checks run per element on the
+// detection hot path. Keys match case-insensitively, declarations
+// without a colon or a value are skipped, and, as in CSS, the LAST
+// well-formed declaration wins. prop must be lower-case.
 func (n *Node) styleVal(prop string) string {
 	style, ok := n.Attr("style")
 	if !ok || style == "" {

@@ -97,19 +97,21 @@ func TestNormalizeSpace(t *testing.T) {
 }
 
 func TestStyleProps(t *testing.T) {
-	n := NewElement("div", "style", "position: fixed; Z-INDEX: 9999; bottom:0;; broken")
-	props := n.StyleProps()
-	if props["position"] != "fixed" {
-		t.Fatalf("position = %q", props["position"])
+	n := NewElement("div", "style", "position: fixed; Z-INDEX: 9999; bottom:0;; broken; top: ; top:1px; top:2px")
+	if v := n.styleVal("position"); v != "fixed" {
+		t.Fatalf("position = %q", v)
 	}
-	if props["z-index"] != "9999" {
-		t.Fatalf("z-index = %q", props["z-index"])
+	if v := n.styleVal("z-index"); v != "9999" {
+		t.Fatalf("z-index = %q, want a case-insensitive key match", v)
 	}
-	if _, ok := props["broken"]; ok {
-		t.Fatal("malformed declaration kept")
+	if v := n.styleVal("broken"); v != "" {
+		t.Fatalf("malformed declaration kept: %q", v)
 	}
-	if n.Style("POSITION") != "fixed" {
-		t.Fatal("Style must be case-insensitive on key")
+	if v := n.styleVal("top"); v != "2px" {
+		t.Fatalf("top = %q, want the last well-formed declaration", v)
+	}
+	if v := NewElement("div").styleVal("position"); v != "" {
+		t.Fatalf("no style attribute: %q", v)
 	}
 }
 

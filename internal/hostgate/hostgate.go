@@ -56,10 +56,10 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// ErrCircuitOpen is returned (wrapped, with the host name) by Acquire
-// while a host's breaker is open. It is definitive for the current
-// request: retrying immediately cannot help, the visit should fail
-// fast and be accounted as a visit error.
+// circuitOpenError is returned by Admit while a host's breaker is open.
+// It is definitive for the current request: retrying immediately
+// cannot help, the visit should fail fast and be accounted as a visit
+// error.
 type circuitOpenError struct{ host string }
 
 func (e *circuitOpenError) Error() string {
@@ -69,23 +69,6 @@ func (e *circuitOpenError) Error() string {
 // CircuitOpen marks the error structurally so callers can classify it
 // without importing this package.
 func (e *circuitOpenError) CircuitOpen() bool { return true }
-
-// IsCircuitOpen reports whether err (or anything it wraps) is a
-// breaker fail-fast from a Gate.
-func IsCircuitOpen(err error) bool {
-	type co interface{ CircuitOpen() bool }
-	for err != nil {
-		if c, ok := err.(co); ok && c.CircuitOpen() {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
 
 type breakerState int
 
@@ -116,9 +99,6 @@ type Gate struct {
 	cfg   Config
 	mu    sync.Mutex // guards hosts map only
 	hosts map[string]*hostState
-
-	trips   int64 // breaker open transitions (under mu)
-	denials int64 // Acquire calls refused by an open breaker (under mu)
 }
 
 // New returns a Gate for cfg. A nil return means cfg enables nothing —
@@ -171,31 +151,13 @@ func (g *Gate) host(host string) *hostState {
 	return h
 }
 
-// Acquire is the single-shot composition of Admit and Wait for callers
-// whose logical request is exactly one attempt: breaker admission, then
-// a rate-limiter token. When the limiter wait fails after admission
-// (ctx canceled), the admission is abandoned internally before the
-// error returns — the caller holds nothing. A nil return means the
-// caller was admitted and owes the gate one Report or Abandon.
-func (g *Gate) Acquire(ctx context.Context, host string) error {
-	if err := g.Admit(host); err != nil {
-		return err
-	}
-	if err := g.Wait(ctx, host); err != nil {
-		g.Abandon(host)
-		return err
-	}
-	return nil
-}
-
 // Admit checks host's breaker and admits or refuses one logical
 // request: it fails fast with a circuit-open error while the breaker is
-// open (counting a denial), and admits a single half-open probe when
-// the cooldown has elapsed. Call it once per logical request — the
-// breaker judges final outcomes, and the probe slot belongs to the
-// whole request including its in-request retries. An admitted caller
-// MUST settle the admission with exactly one Report or Abandon on
-// every exit path.
+// open, and admits a single half-open probe when the cooldown has
+// elapsed. Call it once per logical request — the breaker judges final
+// outcomes, and the probe slot belongs to the whole request including
+// its in-request retries. An admitted caller MUST settle the admission
+// with exactly one Report or Abandon on every exit path.
 func (g *Gate) Admit(host string) error {
 	if g == nil || g.cfg.BreakerThreshold <= 0 {
 		return nil
@@ -210,9 +172,6 @@ func (g *Gate) Admit(host string) error {
 			h.probing = true
 		} else {
 			h.mu.Unlock()
-			g.mu.Lock()
-			g.denials++
-			g.mu.Unlock()
 			return &circuitOpenError{host: host}
 		}
 	case breakerHalfOpen:
@@ -220,9 +179,6 @@ func (g *Gate) Admit(host string) error {
 			// Another request owns the probe; fail fast rather than
 			// pile onto a host we believe is down.
 			h.mu.Unlock()
-			g.mu.Lock()
-			g.denials++
-			g.mu.Unlock()
 			return &circuitOpenError{host: host}
 		}
 		h.probing = true
@@ -313,11 +269,6 @@ func (g *Gate) Report(host string, failed bool) bool {
 		}
 	}
 	h.mu.Unlock()
-	if tripped {
-		g.mu.Lock()
-		g.trips++
-		g.mu.Unlock()
-	}
 	return tripped
 }
 
@@ -338,15 +289,4 @@ func (g *Gate) Abandon(host string) {
 		h.probing = false
 	}
 	h.mu.Unlock()
-}
-
-// Counters returns the running totals of breaker open transitions and
-// fail-fast denials across all hosts.
-func (g *Gate) Counters() (trips, denials int64) {
-	if g == nil {
-		return 0, 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.trips, g.denials
 }

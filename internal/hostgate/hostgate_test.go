@@ -41,17 +41,43 @@ func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
+// circuitOpen matches a breaker fail-fast structurally, the way the
+// browser classifies the errors Admit returns.
+func circuitOpen(err error) bool {
+	var c interface{ CircuitOpen() bool }
+	return errors.As(err, &c) && c.CircuitOpen()
+}
+
+// request runs one logical request through the gate the way the
+// browser does: Admit once, Wait for a token, and settle a failed
+// Wait with Abandon. A nil return leaves the caller admitted, owing
+// one Report or Abandon.
+func request(ctx context.Context, g *Gate, host string) error {
+	if err := g.Admit(host); err != nil {
+		return err
+	}
+	if err := g.Wait(ctx, host); err != nil {
+		g.Abandon(host)
+		return err
+	}
+	return nil
+}
+
 func TestNewNilWhenDisabled(t *testing.T) {
 	if g := New(Config{}); g != nil {
 		t.Fatalf("New with zero config = %v, want nil", g)
 	}
 	var g *Gate
-	if err := g.Acquire(context.Background(), "a.example"); err != nil {
-		t.Fatalf("nil gate Acquire: %v", err)
+	if err := g.Admit("a.example"); err != nil {
+		t.Fatalf("nil gate Admit: %v", err)
+	}
+	if err := g.Wait(context.Background(), "a.example"); err != nil {
+		t.Fatalf("nil gate Wait: %v", err)
 	}
 	if g.Report("a.example", true) {
 		t.Fatal("nil gate Report tripped")
 	}
+	g.Abandon("a.example")
 }
 
 func TestRateLimiterPacesRequests(t *testing.T) {
@@ -62,19 +88,19 @@ func TestRateLimiterPacesRequests(t *testing.T) {
 	// Burst of 2 goes through instantly; the next 8 must each wait for
 	// a 100ms refill.
 	for i := 0; i < 10; i++ {
-		if err := g.Acquire(ctx, "a.example"); err != nil {
-			t.Fatalf("Acquire %d: %v", i, err)
+		if err := g.Wait(ctx, "a.example"); err != nil {
+			t.Fatalf("Wait %d: %v", i, err)
 		}
 	}
 	elapsed := clk.Now().Sub(start)
 	want := 800 * time.Millisecond
 	if elapsed < want || elapsed > want+50*time.Millisecond {
-		t.Fatalf("10 acquires at 10 rps burst 2 took %v, want ~%v", elapsed, want)
+		t.Fatalf("10 waits at 10 rps burst 2 took %v, want ~%v", elapsed, want)
 	}
 	// A different host has its own bucket: no waiting.
 	before := clk.Now()
-	if err := g.Acquire(ctx, "b.example"); err != nil {
-		t.Fatalf("Acquire other host: %v", err)
+	if err := g.Wait(ctx, "b.example"); err != nil {
+		t.Fatalf("Wait other host: %v", err)
 	}
 	if d := clk.Now().Sub(before); d != 0 {
 		t.Fatalf("fresh host waited %v, want 0", d)
@@ -87,83 +113,96 @@ func TestRateLimiterHonorsContext(t *testing.T) {
 		return context.Canceled
 	}})
 	ctx := context.Background()
-	if err := g.Acquire(ctx, "a.example"); err != nil {
-		t.Fatalf("first Acquire: %v", err)
+	if err := g.Wait(ctx, "a.example"); err != nil {
+		t.Fatalf("first Wait: %v", err)
 	}
-	if err := g.Acquire(ctx, "a.example"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire after cancel = %v, want context.Canceled", err)
+	if err := g.Wait(ctx, "a.example"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait after cancel = %v, want context.Canceled", err)
 	}
 }
 
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	clk := newFakeClock()
 	g := New(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Now: clk.Now, Sleep: clk.Sleep})
-	ctx := context.Background()
 	host := "dead.example"
+	trips, denials := 0, 0
+	admit := func() error {
+		err := g.Admit(host)
+		if circuitOpen(err) {
+			denials++
+		}
+		return err
+	}
+	report := func(failed bool) bool {
+		tripped := g.Report(host, failed)
+		if tripped {
+			trips++
+		}
+		return tripped
+	}
 
 	// Two failures: still closed.
 	for i := 0; i < 2; i++ {
-		if err := g.Acquire(ctx, host); err != nil {
-			t.Fatalf("Acquire %d: %v", i, err)
+		if err := admit(); err != nil {
+			t.Fatalf("Admit %d: %v", i, err)
 		}
-		if g.Report(host, true) {
+		if report(true) {
 			t.Fatalf("Report %d tripped early", i)
 		}
 	}
 	// Third consecutive failure trips it.
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire 3: %v", err)
+	if err := admit(); err != nil {
+		t.Fatalf("Admit 3: %v", err)
 	}
-	if !g.Report(host, true) {
+	if !report(true) {
 		t.Fatal("threshold-th failure did not trip the breaker")
 	}
 	// Open: fail fast.
-	err := g.Acquire(ctx, host)
-	if !IsCircuitOpen(err) {
-		t.Fatalf("Acquire while open = %v, want circuit-open", err)
+	err := admit()
+	if !circuitOpen(err) {
+		t.Fatalf("Admit while open = %v, want circuit-open", err)
 	}
-	if IsCircuitOpen(fmt.Errorf("wrapped: %w", errors.New("other"))) {
-		t.Fatal("IsCircuitOpen misclassified an unrelated error")
+	if circuitOpen(fmt.Errorf("wrapped: %w", errors.New("other"))) {
+		t.Fatal("circuitOpen misclassified an unrelated error")
 	}
-	if !IsCircuitOpen(fmt.Errorf("visit: %w", err)) {
-		t.Fatal("IsCircuitOpen failed to see through wrapping")
+	if !circuitOpen(fmt.Errorf("visit: %w", err)) {
+		t.Fatal("circuitOpen failed to see through wrapping")
 	}
 
 	// After the cooldown a single probe is admitted; a second caller
 	// still fails fast while the probe is in flight.
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := admit(); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
-	if err := g.Acquire(ctx, host); !IsCircuitOpen(err) {
+	if err := admit(); !circuitOpen(err) {
 		t.Fatalf("second caller during probe = %v, want circuit-open", err)
 	}
 	// Probe fails: straight back to open, cooldown restarted.
-	if !g.Report(host, true) {
+	if !report(true) {
 		t.Fatal("failed probe did not re-trip")
 	}
-	if err := g.Acquire(ctx, host); !IsCircuitOpen(err) {
+	if err := admit(); !circuitOpen(err) {
 		t.Fatalf("after failed probe = %v, want circuit-open", err)
 	}
 
 	// Next probe succeeds: breaker closes, traffic flows again.
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := admit(); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
-	if g.Report(host, false) {
+	if report(false) {
 		t.Fatal("successful probe reported as trip")
 	}
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("post-recovery Acquire: %v", err)
+	if err := admit(); err != nil {
+		t.Fatalf("post-recovery Admit: %v", err)
 	}
 
-	trips, denials := g.Counters()
 	if trips != 2 {
 		t.Fatalf("trips = %d, want 2", trips)
 	}
-	if denials < 3 {
-		t.Fatalf("denials = %d, want >= 3", denials)
+	if denials != 3 {
+		t.Fatalf("denials = %d, want 3", denials)
 	}
 }
 
@@ -174,17 +213,16 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 func TestAbandonReleasesProbe(t *testing.T) {
 	clk := newFakeClock()
 	g := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: clk.Now, Sleep: clk.Sleep})
-	ctx := context.Background()
 	host := "probe.example"
 
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire: %v", err)
+	if err := g.Admit(host); err != nil {
+		t.Fatalf("Admit: %v", err)
 	}
 	if !g.Report(host, true) {
 		t.Fatal("threshold-1 failure did not trip")
 	}
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := g.Admit(host); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
 	// The probe's request dies without an outcome (say, its visit
@@ -192,23 +230,23 @@ func TestAbandonReleasesProbe(t *testing.T) {
 	g.Abandon(host)
 	// The slot is free again — the next caller becomes the probe
 	// instead of being denied until the end of time.
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := g.Admit(host); err != nil {
 		t.Fatalf("probe slot leaked after Abandon: %v", err)
 	}
 	if g.Report(host, false) {
 		t.Fatal("successful probe reported as trip")
 	}
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("post-recovery Acquire: %v", err)
+	if err := g.Admit(host); err != nil {
+		t.Fatalf("post-recovery Admit: %v", err)
 	}
 	g.Report(host, false)
 }
 
-// TestAcquireReleasesProbeOnCanceledWait: when Acquire's rate-limiter
-// wait fails AFTER breaker admission claimed the probe slot, Acquire
-// must release the slot before returning — the caller holds nothing
-// and will never call Report or Abandon.
-func TestAcquireReleasesProbeOnCanceledWait(t *testing.T) {
+// TestCanceledWaitHoldsProbeUntilAbandon: when the rate-limiter wait
+// fails AFTER breaker admission claimed the probe slot, the caller
+// still holds the slot — other callers are denied — until it settles
+// the admission with Abandon.
+func TestCanceledWaitHoldsProbeUntilAbandon(t *testing.T) {
 	clk := newFakeClock()
 	canceled := false
 	g := New(Config{
@@ -230,17 +268,24 @@ func TestAcquireReleasesProbeOnCanceledWait(t *testing.T) {
 	ctx := context.Background()
 	host := "slow.example"
 
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire: %v", err)
+	if err := request(ctx, g, host); err != nil {
+		t.Fatalf("first request: %v", err)
 	}
 	g.Report(host, true) // trips (threshold 1)
 	clk.Advance(time.Second)
 	canceled = true
 	// Admission claims the probe; the limiter wait then dies.
-	if err := g.Acquire(ctx, host); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire with canceled wait = %v, want context.Canceled", err)
+	if err := g.Admit(host); err != nil {
+		t.Fatalf("half-open probe refused: %v", err)
 	}
-	// The probe slot must have been released internally.
+	if err := g.Wait(ctx, host); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait with canceled sleep = %v, want context.Canceled", err)
+	}
+	if err := g.Admit(host); !circuitOpen(err) {
+		t.Fatalf("Admit while the probe is held = %v, want circuit-open", err)
+	}
+	g.Abandon(host)
+	// The settled slot is free for the next probe.
 	if err := g.Admit(host); err != nil {
 		t.Fatalf("probe slot leaked after canceled wait: %v", err)
 	}
@@ -262,9 +307,9 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 
 // TestGateHammer drives one Gate from many goroutines across a few
 // hosts with mixed outcomes — the -race gate for the shared mutable
-// state (buckets, breakers, counters). Invariant checked at the end:
-// every denial corresponds to a breaker that was open, and the gate
-// never deadlocks.
+// state (buckets, breakers). Invariants checked at the end: requests
+// were admitted, the always-failing host tripped, and the gate never
+// deadlocks.
 func TestGateHammer(t *testing.T) {
 	clk := newFakeClock()
 	g := New(Config{
@@ -278,37 +323,34 @@ func TestGateHammer(t *testing.T) {
 	ctx := context.Background()
 	hosts := []string{"a.example", "b.example", "c.example", "d.example"}
 	var wg sync.WaitGroup
-	var ok, denied atomic.Int64
+	var ok, trips atomic.Int64
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				host := hosts[(w+i)%len(hosts)]
-				err := g.Acquire(ctx, host)
-				if IsCircuitOpen(err) {
-					denied.Add(1)
+				err := request(ctx, g, host)
+				if circuitOpen(err) {
 					continue
 				}
 				if err != nil {
-					t.Errorf("Acquire: %v", err)
+					t.Errorf("request: %v", err)
 					return
 				}
 				ok.Add(1)
 				// host "d.example" always fails; the rest always succeed.
-				g.Report(host, host == "d.example")
+				if g.Report(host, host == "d.example") {
+					trips.Add(1)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	trips, denials := g.Counters()
 	if ok.Load() == 0 {
 		t.Fatal("no request ever admitted")
 	}
-	if trips == 0 {
+	if trips.Load() == 0 {
 		t.Fatal("always-failing host never tripped its breaker")
-	}
-	if denials != denied.Load() {
-		t.Fatalf("gate counted %d denials, callers saw %d", denials, denied.Load())
 	}
 }

@@ -68,7 +68,8 @@ func TestUnterminatedConstructs(t *testing.T) {
 		"<div attr=\"open",
 	}
 	for _, in := range inputs {
-		z := NewTokenizer(in)
+		var z Tokenizer
+		z.Reset(in)
 		for i := 0; i < 50; i++ {
 			if z.Next().Type == ErrorToken {
 				break

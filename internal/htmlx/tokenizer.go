@@ -6,9 +6,10 @@ import "strings"
 // never mutates it; Tokens reference freshly built strings, so input
 // buffers may be reused by callers.
 //
-// Usage follows the x/net/html pattern:
+// The zero value is ready once Reset points it at an input:
 //
-//	z := htmlx.NewTokenizer(page)
+//	var z htmlx.Tokenizer
+//	z.Reset(page)
 //	for {
 //		tok := z.Next()
 //		if tok.Type == htmlx.ErrorToken {
@@ -31,14 +32,9 @@ type Tokenizer struct {
 	attrs []Attribute
 }
 
-// NewTokenizer returns a Tokenizer reading from input.
-func NewTokenizer(input string) *Tokenizer {
-	return &Tokenizer{input: input}
-}
-
-// Reset re-targets the tokenizer at a new input, allowing pooled reuse
-// of the struct. Previously emitted tokens stay valid: the attribute
-// arena is abandoned to them, never overwritten.
+// Reset targets the tokenizer at a new input, so one struct serves
+// every page a parser reads. Previously emitted tokens stay valid: the
+// attribute arena is abandoned to them, never overwritten.
 func (z *Tokenizer) Reset(input string) {
 	z.input = input
 	z.pos = 0

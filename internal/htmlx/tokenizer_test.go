@@ -9,7 +9,8 @@ import (
 // collect tokenizes the whole input.
 func collect(t *testing.T, input string) []Token {
 	t.Helper()
-	z := NewTokenizer(input)
+	var z Tokenizer
+	z.Reset(input)
 	var out []Token
 	for i := 0; i < 10000; i++ {
 		tok := z.Next()
@@ -321,7 +322,8 @@ func TestNumericEntityEdgeCases(t *testing.T) {
 // Property: the tokenizer terminates and never panics on arbitrary input.
 func TestQuickTokenizerTotal(t *testing.T) {
 	f := func(s string) bool {
-		z := NewTokenizer(s)
+		var z Tokenizer
+		z.Reset(s)
 		for i := 0; i < len(s)+10; i++ {
 			if z.Next().Type == ErrorToken {
 				return true
@@ -349,7 +351,8 @@ func BenchmarkTokenizeBannerPage(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(page)))
 	for i := 0; i < b.N; i++ {
-		z := NewTokenizer(page)
+		var z Tokenizer
+		z.Reset(page)
 		for z.Next().Type != ErrorToken {
 		}
 	}

@@ -10,12 +10,12 @@
 // identically.
 //
 // Every cookie of every measured page is labelled through here, so the
-// lookups walk label boundaries in place. The strings PublicSuffix and
-// ETLDPlusOne return are substrings of the normalized input, which is
-// the input itself when lower-casing leaves it unchanged (no upper-case
-// letters, no invalid UTF-8) and it is port-free and trimmed: they
-// alias it rather than copy it. A caller that keeps a
-// result beyond a large input's lifetime should strings.Clone it.
+// lookups walk label boundaries in place. The strings ETLDPlusOne
+// returns are substrings of the normalized input, which is the input
+// itself when lower-casing leaves it unchanged (no upper-case letters,
+// no invalid UTF-8) and it is port-free and trimmed: they alias it
+// rather than copy it. A caller that keeps a result beyond a large
+// input's lifetime should strings.Clone it.
 package publicsuffix
 
 import (
@@ -52,15 +52,11 @@ var suffixes = map[string]bool{
 // is a known public suffix.
 func IsSuffix(s string) bool { return suffixes[s] }
 
-// PublicSuffix returns the longest known public suffix of domain, and
-// true when one was found. Unknown single-label TLDs are treated as
-// suffixes so that eTLD+1 still behaves sensibly on unlisted TLDs.
-func PublicSuffix(domain string) (string, bool) {
-	return publicSuffix(normalize(domain))
-}
-
-// publicSuffix is PublicSuffix on a normalized domain. The candidates,
-// longest first, are the tails of d after each dot.
+// publicSuffix returns the longest known public suffix of the
+// normalized domain d, and true when one was found. Unknown
+// single-label TLDs are treated as suffixes so that eTLD+1 still
+// behaves sensibly on unlisted TLDs. The candidates, longest first, are
+// the tails of d after each dot.
 func publicSuffix(d string) (string, bool) {
 	if d == "" {
 		return "", false

@@ -50,13 +50,13 @@ func TestUnknownTLDFallback(t *testing.T) {
 }
 
 func TestPublicSuffix(t *testing.T) {
-	if s, ok := PublicSuffix("www.bbc.co.uk"); !ok || s != "co.uk" {
+	if s, ok := publicSuffix(normalize("www.bbc.co.uk")); !ok || s != "co.uk" {
 		t.Fatalf("co.uk: %q %v", s, ok)
 	}
-	if s, ok := PublicSuffix("x.de"); !ok || s != "de" {
+	if s, ok := publicSuffix(normalize("x.de")); !ok || s != "de" {
 		t.Fatalf("de: %q %v", s, ok)
 	}
-	if s, ok := PublicSuffix("a.veryunknown"); ok || s != "veryunknown" {
+	if s, ok := publicSuffix(normalize("a.veryunknown")); ok || s != "veryunknown" {
 		t.Fatalf("unknown: %q %v", s, ok)
 	}
 }
@@ -180,10 +180,10 @@ func FuzzETLDPlusOne(f *testing.F) {
 			if n := normalize(h); normalize(n) != n {
 				t.Fatalf("normalize not idempotent on %q: %q -> %q", h, n, normalize(n))
 			}
-			gotS, gotOK := PublicSuffix(h)
+			gotS, gotOK := publicSuffix(normalize(h))
 			wantS, wantOK := refPublicSuffix(h)
 			if gotS != wantS || gotOK != wantOK {
-				t.Fatalf("PublicSuffix(%q) = %q, %v; reference %q, %v", h, gotS, gotOK, wantS, wantOK)
+				t.Fatalf("publicSuffix(%q) = %q, %v; reference %q, %v", h, gotS, gotOK, wantS, wantOK)
 			}
 			got, err := ETLDPlusOne(h)
 			want, ok := refETLDPlusOne(h)
@@ -204,8 +204,8 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
 	}
 	for _, h := range []string{"www.spiegel.de", "news.bbc.co.uk", "sync.trackpix1.example", "de", "foo.bar.unknowntld"} {
-		if n := testing.AllocsPerRun(100, func() { PublicSuffix(h) }); n != 0 {
-			t.Errorf("PublicSuffix(%q): %.1f allocs", h, n)
+		if n := testing.AllocsPerRun(100, func() { publicSuffix(normalize(h)) }); n != 0 {
+			t.Errorf("publicSuffix(%q): %.1f allocs", h, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { SameSite(h, "abo.spiegel.de") }); n != 0 {
 			t.Errorf("SameSite(%q): %.1f allocs", h, n)

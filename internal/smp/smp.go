@@ -30,11 +30,6 @@ type Platform struct {
 	MonthlyPriceEUR float64
 }
 
-// ScriptURL returns the cookiewall loader URL partners embed.
-func (p Platform) ScriptURL() string {
-	return "https://" + p.CDNDomain + "/cw.js"
-}
-
 // Platforms returns the two SMPs of the study, contentpass-like first.
 func Platforms() []Platform {
 	return []Platform{

@@ -20,8 +20,8 @@ func TestPlatforms(t *testing.T) {
 		if !strings.HasSuffix(p.Domain, ".example") {
 			t.Errorf("%s domain %s outside reserved TLD", p.Name, p.Domain)
 		}
-		if !strings.HasPrefix(p.ScriptURL(), "https://cdn.") {
-			t.Errorf("%s script URL %s not CDN-hosted", p.Name, p.ScriptURL())
+		if !strings.HasPrefix(p.CDNDomain, "cdn.") {
+			t.Errorf("%s CDN domain %s not CDN-hosted", p.Name, p.CDNDomain)
 		}
 	}
 }

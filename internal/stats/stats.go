@@ -105,21 +105,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Points returns (x, P(X<=x)) pairs at every distinct sample value, for
-// plotting the Figure-2 red line.
-func (e *ECDF) Points() ([]float64, []float64) {
-	var xs, ps []float64
-	n := float64(len(e.sorted))
-	for i, v := range e.sorted {
-		if i+1 < len(e.sorted) && e.sorted[i+1] == v {
-			continue // emit each distinct value once, at its last index
-		}
-		xs = append(xs, v)
-		ps = append(ps, float64(i+1)/n)
-	}
-	return xs, ps
-}
-
 // Pearson returns the Pearson correlation coefficient of paired
 // samples. It returns 0 when fewer than two pairs exist or either
 // variance is zero.
@@ -172,24 +157,6 @@ func ranks(xs []float64) []float64 {
 			out[idx[k]] = avg
 		}
 		i = j + 1
-	}
-	return out
-}
-
-// Histogram counts values per integer bucket produced by bucketOf.
-func Histogram(xs []float64, bucketOf func(float64) int) map[int]int {
-	h := make(map[int]int)
-	for _, x := range xs {
-		h[bucketOf(x)]++
-	}
-	return h
-}
-
-// IntsToFloats converts a []int sample.
-func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
 	}
 	return out
 }

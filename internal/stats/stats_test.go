@@ -61,10 +61,6 @@ func TestECDF(t *testing.T) {
 			t.Errorf("ECDF(%g) = %g, want %g", x, got, want)
 		}
 	}
-	xs, ps := e.Points()
-	if len(xs) != 3 || !almost(ps[len(ps)-1], 1) {
-		t.Fatalf("points = %v %v", xs, ps)
-	}
 }
 
 func TestECDFEmpty(t *testing.T) {
@@ -122,23 +118,9 @@ func TestRanksWithTies(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.5, 1.5, 1.7, 9}, func(x float64) int { return int(math.Ceil(x)) })
-	if h[1] != 1 || h[2] != 2 || h[9] != 1 {
-		t.Fatalf("h = %v", h)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if !almost(Ratio(42, 1), 42) || Ratio(1, 0) != 0 {
 		t.Fatal("ratio")
-	}
-}
-
-func TestIntsToFloats(t *testing.T) {
-	f := IntsToFloats([]int{1, 2})
-	if len(f) != 2 || f[1] != 2.0 {
-		t.Fatal("conversion")
 	}
 }
 

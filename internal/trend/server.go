@@ -36,8 +36,9 @@ type ServerConfig struct {
 	Token string
 	// CacheTTL bounds a cached response's lifetime (default 15s).
 	// Entries are also invalidated eagerly whenever a new round lands,
-	// whatever their age; the TTL only bounds how long an idle entry
-	// occupies memory.
+	// whatever their age. Expired and invalidated entries are dropped
+	// the next time a body is cached, and the cache never holds more
+	// than maxCacheEntries.
 	CacheTTL time.Duration
 	// Now is the cache clock (defaults to time.Now; tests inject).
 	Now func() time.Time
@@ -66,6 +67,14 @@ type Server struct {
 	entries map[string]*cacheEntry
 	stats   CacheStats
 }
+
+// maxCacheEntries caps the response cache. The query space is
+// unbounded (from/to windows), so a scan of distinct keys within one
+// round and one TTL would otherwise grow the map without limit; the
+// cache is cleared outright when an insert finds it full of live
+// entries. Real key mixes stay far below the cap: every metric, per
+// vantage point where it applies, plus a few dozen windows.
+const maxCacheEntries = 1024
 
 // cacheEntry is one memoized response body. version pins the store
 // state it was computed from; expires bounds its lifetime.
@@ -277,9 +286,25 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	sum := sha256.Sum256(body)
 	etag := fmt.Sprintf(`"%x"`, sum[:8])
 	s.mu.Lock()
+	s.evict(now, version)
 	s.entries[key] = &cacheEntry{body: body, etag: etag, version: version, expires: now.Add(s.ttl)}
 	s.mu.Unlock()
 	s.reply(w, r, body, etag)
+}
+
+// evict makes room for one insert: it drops entries that expired by now
+// or predate store version, and clears the cache when it is still full.
+// Deleting during a range and clear reuse the map, so eviction never
+// allocates. s.mu must be held.
+func (s *Server) evict(now time.Time, version uint64) {
+	for k, e := range s.entries {
+		if e.version < version || !now.Before(e.expires) {
+			delete(s.entries, k)
+		}
+	}
+	if len(s.entries) >= maxCacheEntries {
+		clear(s.entries)
+	}
 }
 
 // reply writes body with cache validators, honoring If-None-Match.

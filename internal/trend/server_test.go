@@ -2,6 +2,8 @@ package trend
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,6 +126,44 @@ func TestServerCacheHitMissAccounting(t *testing.T) {
 	get(t, h, "/v1/trends/prevalence", nil)
 	if st := srv.CacheStats(); st.Misses != 3 || st.Stale != 0 {
 		t.Fatalf("stats after TTL expiry: %+v", st)
+	}
+}
+
+// TestServerCacheBounded: distinct queries must not grow the response
+// cache without limit. Entries that expired go at the next insert, and
+// live distinct keys within one TTL stop at maxCacheEntries.
+func TestServerCacheBounded(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1700000000, 0)}
+	srv := NewServer(ServerConfig{Store: newTestStore(t, 2), Now: clock.now, CacheTTL: 10 * time.Second})
+	h := srv.Handler()
+	for i := range 10000 {
+		if w := get(t, h, fmt.Sprintf("/v1/trends/prevalence?to=%d", i), nil); w.Code != http.StatusOK {
+			t.Fatalf("to=%d: %d", i, w.Code)
+		}
+		clock.t = clock.t.Add(11 * time.Second)
+	}
+	if st := srv.CacheStats(); st.Misses != 10000 || st.Entries != 1 {
+		t.Fatalf("after 10000 distinct expiring queries: %+v, want 1 entry", st)
+	}
+	for i := range 3 * maxCacheEntries {
+		get(t, h, fmt.Sprintf("/v1/trends/prevalence?from=%d", i), nil)
+		if n := srv.CacheStats().Entries; n > maxCacheEntries {
+			t.Fatalf("after %d live distinct queries: %d entries, cap %d", i+1, n, maxCacheEntries)
+		}
+	}
+
+	// Eviction reuses the map: refilling it and sweeping it allocate
+	// nothing.
+	if testing.Short() {
+		return // alloc counting is exact; skip in -short/-race runs
+	}
+	saved := maps.Clone(srv.entries)
+	later := clock.t.Add(time.Hour)
+	if n := testing.AllocsPerRun(20, func() {
+		maps.Copy(srv.entries, saved)
+		srv.evict(later, 0)
+	}); n != 0 {
+		t.Errorf("evict allocates %.1f per sweep", n)
 	}
 }
 

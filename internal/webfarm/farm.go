@@ -69,9 +69,6 @@ func New(reg *synthweb.Registry) *Farm {
 	return f
 }
 
-// Registry returns the farm's backing registry.
-func (f *Farm) Registry() *synthweb.Registry { return f.reg }
-
 // reply is one farm response as a value; its header is shared and
 // read-only (see the package doc). fp is the body's memoized bodyHash
 // when the body is a cached render, 0 otherwise.
