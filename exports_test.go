@@ -103,6 +103,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 					if star, ok := t.(*ast.StarExpr); ok {
 						t = star.X
 					}
+					// A generic receiver (T[P] or T[P, Q]) names its
+					// type through the index expression.
+					switch g := t.(type) {
+					case *ast.IndexExpr:
+						t = g.X
+					case *ast.IndexListExpr:
+						t = g.X
+					}
 					if id, ok := t.(*ast.Ident); ok {
 						recv = id.Name
 					}

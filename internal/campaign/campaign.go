@@ -27,7 +27,6 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -378,12 +377,12 @@ func Run[T, R any](ctx context.Context, cfg Config, targets []T,
 	return run(ctx, cfg, targets, visit, sink, nil)
 }
 
-// run is the engine shared by Run and Resume. A nil replay map means a
-// fresh campaign; non-nil (possibly empty) means resume mode, where
-// journaled indices are replayed instead of visited.
+// run is the engine shared by Run and Resume. A nil replay index means
+// a fresh campaign; non-nil (one slot per target) means resume mode,
+// where journaled indices are replayed instead of visited.
 func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
-	replay map[int]journalRecord) (Stats, error) {
+	replay []journalRecord) (Stats, error) {
 
 	var ck *checkpointState
 	if cfg.Checkpoint != nil {
@@ -431,10 +430,8 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 			return stats, err
 		}
 	}
-	if ck != nil {
-		if err := ck.firstErr(); err != nil {
-			return stats, err
-		}
+	if ck != nil && ck.err != nil {
+		return stats, ck.err
 	}
 	return stats, nil
 }
@@ -442,15 +439,15 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 // shardResult pairs a Result with the engine-internal markers:
 // canceled targets never reach the sink but must be accounted and
 // re-sequenced like everything else; replayed results came from the
-// journal (never re-journaled, counted separately); enc carries the
-// journal encoding of a fresh result, serialized on the worker so the
-// single-threaded delivery loop only writes bytes.
+// journal (never re-journaled, counted separately). Workers decode a
+// replayed value straight into res.Value of their batch slot, and the
+// delivery loop encodes a fresh one straight from its ring slot into
+// the journal, so no value is copied or boxed on its way to or from
+// the journal.
 type shardResult[R any] struct {
 	res      Result[R]
 	canceled bool
 	replayed bool
-	enc      []byte
-	encOK    bool
 }
 
 // runShard runs one contiguous target range [lo, hi) through a fresh
@@ -461,10 +458,10 @@ type shardResult[R any] struct {
 func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
 	shard, nShards, lo, hi int, sofar *Stats, total int64,
-	meter *Meter, ck *checkpointState, replay map[int]journalRecord) ShardStats {
+	meter *Meter, ck *checkpointState, replay []journalRecord) ShardStats {
 
 	var jw *journalWriter
-	if ck != nil && !ck.dead.Load() {
+	if ck != nil && ck.err == nil {
 		var err error
 		if jw, err = openJournal(shardFile(ck.cp.Dir, shard), ck.cp.FlushEvery); err != nil {
 			ck.fail(err)
@@ -500,8 +497,12 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 		batchCap = 32
 	}
 	resCh := make(chan []shardResult[R], workers)
-	// freeCh recycles drained batch slices back to the workers.
-	freeCh := make(chan []shardResult[R], workers)
+	// freeCh recycles drained batch slices back to the workers. At most
+	// 2*workers+1 batches are ever out of it (one filling per worker,
+	// workers queued in resCh, one draining), so with that capacity a
+	// returned batch is never dropped and a shard allocates at most
+	// that many batches, however the workers are scheduled.
+	freeCh := make(chan []shardResult[R], 2*workers+1)
 	// tokens caps dispatched-but-undelivered visits at window, which
 	// bounds the re-sequencing buffer below.
 	tokens := make(chan struct{}, window)
@@ -559,23 +560,24 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 					}
 					continue
 				}
-				if rec, ok := replay[i]; ok {
-					if v, err := ck.cp.Codec.Decode(rec.value); err == nil {
-						if val, ok := v.(R); ok {
-							r.Value = val
-							if rec.errStr != "" {
-								r.Err = errors.New(rec.errStr)
-							}
-							batch = append(batch, shardResult[R]{res: r, replayed: true})
-							if len(batch) == cap(batch) {
-								flush()
-							}
-							continue
+				if replay != nil && replay[i].ok {
+					rec := &replay[i]
+					batch = append(batch, shardResult[R]{res: r, replayed: true})
+					q := &batch[len(batch)-1]
+					if err := ck.cp.Codec.DecodeInto(rec.value, &q.res.Value); err == nil {
+						if rec.errStr != "" {
+							q.res.Err = errors.New(rec.errStr)
 						}
+						if len(batch) == cap(batch) {
+							flush()
+						}
+						continue
 					}
 					// An undecodable record (codec change, bit rot that
-					// slipped past the checksum) is not fatal: fall through
-					// and re-visit the target fresh.
+					// slipped past the checksum) is not fatal: reset the
+					// slot, fall through and re-visit the target fresh.
+					*q = shardResult[R]{}
+					batch = batch[:len(batch)-1]
 				}
 				// A real visit holds one slot of the (possibly shared)
 				// worker budget; cancellation while waiting accounts the
@@ -590,19 +592,7 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 				}
 				r.Value, r.Err = visit(vctx, targets[i])
 				cfg.Budget.release()
-				sr := shardResult[R]{res: r}
-				if ck != nil && !ck.dead.Load() {
-					// Serialize on the worker so the single-threaded
-					// delivery loop below only appends bytes. Once
-					// journaling has failed, skip the (dropped-anyway)
-					// encoding work for the rest of the campaign.
-					if enc, err := ck.cp.Codec.Encode(r.Value); err == nil {
-						sr.enc, sr.encOK = enc, true
-					} else {
-						ck.fail(fmt.Errorf("encode index %d: %w", i, err))
-					}
-				}
-				batch = append(batch, sr)
+				batch = append(batch, shardResult[R]{res: r})
 				if len(batch) == cap(batch) {
 					flush()
 				}
@@ -650,7 +640,8 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			ringSet[slot] = true
 		}
 		// Recycle the drained batch slice (clearing it first so pooled
-		// slices don't pin delivered result values).
+		// slices don't pin delivered result values); freeCh has room for
+		// every batch, so the default branch is only a safety net.
 		clear(batch)
 		select {
 		case freeCh <- batch[:0]:
@@ -661,12 +652,14 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			if !ringSet[slot] {
 				break
 			}
-			q := ring[slot]
-			ring[slot] = shardResult[R]{}
+			// q points into the ring, so the journal encodes the value in
+			// place; the slot is cleared once the result is delivered.
+			q := &ring[slot]
 			ringSet[slot] = false
 			<-tokens
 			next++
 			if q.canceled {
+				*q = shardResult[R]{}
 				sh.Canceled++
 				continue
 			}
@@ -680,15 +673,19 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			if sink != nil {
 				sink(q.res)
 			}
-			if jw != nil && q.encOK {
+			if jw != nil && !q.replayed {
 				// Journal AFTER the sink observed the result: a record on
 				// disk always describes a delivery that really happened.
-				if err := jw.append(q.res.Index, errString(q.res.Err), q.enc); err != nil {
+				// An encode or write failure ends journaling at this
+				// record, so the journal holds exactly the records
+				// delivered before it.
+				if err := jw.append(q.res.Index, errString(q.res.Err), ck.cp.Codec, &q.res.Value); err != nil {
 					ck.fail(err)
 					jw.close()
 					jw = nil
 				}
 			}
+			*q = shardResult[R]{}
 			if cfg.OnProgress != nil && (sh.Done+sh.Canceled)%progressEvery == 0 {
 				retries, trips, denials := meter.counts()
 				cfg.OnProgress(Progress{

@@ -295,3 +295,30 @@ func TestEmptyTargets(t *testing.T) {
 		t.Fatalf("stats = %+v, err = %v", stats, err)
 	}
 }
+
+// TestBatchAllocationsIndependentOfTargets: the batch free list holds
+// every batch a shard can have in flight, so a shard's allocations do
+// not grow with its target count. A sink that stalls now and then lets
+// the workers run ahead, so drained batches come back in bursts: a free
+// list with room for fewer batches would drop some and make new ones.
+func TestBatchAllocationsIndependentOfTargets(t *testing.T) {
+	visit := func(_ context.Context, x int) (int, error) { return x, nil }
+	sink := func(r Result[int]) {
+		if r.Index%50 == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	allocs := func(n int) float64 {
+		targets := testTargets(n)
+		cfg := Config{Workers: 4, Shards: 1}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(context.Background(), cfg, targets, visit, sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	if large > small+2 {
+		t.Fatalf("campaign allocations grow with targets: %v for 500, %v for 5000", small, large)
+	}
+}

@@ -7,25 +7,32 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cookiewalk/internal/framelog"
 	"cookiewalk/internal/xrand"
 )
 
-// Codec serializes result values for the checkpoint journal. Both
-// methods must be safe for concurrent use (encoding runs on worker
-// goroutines) and must round-trip exactly: Decode(Encode(v)) must be
-// indistinguishable from v to the campaign's sink, or resumed runs
-// cannot be byte-identical to uninterrupted ones.
+// Codec serializes result values for the checkpoint journal. In both
+// methods v is a *R, a pointer to a value of the campaign's result
+// type R: a pointer fits in an interface without allocating, so the
+// engine hands the codec its own result slots and neither direction
+// copies or boxes a value per record.
+//
+// Append runs on the delivery loop, one record at a time; DecodeInto
+// runs on worker goroutines concurrently, so it must be safe for
+// concurrent use. Both must round-trip exactly: decoding the bytes
+// Append produced must make *v indistinguishable from the original to
+// the campaign's sink, whatever *v held before, or resumed runs cannot
+// be byte-identical to uninterrupted ones.
 type Codec interface {
-	// Encode serializes one result value.
-	Encode(v any) ([]byte, error)
-	// Decode reverses Encode. The returned value must have the
-	// campaign's result type R. A decode error is not fatal: the engine
-	// falls back to re-visiting that target fresh.
-	Decode(data []byte) (any, error)
+	// Append appends the encoding of *v to dst and returns the
+	// extended slice. An error disables journaling for the rest of the
+	// campaign (see Run).
+	Append(dst []byte, v any) ([]byte, error)
+	// DecodeInto reverses Append, overwriting *v. A decode error is
+	// not fatal: the engine falls back to re-visiting that target
+	// fresh.
+	DecodeInto(data []byte, v any) error
 }
 
 // Checkpoint makes a campaign durable: every delivered result is
@@ -124,34 +131,20 @@ func HashTargets(targets []string) uint64 {
 // validated configuration plus the first journal error, which disables
 // further journaling without aborting the campaign (results stay
 // correct; only durability is lost, and the error is reported when Run
-// returns). fail is called from worker goroutines and the delivery
-// loop alike, hence the mutex.
+// returns). Only the delivery loop, which runs on Run's calling
+// goroutine, writes the journal or records a failure, so the state
+// needs no locking.
 type checkpointState struct {
-	cp Checkpoint
-
-	// dead flips once on the first failure so workers can stop paying
-	// for Codec.Encode the moment durability is lost (the encoded bytes
-	// would only be dropped by the delivery loop anyway).
-	dead atomic.Bool
-
-	mu  sync.Mutex
+	cp  Checkpoint
 	err error
 }
 
+// fail records err as the run's journal error unless one is already
+// recorded; from then on no shard opens or writes a journal.
 func (ck *checkpointState) fail(err error) {
-	ck.dead.Store(true)
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
 	if ck.err == nil {
 		ck.err = fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-}
-
-// firstErr returns the first recorded journal error, if any.
-func (ck *checkpointState) firstErr() error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return ck.err
 }
 
 // prepareCheckpoint validates cfg.Checkpoint and readies Dir. A fresh
@@ -183,10 +176,10 @@ func writeManifest(dir string, m manifest) error {
 }
 
 // loadCheckpoint validates the manifest against the resuming campaign
-// and loads every journaled record. A missing manifest means nothing
-// was ever journaled here: Resume then degrades to a fresh Run (it
-// writes the manifest and journals from scratch).
-func loadCheckpoint(cfg Config, nTargets int) (map[int]journalRecord, error) {
+// and loads every journaled record, indexed by target. A missing
+// manifest means nothing was ever journaled here: Resume then degrades
+// to a fresh Run (it writes the manifest and journals from scratch).
+func loadCheckpoint(cfg Config, nTargets int) ([]journalRecord, error) {
 	cp := cfg.Checkpoint
 	var m manifest
 	err := framelog.ReadManifest(filepath.Join(cp.Dir, manifestName), &m)
@@ -199,7 +192,7 @@ func loadCheckpoint(cfg Config, nTargets int) (map[int]journalRecord, error) {
 		if err := InitCheckpointDir(cp.Dir, cfg.Label, nTargets, cp.TargetsHash); err != nil {
 			return nil, err
 		}
-		return map[int]journalRecord{}, nil
+		return make([]journalRecord, nTargets), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: read manifest: %w", err)
@@ -209,7 +202,7 @@ func loadCheckpoint(cfg Config, nTargets int) (map[int]journalRecord, error) {
 			"campaign: checkpoint %s belongs to a different campaign: journal (label %q, %d targets, hash %#x) vs resume (label %q, %d targets, hash %#x)",
 			cp.Dir, m.Label, m.Targets, m.TargetsHash, cfg.Label, nTargets, cp.TargetsHash)
 	}
-	replay, err := loadJournals(cp.Dir)
+	replay, err := loadJournals(cp.Dir, nTargets)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: load journals: %w", err)
 	}

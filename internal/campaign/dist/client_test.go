@@ -1,10 +1,12 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,5 +196,29 @@ func TestClientSeededBackoffSchedule(t *testing.T) {
 	}
 	if identical {
 		t.Fatalf("seeds 1 and 2 share the schedule %v — jitter is not seeded", s1)
+	}
+}
+
+// TestClientBoundsResponseBody: a response longer than the client's
+// 1 MiB cap is a definitive error after one request — never buffered
+// whole, never retried.
+func TestClientBoundsResponseBody(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte(" "), 2<<20))
+	}))
+	defer srv.Close()
+	c := &dist.Client{BaseURL: srv.URL, MaxRetries: 3, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
+	_, err := c.Campaigns(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "response body exceeds 1048576 bytes") {
+		t.Fatalf("err = %v, want the response-size error", err)
+	}
+	if dist.IsTransient(err) {
+		t.Fatalf("oversized response classified transient: %v", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1 (no retry)", got)
 	}
 }

@@ -216,10 +216,18 @@ func jitter(seed, call uint64, attempt int, base time.Duration) time.Duration {
 	return xrand.JitterDuration(seed, call, attempt, base)
 }
 
+// maxResponseBytes caps how much of one coordinator response the
+// client reads. The largest reply, /v1/campaigns, is a few KiB even for
+// the paper-scale study, so 1 MiB only ever cuts off a broken or
+// hostile peer, which could otherwise make the worker buffer without
+// bound.
+const maxResponseBytes = 1 << 20
+
 // do issues one request with bounded-backoff retries of transient
 // failures and returns the final response body and status code. A 401
-// is definitive and returned as ErrUnauthorized; exhausted retries are
-// returned as *TransientError.
+// is definitive and returned as ErrUnauthorized, and so is a response
+// body longer than maxResponseBytes; exhausted retries are returned as
+// *TransientError.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) ([]byte, int, error) {
 	maxRetries := c.MaxRetries
 	if maxRetries <= 0 {
@@ -244,8 +252,11 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		}
 		resp, err := c.httpClient().Do(req)
 		if err == nil {
-			data, rerr := io.ReadAll(resp.Body)
+			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 			resp.Body.Close()
+			if rerr == nil && len(data) > maxResponseBytes {
+				return nil, resp.StatusCode, fmt.Errorf("%s %s: response body exceeds %d bytes", method, path, maxResponseBytes)
+			}
 			if rerr == nil && resp.StatusCode == http.StatusUnauthorized {
 				return nil, resp.StatusCode, fmt.Errorf("%s %s: %w", method, path, ErrUnauthorized)
 			}

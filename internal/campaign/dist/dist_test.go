@@ -15,10 +15,14 @@ import (
 	"cookiewalk/internal/campaign/dist"
 )
 
+// textCodec journals string results.
 type textCodec struct{}
 
-func (textCodec) Encode(v any) ([]byte, error)    { return []byte(v.(string)), nil }
-func (textCodec) Decode(data []byte) (any, error) { return string(data), nil }
+func (textCodec) Append(dst []byte, v any) ([]byte, error) { return append(dst, *v.(*string)...), nil }
+func (textCodec) DecodeInto(data []byte, v any) error {
+	*v.(*string) = string(data)
+	return nil
+}
 
 // fakeClock is a hand-advanced clock for deterministic lease-expiry
 // tests.

@@ -35,6 +35,9 @@ type journalRecord struct {
 	// bytes are the codec's encoding of the result value.
 	errStr string
 	value  []byte
+	// ok marks a loaded record in the replay index, whose slots for
+	// unjournaled targets stay zero.
+	ok bool
 }
 
 // ShardFilename returns the journal file name of shard s inside a
@@ -108,12 +111,16 @@ func openJournal(path string, flushEvery int) (*journalWriter, error) {
 	return &journalWriter{w: w, every: flushEvery}, nil
 }
 
-// append frames and buffers one record.
-func (jw *journalWriter) append(index int, errStr string, value []byte) error {
+// append frames and buffers one record, encoding *v (a *R, see Codec)
+// straight into the payload scratch after the record header.
+func (jw *journalWriter) append(index int, errStr string, codec Codec, v any) error {
 	p := binary.AppendUvarint(jw.buf[:0], uint64(index))
 	p = binary.AppendUvarint(p, uint64(len(errStr)))
 	p = append(p, errStr...)
-	p = append(p, value...)
+	p, err := codec.Append(p, v)
+	if err != nil {
+		return fmt.Errorf("encode index %d: %w", index, err)
+	}
 	jw.buf = p // keep the grown scratch for the next record
 	if err := jw.w.Append(p); err != nil {
 		return err
@@ -168,18 +175,21 @@ func parsePayload(p []byte) (index int, errStr string, value []byte, ok bool) {
 }
 
 // loadJournals reads every journal file in dir and returns the union
-// of their valid records keyed by target index. Records are
-// self-describing, so the map is correct even when the files were
-// written under a different shard layout than the resuming run's.
-func loadJournals(dir string) (map[int]journalRecord, error) {
+// of their valid records indexed by target: slot i holds target i's
+// record (ok set) or nothing. Records are self-describing, so the index
+// is correct even when the files were written under a different shard
+// layout than the resuming run's. A record whose index is not below n
+// belongs to no target of this campaign and is dropped; on a duplicate
+// index the file that sorts last wins.
+func loadJournals(dir string, n int) ([]journalRecord, error) {
+	replay := make([]journalRecord, n)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return map[int]journalRecord{}, nil
+			return replay, nil
 		}
 		return nil, err
 	}
-	replay := make(map[int]journalRecord)
 	for _, e := range entries { // ReadDir sorts by name
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cwj") {
 			continue
@@ -189,7 +199,10 @@ func loadJournals(dir string) (map[int]journalRecord, error) {
 			return nil, err
 		}
 		scanJournal(data, func(index int, rec journalRecord) {
-			replay[index] = rec
+			if index < n {
+				rec.ok = true
+				replay[index] = rec
+			}
 		})
 	}
 	return replay, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func writeRecords(t *testing.T, path string, recs []struct {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := jw.append(r.index, r.err, []byte(r.value)); err != nil {
+		if err := appendRecord(jw, r.index, r.err, r.value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +166,7 @@ func TestJournalCorruptTailFlippedBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.append(99, "", []byte("appended-after-repair")); err != nil {
+	if err := appendRecord(jw, 99, "", "appended-after-repair"); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.close(); err != nil {
@@ -202,7 +203,7 @@ func TestJournalGarbageFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.append(7, "", []byte("v")); err != nil {
+	if err := appendRecord(jw, 7, "", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.close(); err != nil {
@@ -228,15 +229,75 @@ func TestLoadJournalsMergesFiles(t *testing.T) {
 		err   string
 		value string
 	}{{index: 10, value: "ten"}, {index: 11, err: "boom", value: "eleven"}})
-	replay, err := loadJournals(dir)
+	replay, err := loadJournals(dir, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay) != 6 {
-		t.Fatalf("merged %d records, want 6", len(replay))
+	if len(replay) != 12 {
+		t.Fatalf("replay index has %d slots, want 12", len(replay))
+	}
+	var present []int
+	for i, rec := range replay {
+		if rec.ok {
+			present = append(present, i)
+		}
+	}
+	if fmt.Sprint(present) != "[0 1 2 3 10 11]" {
+		t.Fatalf("merged indices %v, want [0 1 2 3 10 11]", present)
 	}
 	if string(replay[10].value) != "ten" || replay[11].errStr != "boom" {
 		t.Fatalf("replay[10] = %+v, replay[11] = %+v", replay[10], replay[11])
+	}
+}
+
+// TestLoadJournalsDropsOutOfRangeAndLaterFileWins: a record whose index
+// is past the campaign's targets is dropped, and on a duplicate index
+// the file that sorts last wins.
+func TestLoadJournalsDropsOutOfRangeAndLaterFileWins(t *testing.T) {
+	dir := t.TempDir()
+	type rec = struct {
+		index int
+		err   string
+		value string
+	}
+	writeRecords(t, shardFile(dir, 0), []rec{{index: 0, value: "old"}, {index: 1, value: "one"}})
+	writeRecords(t, shardFile(dir, 1), []rec{{index: 0, value: "new"}, {index: 3, value: "three"}, {index: 1 << 40, value: "far"}})
+	replay, err := loadJournals(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != 3 || !replay[0].ok || !replay[1].ok || replay[2].ok {
+		t.Fatalf("replay index = %+v, want slots 0 and 1 only", replay)
+	}
+	if string(replay[0].value) != "new" || string(replay[1].value) != "one" {
+		t.Fatalf("replay[0] = %q, replay[1] = %q, want new, one", replay[0].value, replay[1].value)
+	}
+	empty, err := loadJournals(filepath.Join(dir, "missing"), 2)
+	if err != nil || len(empty) != 2 || empty[0].ok || empty[1].ok {
+		t.Fatalf("missing dir: %+v, %v", empty, err)
+	}
+}
+
+// TestJournalAppendAllocFree pins the journal's hot path the way
+// framelog's TestAppendAndScanAllocFree pins the frame layer: framing
+// a record and encoding its value into the reused payload scratch
+// allocate nothing.
+func TestJournalAppendAllocFree(t *testing.T) {
+	jw, err := openJournal(filepath.Join(t.TempDir(), ShardFilename(0)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.close()
+	value := strings.Repeat("v", 200)
+	var codec Codec = stringCodec{}
+	index := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		index++
+		if err := jw.append(index, "no such host", codec, &value); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("journal append: %v allocs/op, want 0", n)
 	}
 }
 
@@ -249,8 +310,8 @@ func FuzzScanJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	jw.append(3, "err", []byte("value"))
-	jw.append(4, "", []byte{0, 1, 2, 255})
+	appendRecord(jw, 3, "err", "value")
+	appendRecord(jw, 4, "", "\x00\x01\x02\xff")
 	jw.close()
 	seed, err := os.ReadFile(path)
 	if err != nil {
@@ -286,7 +347,7 @@ func FuzzJournalRecordRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := jw.append(index, errStr, value); err != nil {
+		if err := appendRecord(jw, index, errStr, string(value)); err != nil {
 			t.Fatal(err)
 		}
 		if err := jw.close(); err != nil {

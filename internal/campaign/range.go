@@ -80,8 +80,8 @@ func RunRange[T, R any](ctx context.Context, cfg Config, targets []T, shard, sha
 		}
 	}
 	if ck != nil {
-		if err := ck.firstErr(); err != nil {
-			return stats, err
+		if ck.err != nil {
+			return stats, ck.err
 		}
 	}
 	return stats, nil

@@ -8,14 +8,6 @@ import (
 	"testing"
 )
 
-// rangeCodec mirrors the resume tests' string codec.
-type rangeCodec struct{}
-
-func (rangeCodec) Encode(v any) ([]byte, error) { return []byte(v.(string)), nil }
-func (rangeCodec) Decode(data []byte) (any, error) {
-	return string(data), nil
-}
-
 // TestShardRangeMatchesRun pins the contract that makes distribution
 // sound: ShardRange must partition targets exactly as Run does, with
 // contiguous gap-free coverage.
@@ -85,7 +77,7 @@ func TestRunRangeAssembly(t *testing.T) {
 		lo, hi := ShardRange(n, shards, s)
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("worker-%d", s))
 		rcfg := cfg
-		rcfg.Checkpoint = &Checkpoint{Dir: dir, Codec: rangeCodec{}, TargetsHash: hash}
+		rcfg.Checkpoint = &Checkpoint{Dir: dir, Codec: stringCodec{}, TargetsHash: hash}
 		stats, err := RunRange(context.Background(), rcfg, targets, s, shards, lo, hi, visit, nil)
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
@@ -109,7 +101,7 @@ func TestRunRangeAssembly(t *testing.T) {
 	var got []string
 	rcfg := cfg
 	rcfg.Shards = 3 // resume under a different geometry, like PR 4's tests
-	rcfg.Checkpoint = &Checkpoint{Dir: assembled, Codec: rangeCodec{}, TargetsHash: hash}
+	rcfg.Checkpoint = &Checkpoint{Dir: assembled, Codec: stringCodec{}, TargetsHash: hash}
 	stats, err := Resume(context.Background(), rcfg, targets,
 		func(_ context.Context, d string) (string, error) {
 			t.Errorf("assembled resume re-visited %s", d)
@@ -141,7 +133,7 @@ func TestCheckJournalRejects(t *testing.T) {
 		targets[i] = fmt.Sprintf("t%d", i)
 	}
 	dir := t.TempDir()
-	cfg := Config{Label: "guard", Checkpoint: &Checkpoint{Dir: dir, Codec: rangeCodec{}}}
+	cfg := Config{Label: "guard", Checkpoint: &Checkpoint{Dir: dir, Codec: stringCodec{}}}
 	if _, err := RunRange(context.Background(), cfg, targets, 0, 2, 0, 4,
 		func(_ context.Context, d string) (string, error) { return d, nil }, nil); err != nil {
 		t.Fatal(err)

@@ -11,19 +11,30 @@ import (
 	"testing"
 )
 
-// stringCodec journals string results; failOn makes Decode reject a
-// chosen value to exercise the re-visit fallback.
-type stringCodec struct{ failOn string }
+// stringCodec journals string results. failDecode makes DecodeInto
+// reject a chosen value to exercise the re-visit fallback; failEncode
+// makes Append reject one to exercise the encode-failure path.
+type stringCodec struct{ failDecode, failEncode string }
 
-func (c stringCodec) Encode(v any) ([]byte, error) {
-	return []byte(v.(string)), nil
+func (c stringCodec) Append(dst []byte, v any) ([]byte, error) {
+	s := *v.(*string)
+	if c.failEncode != "" && s == c.failEncode {
+		return dst, errors.New("injected encode failure")
+	}
+	return append(dst, s...), nil
 }
 
-func (c stringCodec) Decode(data []byte) (any, error) {
-	if c.failOn != "" && string(data) == c.failOn {
-		return nil, errors.New("injected decode failure")
+func (c stringCodec) DecodeInto(data []byte, v any) error {
+	if c.failDecode != "" && string(data) == c.failDecode {
+		return errors.New("injected decode failure")
 	}
-	return string(data), nil
+	*v.(*string) = string(data)
+	return nil
+}
+
+// appendRecord journals one string value through stringCodec.
+func appendRecord(jw *journalWriter, index int, errStr, value string) error {
+	return jw.append(index, errStr, stringCodec{}, &value)
 }
 
 // testTargets builds n int targets; visits of multiples of 9 fail.
@@ -326,7 +337,7 @@ func TestResumeDecodeFallback(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Checkpoint: write}, targets, testVisit, nil); err != nil {
 		t.Fatal(err)
 	}
-	poison := &Checkpoint{Dir: dir, Codec: stringCodec{failOn: "v7"}}
+	poison := &Checkpoint{Dir: dir, Codec: stringCodec{failDecode: "v7"}}
 	visited := map[int]bool{}
 	var out []string
 	stats, err := Resume(context.Background(), Config{Checkpoint: poison}, targets,
@@ -346,6 +357,43 @@ func TestResumeDecodeFallback(t *testing.T) {
 	}
 	if strings.Join(out, "\n") != strings.Join(reference, "\n") {
 		t.Fatal("decode-fallback sequence differs from reference")
+	}
+}
+
+// TestEncodeFailureEndsJournalAtFailedIndex: a value the codec cannot
+// encode does not stop the campaign — every result is still delivered
+// in order — but Run reports the encode error, and the journal holds
+// exactly the records delivered before the failed index.
+func TestEncodeFailureEndsJournalAtFailedIndex(t *testing.T) {
+	const n, bad = 40, 12
+	targets := testTargets(n)
+	var reference []string
+	if _, err := Run(context.Background(), Config{}, targets, testVisit, deliveredSeq(&reference)); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		dir := t.TempDir()
+		cp := &Checkpoint{Dir: dir, Codec: stringCodec{failEncode: fmt.Sprintf("v%d", bad)}, FlushEvery: 1}
+		var out []string
+		stats, err := Run(context.Background(), Config{Workers: workers, Shards: 2, Checkpoint: cp},
+			targets, testVisit, deliveredSeq(&out))
+		want := fmt.Sprintf("campaign: checkpoint: encode index %d: injected encode failure", bad)
+		if err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if stats.Done != n || strings.Join(out, "\n") != strings.Join(reference, "\n") {
+			t.Fatalf("workers=%d: delivered %d results, sequence equal to reference: %v",
+				workers, stats.Done, strings.Join(out, "\n") == strings.Join(reference, "\n"))
+		}
+		replay, err := loadJournals(dir, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range replay {
+			if rec.ok != (i < bad) {
+				t.Fatalf("workers=%d: journal has index %d = %v, want records 0..%d only", workers, i, rec.ok, bad-1)
+			}
+		}
 	}
 }
 

@@ -70,6 +70,24 @@ var keywords = map[string][]string{
 		"finanza", "ekonomi", "bourse", "bolsa", "zinsen"},
 }
 
+// others is the category Classify returns when no keyword scores.
+const others = "Others"
+
+// KnownCategory returns the taxonomy's own copy of the category b
+// spells when Classify can return it (one of the 15 keyword categories,
+// or "Others"), without allocating; ok is false for any other bytes.
+func KnownCategory(b []byte) (category string, ok bool) {
+	for _, c := range sortedCats {
+		if c == string(b) {
+			return c, true
+		}
+	}
+	if string(b) == others {
+		return others, true
+	}
+	return "", false
+}
+
 // Keywords returns the keyword list for a category ("Others" and
 // unknown categories return nil). The returned slice is a copy.
 func Keywords(category string) []string {
@@ -142,9 +160,9 @@ func Classify(text string) string {
 		addCatScores(&scores, word)
 	}
 	if tokens == 0 {
-		return "Others"
+		return others
 	}
-	best, bestScore := "Others", 0
+	best, bestScore := others, 0
 	for i, cat := range sortedCats {
 		if scores[i] > bestScore {
 			best, bestScore = cat, scores[i]

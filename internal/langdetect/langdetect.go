@@ -25,6 +25,22 @@ type Result struct {
 	Confidence float64
 }
 
+// undetermined is the code Detect returns when no language wins.
+const undetermined = "und"
+
+// KnownCode returns the detector's own copy of the code b spells when
+// Detect can return it (any of Languages, or "und"), without
+// allocating; ok is false for any other bytes.
+func KnownCode(b []byte) (code string, ok bool) {
+	if i, ok := langIndex[string(b)]; ok {
+		return langCodes[i], true
+	}
+	if string(b) == undetermined {
+		return undetermined, true
+	}
+	return "", false
+}
+
 // Languages returns the ISO codes the detector can distinguish, sorted.
 func Languages() []string {
 	out := make([]string, 0, len(stopwords))
@@ -137,7 +153,7 @@ func Detect(text string) Result {
 		addLangScores(&scores, word)
 	}
 	if tokens < 3 {
-		return Result{Lang: "und"}
+		return Result{Lang: undetermined}
 	}
 	for lang, runes := range diacriticHints {
 		for _, r := range runes {
@@ -147,7 +163,7 @@ func Detect(text string) Result {
 		}
 	}
 	var total float64
-	best, bestScore := "und", 0.0
+	best, bestScore := undetermined, 0.0
 	for i, lang := range langCodes {
 		s := scores[i]
 		total += s
@@ -156,7 +172,7 @@ func Detect(text string) Result {
 		}
 	}
 	if bestScore == 0 || total == 0 {
-		return Result{Lang: "und"}
+		return Result{Lang: undetermined}
 	}
 	return Result{Lang: best, Confidence: bestScore / total}
 }

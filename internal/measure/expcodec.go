@@ -32,27 +32,30 @@ const (
 	revocationTag  = 0x56
 )
 
-// Encode implements campaign.Codec.
-func (SiteCookiesCodec) Encode(v any) ([]byte, error) {
-	sc, ok := v.(SiteCookies)
+// Append implements campaign.Codec; v is a *SiteCookies.
+func (SiteCookiesCodec) Append(dst []byte, v any) ([]byte, error) {
+	sc, ok := v.(*SiteCookies)
 	if !ok {
-		return nil, fmt.Errorf("measure: SiteCookiesCodec: unexpected type %T", v)
+		return dst, typeError("SiteCookiesCodec", v)
 	}
-	buf := make([]byte, 0, 32+len(sc.Domain)+len(sc.Err))
-	buf = append(buf, siteCookiesTag)
-	buf = appendStr(buf, sc.Domain)
-	buf = appendStr(buf, sc.Err)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sc.Tally.FirstParty))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sc.Tally.ThirdParty))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sc.Tally.Tracking))
-	return buf, nil
+	dst = append(dst, siteCookiesTag)
+	dst = appendStr(dst, sc.Domain)
+	dst = appendStr(dst, sc.Err)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sc.Tally.FirstParty))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sc.Tally.ThirdParty))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sc.Tally.Tracking))
+	return dst, nil
 }
 
-// Decode implements campaign.Codec.
-func (SiteCookiesCodec) Decode(data []byte) (any, error) {
+// DecodeInto implements campaign.Codec; v is a *SiteCookies.
+func (SiteCookiesCodec) DecodeInto(data []byte, v any) error {
+	out, ok := v.(*SiteCookies)
+	if !ok {
+		return typeError("SiteCookiesCodec", v)
+	}
 	d := obsDecoder{data: data}
 	if tag := d.byte(); tag != siteCookiesTag {
-		return nil, fmt.Errorf("measure: SiteCookiesCodec: tag %#x, want %#x", tag, siteCookiesTag)
+		return fmt.Errorf("measure: SiteCookiesCodec: tag %#x, want %#x", tag, siteCookiesTag)
 	}
 	var sc SiteCookies
 	sc.Domain = d.str()
@@ -61,38 +64,67 @@ func (SiteCookiesCodec) Decode(data []byte) (any, error) {
 	sc.Tally.ThirdParty = math.Float64frombits(d.u64())
 	sc.Tally.Tracking = math.Float64frombits(d.u64())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if len(d.data) != 0 {
-		return nil, fmt.Errorf("measure: SiteCookiesCodec: %d trailing bytes", len(d.data))
+		return fmt.Errorf("measure: SiteCookiesCodec: %d trailing bytes", len(d.data))
 	}
-	return sc, nil
+	*out = sc
+	return nil
+}
+
+// typeError reports a value of the wrong type handed to a codec.
+func typeError(codec string, v any) error {
+	return fmt.Errorf("measure: %s: unexpected type %T", codec, v)
 }
 
 // flagsCodec is the shared shape of the small verdict codecs: a tag
-// byte plus one flags byte (plus an optional domain for the campaigns
-// whose sinks report per-domain lists).
-func encodeFlags(tag byte, flags byte, domain string) []byte {
-	buf := make([]byte, 0, 8+len(domain))
-	buf = append(buf, tag, flags)
-	buf = appendStr(buf, domain)
-	return buf
+// byte plus one flags byte, plus a domain for the campaigns whose sinks
+// report per-domain lists. pack and unpack convert between a verdict R
+// and its (flags, domain) pair; unpack may refuse flags outside R's
+// range.
+type flagsCodec[R any] struct {
+	name   string
+	tag    byte
+	pack   func(*R) (flags byte, domain string)
+	unpack func(flags byte, domain string) (R, error)
 }
 
-func decodeFlags(codec string, tag byte, data []byte) (flags byte, domain string, err error) {
-	d := obsDecoder{data: data}
-	if got := d.byte(); got != tag {
-		return 0, "", fmt.Errorf("measure: %s: tag %#x, want %#x", codec, got, tag)
+// Append implements campaign.Codec; v is a *R.
+func (c flagsCodec[R]) Append(dst []byte, v any) ([]byte, error) {
+	r, ok := v.(*R)
+	if !ok {
+		return dst, typeError(c.name, v)
 	}
-	flags = d.byte()
-	domain = d.str()
+	flags, domain := c.pack(r)
+	dst = append(dst, c.tag, flags)
+	return appendStr(dst, domain), nil
+}
+
+// DecodeInto implements campaign.Codec; v is a *R.
+func (c flagsCodec[R]) DecodeInto(data []byte, v any) error {
+	out, ok := v.(*R)
+	if !ok {
+		return typeError(c.name, v)
+	}
+	d := obsDecoder{data: data}
+	if got := d.byte(); got != c.tag {
+		return fmt.Errorf("measure: %s: tag %#x, want %#x", c.name, got, c.tag)
+	}
+	flags := d.byte()
+	domain := d.str()
 	if d.err != nil {
-		return 0, "", d.err
+		return d.err
 	}
 	if len(d.data) != 0 {
-		return 0, "", fmt.Errorf("measure: %s: %d trailing bytes", codec, len(d.data))
+		return fmt.Errorf("measure: %s: %d trailing bytes", c.name, len(d.data))
 	}
-	return flags, domain, nil
+	r, err := c.unpack(flags, domain)
+	if err != nil {
+		return err
+	}
+	*out = r
+	return nil
 }
 
 func packBools(bs ...bool) byte {
@@ -107,102 +139,63 @@ func packBools(bs ...bool) byte {
 
 // bypassCodec journals the §4.5 per-domain verdict (wall survived the
 // blocker across repetitions, plus the two quirk flags).
-type bypassCodec struct{}
-
-func (bypassCodec) Encode(v any) ([]byte, error) {
-	o, ok := v.(bypassOutcome)
-	if !ok {
-		return nil, fmt.Errorf("measure: bypassCodec: unexpected type %T", v)
+func bypassCodec() flagsCodec[bypassOutcome] {
+	return flagsCodec[bypassOutcome]{name: "bypassCodec", tag: bypassTag,
+		pack: func(o *bypassOutcome) (byte, string) {
+			return packBools(o.Wall, o.AdblockPlea, o.ScrollLocked), o.Domain
+		},
+		unpack: func(f byte, domain string) (bypassOutcome, error) {
+			return bypassOutcome{Domain: domain, Wall: f&1 != 0, AdblockPlea: f&2 != 0, ScrollLocked: f&4 != 0}, nil
+		},
 	}
-	return encodeFlags(bypassTag, packBools(o.Wall, o.AdblockPlea, o.ScrollLocked), o.Domain), nil
-}
-
-func (bypassCodec) Decode(data []byte) (any, error) {
-	f, domain, err := decodeFlags("bypassCodec", bypassTag, data)
-	if err != nil {
-		return nil, err
-	}
-	return bypassOutcome{Domain: domain, Wall: f&1 != 0, AdblockPlea: f&2 != 0, ScrollLocked: f&4 != 0}, nil
 }
 
 // ablationCodec journals the four detector-configuration verdicts of
 // one ablation visit.
-type ablationCodec struct{}
-
-func (ablationCodec) Encode(v any) ([]byte, error) {
-	c, ok := v.(ablationCounts)
-	if !ok {
-		return nil, fmt.Errorf("measure: ablationCodec: unexpected type %T", v)
+func ablationCodec() flagsCodec[ablationCounts] {
+	return flagsCodec[ablationCounts]{name: "ablationCodec", tag: ablationTag,
+		pack: func(c *ablationCounts) (byte, string) {
+			return packBools(c.full, c.noShadow, c.noFrames, c.mainOnly), ""
+		},
+		unpack: func(f byte, _ string) (ablationCounts, error) {
+			return ablationCounts{full: f&1 != 0, noShadow: f&2 != 0, noFrames: f&4 != 0, mainOnly: f&8 != 0}, nil
+		},
 	}
-	return encodeFlags(ablationTag, packBools(c.full, c.noShadow, c.noFrames, c.mainOnly), ""), nil
-}
-
-func (ablationCodec) Decode(data []byte) (any, error) {
-	f, _, err := decodeFlags("ablationCodec", ablationTag, data)
-	if err != nil {
-		return nil, err
-	}
-	return ablationCounts{full: f&1 != 0, noShadow: f&2 != 0, noFrames: f&4 != 0, mainOnly: f&8 != 0}, nil
 }
 
 // autoRejectCodec journals one auto-reject attempt's outcome.
-type autoRejectCodec struct{}
-
-func (autoRejectCodec) Encode(v any) ([]byte, error) {
-	o, ok := v.(rejectOutcome)
-	if !ok {
-		return nil, fmt.Errorf("measure: autoRejectCodec: unexpected type %T", v)
+func autoRejectCodec() flagsCodec[rejectOutcome] {
+	return flagsCodec[rejectOutcome]{name: "autoRejectCodec", tag: autoRejectTag,
+		pack: func(o *rejectOutcome) (byte, string) { return byte(*o), "" },
+		unpack: func(f byte, _ string) (rejectOutcome, error) {
+			if f > byte(outFailed) {
+				return 0, fmt.Errorf("measure: autoRejectCodec: outcome %d out of range", f)
+			}
+			return rejectOutcome(f), nil
+		},
 	}
-	return encodeFlags(autoRejectTag, byte(o), ""), nil
-}
-
-func (autoRejectCodec) Decode(data []byte) (any, error) {
-	f, _, err := decodeFlags("autoRejectCodec", autoRejectTag, data)
-	if err != nil {
-		return nil, err
-	}
-	if f > byte(outFailed) {
-		return nil, fmt.Errorf("measure: autoRejectCodec: outcome %d out of range", f)
-	}
-	return rejectOutcome(f), nil
 }
 
 // botCheckCodec journals one domain's banner visibility under the two
 // crawler identities.
-type botCheckCodec struct{}
-
-func (botCheckCodec) Encode(v any) ([]byte, error) {
-	p, ok := v.(botPair)
-	if !ok {
-		return nil, fmt.Errorf("measure: botCheckCodec: unexpected type %T", v)
+func botCheckCodec() flagsCodec[botPair] {
+	return flagsCodec[botPair]{name: "botCheckCodec", tag: botCheckTag,
+		pack: func(p *botPair) (byte, string) { return packBools(p.mitigated, p.naive), "" },
+		unpack: func(f byte, _ string) (botPair, error) {
+			return botPair{mitigated: f&1 != 0, naive: f&2 != 0}, nil
+		},
 	}
-	return encodeFlags(botCheckTag, packBools(p.mitigated, p.naive), ""), nil
-}
-
-func (botCheckCodec) Decode(data []byte) (any, error) {
-	f, _, err := decodeFlags("botCheckCodec", botCheckTag, data)
-	if err != nil {
-		return nil, err
-	}
-	return botPair{mitigated: f&1 != 0, naive: f&2 != 0}, nil
 }
 
 // revocationCodec journals one domain's accept/revisit/delete/revisit
 // outcome.
-type revocationCodec struct{}
-
-func (revocationCodec) Encode(v any) ([]byte, error) {
-	o, ok := v.(revOutcome)
-	if !ok {
-		return nil, fmt.Errorf("measure: revocationCodec: unexpected type %T", v)
+func revocationCodec() flagsCodec[revOutcome] {
+	return flagsCodec[revOutcome]{name: "revocationCodec", tag: revocationTag,
+		pack: func(o *revOutcome) (byte, string) {
+			return packBools(o.tested, o.gone, o.persisted, o.back), ""
+		},
+		unpack: func(f byte, _ string) (revOutcome, error) {
+			return revOutcome{tested: f&1 != 0, gone: f&2 != 0, persisted: f&4 != 0, back: f&8 != 0}, nil
+		},
 	}
-	return encodeFlags(revocationTag, packBools(o.tested, o.gone, o.persisted, o.back), ""), nil
-}
-
-func (revocationCodec) Decode(data []byte) (any, error) {
-	f, _, err := decodeFlags("revocationCodec", revocationTag, data)
-	if err != nil {
-		return nil, err
-	}
-	return revOutcome{tested: f&1 != 0, gone: f&2 != 0, persisted: f&4 != 0, back: f&8 != 0}, nil
 }

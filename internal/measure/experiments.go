@@ -230,7 +230,7 @@ type bypassOutcome struct {
 // failure).
 func (c *Crawler) RunBypass(ctx context.Context, vp vantage.VP, wallDomains []string, reps int, engine *adblock.Engine) (Bypass, error) {
 	b := Bypass{Total: len(wallDomains)}
-	_, err := runExperimentCampaign(ctx, c, LabelBypass, bypassCodec{}, wallDomains,
+	_, err := runExperimentCampaign(ctx, c, LabelBypass, bypassCodec(), wallDomains,
 		func(ctx context.Context, domain string) (bypassOutcome, error) {
 			out := bypassOutcome{Domain: domain}
 			for rep := 0; rep < reps; rep++ {

@@ -38,7 +38,7 @@ type ablationCounts struct{ full, noShadow, noFrames, mainOnly bool }
 // canceled mid-campaign (or on a checkpoint journal failure).
 func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []string) (Ablation, error) {
 	var a Ablation
-	_, err := runExperimentCampaign(ctx, c, LabelAblation, ablationCodec{}, wallDomains,
+	_, err := runExperimentCampaign(ctx, c, LabelAblation, ablationCodec(), wallDomains,
 		func(ctx context.Context, domain string) (ablationCounts, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
@@ -106,7 +106,7 @@ const (
 // checkpoint journal failure).
 func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []string) (AutoReject, error) {
 	var a AutoReject
-	_, err := runExperimentCampaign(ctx, c, LabelAutoReject, autoRejectCodec{}, domains,
+	_, err := runExperimentCampaign(ctx, c, LabelAutoReject, autoRejectCodec(), domains,
 		func(ctx context.Context, domain string) (rejectOutcome, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
@@ -170,7 +170,7 @@ type botPair struct{ mitigated, naive bool }
 // checkpoint journal failure).
 func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []string) (BotCheck, error) {
 	var bc BotCheck
-	_, err := runExperimentCampaign(ctx, c, LabelBotCheck, botCheckCodec{}, domains,
+	_, err := runExperimentCampaign(ctx, c, LabelBotCheck, botCheckCodec(), domains,
 		func(ctx context.Context, domain string) (botPair, error) {
 			showsBanner := func(ua string) bool {
 				b := c.session(ctx, vp)
@@ -230,7 +230,7 @@ type revOutcome struct{ tested, gone, persisted, back bool }
 // journal failure).
 func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []string) (Revocation, error) {
 	var r Revocation
-	_, err := runExperimentCampaign(ctx, c, LabelRevocation, revocationCodec{}, domains,
+	_, err := runExperimentCampaign(ctx, c, LabelRevocation, revocationCodec(), domains,
 		func(ctx context.Context, domain string) (revOutcome, error) {
 			b := c.session(ctx, vp)
 			defer b.release()

@@ -76,7 +76,7 @@ func (c *Crawler) RunLandscapeLease(ctx context.Context, lease dist.Lease, targe
 	cfg := c.engine(lease.Label)
 	cfg.Checkpoint = &campaign.Checkpoint{
 		Dir:         dir,
-		Codec:       ObservationCodec{},
+		Codec:       ObservationCodec{Reg: c.Reg},
 		TargetsHash: hash,
 	}
 	_, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi,

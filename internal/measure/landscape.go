@@ -85,7 +85,7 @@ func (c *Crawler) Landscape(ctx context.Context, vps []vantage.VP, targets []str
 	for _, vp := range vps {
 		vp := vp
 		res := VPResult{VP: vp.Name}
-		stats, err := runExperimentCampaign(ctx, c, landscapeLabel(vp), ObservationCodec{}, targets,
+		stats, err := runExperimentCampaign(ctx, c, landscapeLabel(vp), ObservationCodec{Reg: c.Reg}, targets,
 			func(ctx context.Context, domain string) (Observation, error) {
 				o := c.Visit(ctx, vp, domain, VisitOpts{})
 				if o.Err != "" {

@@ -1,11 +1,13 @@
 package measure
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cookiewalk/internal/campaign"
@@ -34,30 +36,80 @@ func sampleObservation() Observation {
 	}
 }
 
-// TestObservationCodecRoundTrip: every field survives exactly.
+// codecRegistry is a small registry for the codec tests that exercise
+// registry-resolved domains.
+var codecRegistry = sync.OnceValue(func() *synthweb.Registry {
+	return synthweb.Generate(synthweb.Config{Seed: 7, FillerScale: 0.01})
+})
+
+// encodeObservation appends o's encoding to a new buffer.
+func encodeObservation(t testing.TB, o Observation) []byte {
+	t.Helper()
+	enc, err := ObservationCodec{}.Append(nil, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// decodeObservation decodes data into a zero Observation.
+func decodeObservation(codec ObservationCodec, data []byte) (Observation, error) {
+	var o Observation
+	err := codec.DecodeInto(data, &o)
+	return o, err
+}
+
+// checkDecodes decodes a valid encoding of want four ways — into a
+// zero value and into a used destination, each with and without the
+// registry — and requires every result to equal want exactly.
+func checkDecodes(t *testing.T, reg *synthweb.Registry, enc []byte, want Observation) {
+	t.Helper()
+	for _, codec := range []ObservationCodec{{}, {Reg: reg}} {
+		got, err := decodeObservation(codec, enc)
+		if err != nil {
+			t.Fatalf("decode (Reg set: %v): %v", codec.Reg != nil, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip (Reg set: %v) changed the observation\n got: %+v\nwant: %+v", codec.Reg != nil, got, want)
+		}
+		dirty := sampleObservation()
+		if err := codec.DecodeInto(enc, &dirty); err != nil {
+			t.Fatalf("decode into a used destination (Reg set: %v): %v", codec.Reg != nil, err)
+		}
+		if !reflect.DeepEqual(dirty, got) {
+			t.Fatalf("decode into a used destination (Reg set: %v)\n got: %+v\nwant: %+v", codec.Reg != nil, dirty, got)
+		}
+	}
+}
+
+// TestObservationCodecRoundTrip: every field survives exactly, whether
+// its strings resolve through the known-value tables or are copied.
 func TestObservationCodecRoundTrip(t *testing.T) {
+	reg := codecRegistry()
 	cases := []Observation{
 		sampleObservation(),
 		{},
 		{Domain: "down.example", VP: "US East", Err: "webfarm: no such host down.example"},
 		{Domain: "plain.se", VP: "Sweden", Fingerprint: 1, Kind: core.KindRegular, HasAccept: true, HasReject: true, Language: "sv", Category: "shopping"},
+		{Domain: reg.TargetList()[0], VP: "Brazil", Fingerprint: 2, Kind: core.KindRegular, ShadowMode: "closed",
+			Language: "und", Category: "Others", MatchedWords: []string{"pur"}},
+		{Domain: reg.TargetList()[1], VP: "Sweden", Language: "xx", Category: "News and Media"},
 	}
-	var codec ObservationCodec
 	for i, want := range cases {
-		enc, err := codec.Encode(want)
+		enc, err := ObservationCodec{Reg: reg}.Append([]byte("prefix"), &want)
 		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
+			t.Fatalf("case %d: append: %v", i, err)
 		}
-		got, err := codec.Decode(enc)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
+		if !bytes.Equal(enc[6:], encodeObservation(t, want)) {
+			t.Fatalf("case %d: append after a prefix encodes differently", i)
 		}
-		if !reflect.DeepEqual(got.(Observation), want) {
-			t.Fatalf("case %d: round trip changed the observation\n got: %+v\nwant: %+v", i, got, want)
-		}
+		checkDecodes(t, reg, enc[6:], want)
 	}
-	if _, err := codec.Encode("not an observation"); err == nil {
-		t.Fatal("encode accepted a non-Observation")
+	if _, err := (ObservationCodec{}).Append(nil, "not an observation"); err == nil {
+		t.Fatal("append accepted a non-Observation")
+	}
+	if err := (ObservationCodec{}).DecodeInto(encodeObservation(t, cases[0]), new(string)); err == nil {
+		t.Fatal("decode into a non-Observation succeeded")
 	}
 }
 
@@ -65,33 +117,71 @@ func TestObservationCodecRoundTrip(t *testing.T) {
 // decode to errors, never panics or silent misreads.
 func TestObservationCodecRejectsCorrupt(t *testing.T) {
 	var codec ObservationCodec
-	enc, err := codec.Encode(sampleObservation())
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := encodeObservation(t, sampleObservation())
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := codec.Decode(enc[:cut]); err == nil {
+		if _, err := decodeObservation(codec, enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = 99 // future version
-	if _, err := codec.Decode(bad); err == nil {
+	if _, err := decodeObservation(codec, bad); err == nil {
 		t.Fatal("decoded an unknown codec version")
 	}
-	if _, err := codec.Decode(append(append([]byte(nil), enc...), 0xff)); err == nil {
+	if _, err := decodeObservation(codec, append(append([]byte(nil), enc...), 0xff)); err == nil {
 		t.Fatal("decoded a record with trailing bytes")
 	}
 }
 
-// FuzzObservationCodec: arbitrary observations round-trip exactly, and
+// TestObservationCodecAllocFree pins the journal codec's steady state:
+// appending into a reused buffer allocates nothing, and neither does
+// decoding a registry-known regular observation without matched words
+// whose analysis the memo already holds — every string resolves to a
+// table's copy.
+func TestObservationCodecAllocFree(t *testing.T) {
+	reg := codecRegistry()
+	codec := ObservationCodec{Reg: reg}
+	o := Observation{
+		Domain: reg.TargetList()[3], VP: "Germany",
+		Fingerprint: 0x5eed5eed5eed0002, // private to this test
+		Kind:        core.KindRegular, Source: core.SourceShadowDOM, ShadowMode: "open",
+		HasAccept: true, HasReject: true, Language: "de", Category: "News and Media",
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(1000, func() {
+		var err error
+		if buf, err = codec.Append(buf[:0], &o); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append: %v allocs/op, want 0", n)
+	}
+	var got Observation
+	if err := codec.DecodeInto(buf, &got); err != nil { // seeds the memo
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, o) {
+		t.Fatalf("round trip\n got: %+v\nwant: %+v", got, o)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := codec.DecodeInto(buf, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("DecodeInto: %v allocs/op, want 0", n)
+	}
+}
+
+// FuzzObservationCodec: arbitrary observations round-trip exactly —
+// into a zero value or a used one, with or without the registry — and
 // arbitrary bytes never panic the decoder.
 func FuzzObservationCodec(f *testing.F) {
-	var codec ObservationCodec
-	seedEnc, _ := codec.Encode(sampleObservation())
+	reg := codecRegistry()
+	seedEnc := encodeObservation(f, sampleObservation())
 	f.Add("a.de", "Germany", "", uint64(42), 2, "abo|pur", 3.99, "de", "news", byte(5))
 	f.Add("", "", "host down", uint64(0), 0, "", 0.0, "", "", byte(0))
 	f.Add(string(seedEnc), "x", "y", uint64(1), 1, "w", -1.5, "zz", "cat", byte(31))
+	f.Add(reg.TargetList()[0], "US West", "", uint64(7), 1, "", 1.0, "und", "Others", byte(3))
 	f.Fuzz(func(t *testing.T, domain, vp, errStr string, fp uint64, kind int, words string, eur float64, lang, cat string, flags byte) {
 		var o Observation
 		o.Domain, o.VP, o.Err, o.Fingerprint = domain, vp, errStr, fp
@@ -103,20 +193,11 @@ func FuzzObservationCodec(f *testing.F) {
 		o.MonthlyEUR = eur
 		o.Language, o.Category = lang, cat
 		unpackFlags(&o, flags)
-		enc, err := codec.Encode(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := codec.Decode(enc)
-		if err != nil {
-			t.Fatalf("decode of valid encoding failed: %v", err)
-		}
-		if !reflect.DeepEqual(got.(Observation), o) {
-			t.Fatalf("round trip changed the observation\n got: %+v\nwant: %+v", got, o)
-		}
+		enc := encodeObservation(t, o)
+		checkDecodes(t, reg, enc, o)
 		// The encoding itself, corrupted arbitrarily, must never panic.
 		for cut := 0; cut <= len(enc); cut += 7 {
-			_, _ = codec.Decode(enc[:cut])
+			_, _ = decodeObservation(ObservationCodec{Reg: reg}, enc[:cut])
 		}
 	})
 }
@@ -127,12 +208,7 @@ func FuzzObservationCodec(f *testing.F) {
 func TestDecodeSeedsAnalysisMemo(t *testing.T) {
 	o := sampleObservation()
 	o.Fingerprint = 0x5eed5eed5eed0001 // private to this test
-	var codec ObservationCodec
-	enc, err := codec.Encode(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := codec.Decode(enc); err != nil {
+	if _, err := decodeObservation(ObservationCodec{}, encodeObservation(t, o)); err != nil {
 		t.Fatal(err)
 	}
 	computed := false

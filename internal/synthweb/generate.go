@@ -116,6 +116,16 @@ func (r *Registry) Site(domain string) (*Site, bool) {
 	return s, ok
 }
 
+// KnownDomain returns the registered spelling of the domain b spells,
+// without allocating; ok is false for unregistered domains.
+func (r *Registry) KnownDomain(b []byte) (domain string, ok bool) {
+	s, ok := r.byDomain[string(b)]
+	if !ok {
+		return "", false
+	}
+	return s.Domain, true
+}
+
 // Sites returns all sites (shared slice; do not mutate).
 func (r *Registry) Sites() []*Site { return r.sites }
 

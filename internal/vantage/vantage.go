@@ -107,6 +107,17 @@ func ByName(name string) (VP, bool) {
 	return VP{}, false
 }
 
+// KnownName returns the table's own copy of the VP name b spells,
+// without allocating; ok is false when no VP has that name.
+func KnownName(b []byte) (name string, ok bool) {
+	for _, v := range all {
+		if v.Name == string(b) {
+			return v.Name, true
+		}
+	}
+	return "", false
+}
+
 // ByCountry returns the first VP in the given country. Note that the
 // two US VPs share a country; ByCountry returns US East.
 func ByCountry(code string) (VP, bool) {
