@@ -2,6 +2,8 @@ package cookiewalk_test
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cookiewalk"
@@ -18,6 +20,13 @@ import (
 //     a fingerprint lookup, NO parse/detect/classify. Measured 0 allocs
 //     (both kinds): the scratch request plus the farm's reply values,
 //     which hand a cached page over with no response recorder.
+//   - cached, gated: the same cookiewall visit on a study with the host
+//     gate armed (rate limit, burst and breaker). Measured 6 allocs, all
+//     in the resilient request path: doRequest skips scratchRequest
+//     whenever a gate or retries are armed, so each visit builds its
+//     request with newRequest (2), sets its headers through
+//     textproto.MIMEHeader.Set (3) and materializes the URL for error
+//     text (1).
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
 //     language, category. Measured 33 allocs (cookiewall) / 29
 //     (regular) with the single-allocation Node.Text and the in-place
@@ -35,6 +44,7 @@ import (
 const (
 	cookiewallCachedAllocBudget   = 1
 	regularCachedAllocBudget      = 1
+	gatedCachedAllocBudget        = 6
 	cookiewallUncachedAllocBudget = 45
 	regularUncachedAllocBudget    = 40
 	cookieVisitAllocBudget        = 600
@@ -44,13 +54,20 @@ const (
 // hot path in both memo states, so allocation regressions fail tier-1
 // instead of surfacing months later in campaign wall-clock time. The
 // visits run under campaign.WithAffinity, the way a campaign worker
-// runs them: one browser session reused across visits.
+// runs them: one browser session reused across visits. A budget of 1
+// cannot see one extra allocation per cached visit, let alone a
+// fraction of one; TestLandscapeCrawlAllocBudget, which pins a whole
+// crawl, is the gate for per-visit drift below 1.
 func TestVisitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
 	}
 	s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
 	noMemo := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, NoAnalysisCache: true})
+	// A rate so high and a burst so deep that no visit ever waits for a
+	// token: the row measures the gated request path, not pacing.
+	gated := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2,
+		PerHostRPS: 1e9, PerHostBurst: 1 << 20, BreakerThreshold: 5})
 	vp, ok := vantage.ByName("Germany")
 	if !ok {
 		t.Fatal("no Germany VP")
@@ -76,6 +93,7 @@ func TestVisitAllocBudget(t *testing.T) {
 	}{
 		{"cookiewall-cached", wall, s.Crawler(), cookiewallCachedAllocBudget},
 		{"regular-cached", regular, s.Crawler(), regularCachedAllocBudget},
+		{"cookiewall-cached-gated", wall, gated.Crawler(), gatedCachedAllocBudget},
 		{"cookiewall-uncached", wall, noMemo.Crawler(), cookiewallUncachedAllocBudget},
 		{"regular-uncached", regular, noMemo.Crawler(), regularUncachedAllocBudget},
 	} {
@@ -109,5 +127,64 @@ func TestVisitAllocBudget(t *testing.T) {
 	if got > cookieVisitAllocBudget {
 		t.Errorf("cookie visit allocates %.1f, budget is %d — the measurement path regressed",
 			got, cookieVisitAllocBudget)
+	}
+}
+
+// Crawl-total budget: one warm landscape crawl — every vantage point
+// over every target, render cache and analysis memo primed — at seed 42,
+// scale 0.02 and 12 shards (the shard count DefaultShards gives the
+// paper's 45 222 targets), under GOMAXPROCS(1). Measured 2 495 allocs
+// and 2 347 408 B per crawl, identical across runs and processes with
+// the collector off. The margins absorb toolchain drift only: one more
+// allocation per visit, or 16 KiB more per shard, fails.
+const (
+	crawlAllocBudget = 2495 + 8
+	crawlBytesBudget = 2347408 + 16<<10
+)
+
+// TestLandscapeCrawlAllocBudget pins the allocations and bytes of one
+// warm landscape crawl, the call BenchmarkLandscapeCrawl times. It is
+// the only gate on costs a single visit does not show: per-shard and
+// per-campaign set-up, delivery and the landscape index, and per-visit
+// drift too small for TestVisitAllocBudget's budgets.
+//
+// The collector is off while the crawls are measured: a cycle hands the
+// runtime work (refilling its sudog cache, cleaning up unique maps)
+// whose allocations would otherwise land in the count at random. The
+// reading is the least of three crawls, so a stray allocation by a
+// goroutine another test left behind cannot fail the gate either.
+func TestLandscapeCrawlAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, Shards: 12})
+	targets, vps := s.Targets(), vantage.All()
+	crawl := func() {
+		l, err := s.Crawler().Landscape(context.Background(), vps, targets)
+		if err != nil || l.Targets != len(targets) {
+			t.Fatalf("Landscape: %d of %d targets, %v", l.Targets, len(targets), err)
+		}
+	}
+	crawl() // prime the render cache and the analysis memo
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs, bytes := ^uint64(0), ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		crawl()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("landscape crawl: %d allocs (budget %d), %d B (budget %d)",
+		allocs, crawlAllocBudget, bytes, crawlBytesBudget)
+	if allocs > crawlAllocBudget {
+		t.Errorf("landscape crawl allocates %d times, budget is %d — the crawl path regressed",
+			allocs, crawlAllocBudget)
+	}
+	if bytes > crawlBytesBudget {
+		t.Errorf("landscape crawl allocates %d B, budget is %d — the crawl path regressed",
+			bytes, crawlBytesBudget)
 	}
 }

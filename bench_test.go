@@ -70,14 +70,12 @@ func BenchmarkLandscapeCrawl(b *testing.B) {
 			b.Fatal("crawl incomplete")
 		}
 	}
-	// The crawl's scaling dimension: multi-core BENCH entries are keyed
-	// by this value (see ROADMAP "Benchmarks"). Unlike the name's -N
-	// suffix, the metric records the GOMAXPROCS the iterations actually
-	// ran under — with `-benchtime 1x -cpu 1,4` the framework reuses
-	// the probe run (executed at the LAST cpu value) for the first
-	// entry, so suffix and truth can disagree; record each cpu value in
-	// its own `go test` invocation when the numbers matter. Reported
-	// after the loop — ResetTimer discards earlier metrics.
+	// The GOMAXPROCS the iterations actually ran under. The name's -N
+	// suffix can disagree: with `-benchtime 1x -cpu 1,4` the framework
+	// reuses the probe run (executed at the LAST cpu value) for the
+	// first entry, so run each cpu value in its own `go test`
+	// invocation when the numbers matter. Reported after the loop —
+	// ResetTimer discards earlier metrics.
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 

@@ -13,8 +13,19 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"time"
 
 	"cookiewalk"
+)
+
+// Connection bounds: a client that stalls before finishing its
+// request headers, or an idle keep-alive connection, is dropped instead
+// of holding a goroutine and a descriptor for ever. Farm requests carry
+// no body, so the whole request read is bounded too.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -35,5 +46,12 @@ func main() {
 		}
 		fmt.Printf("  curl -H 'Host: %s' -H 'X-Vantage: Germany' http://localhost%s/\n", d, *addr)
 	}
-	log.Fatal(http.ListenAndServe(*addr, study.Handler()))
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           study.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	log.Fatal(srv.ListenAndServe())
 }
