@@ -54,9 +54,11 @@ import (
 
 // Query-API connection bounds: a client that stalls before finishing
 // its request headers, or an idle keep-alive connection, is dropped
-// instead of holding a goroutine and a descriptor for ever.
+// instead of holding a goroutine and a descriptor for ever. The API
+// serves GET routes only, so the whole request read is bounded too.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -183,7 +185,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(1)
 		}
-		srv = &http.Server{Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+		srv = &http.Server{Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "trend serve:", err)

@@ -255,7 +255,8 @@ func New(cfg Config) *Study {
 		BreakerCooldown:  cfg.BreakerCooldown,
 	}); g != nil {
 		// Assigned only when non-nil so the interface stays nil (not a
-		// typed-nil) and the browser's fast path can skip it entirely.
+		// typed nil): the browser consults a non-nil gate on every
+		// request, and a typed nil would panic there.
 		crawler.Gate = g
 	}
 	if par > 1 {

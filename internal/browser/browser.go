@@ -29,6 +29,7 @@
 package browser
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -88,15 +89,15 @@ type Browser struct {
 	// node-arena tail) lives as long as the session and is retained
 	// across Reset.
 	parser dom.Parser
-	// scratch is the reusable request/header state behind the
-	// zero-resilience in-process fast path; see scratchRequest.
+	// scratch is the session's one reusable request; see request.
 	scratch reqScratch
 	// cookieBuf is the reusable Cookie-header assembly buffer.
 	cookieBuf []byte
-	// topURL backs FetchTopDomain's parsed-URL fast path. It is only
-	// ever handed to request/fetch plumbing that drops every reference
-	// before FetchTopDomain returns (redirects re-parse into fresh
-	// URLs), so reusing it across visits is invisible.
+	// topURL backs FetchTopDomain's parsed URL. It is only ever handed
+	// to request/fetch plumbing that drops every reference before
+	// FetchTopDomain returns (redirects re-parse into fresh URLs, error
+	// text stringifies it at once), so reusing it across visits is
+	// invisible.
 	topURL url.URL
 }
 
@@ -210,16 +211,11 @@ type FetchResult struct {
 // FetchTop performs only the top-level document fetch of Open — no
 // parsing, no frames, no subresources.
 func (b *Browser) FetchTop(rawurl string) (FetchResult, error) {
-	resp, finalURL, err := b.fetch(http.MethodGet, rawurl, nil, b.MaxRedirects, maxPageBody)
+	u, err := url.Parse(rawurl)
 	if err != nil {
-		return FetchResult{}, err
+		return FetchResult{}, fmt.Errorf("browser: bad url %q: %w", rawurl, err)
 	}
-	return FetchResult{
-		URL:         finalURL,
-		Status:      resp.status,
-		Body:        resp.body,
-		Fingerprint: b.pageFingerprint(resp, finalURL),
-	}, nil
+	return b.fetchTop(u)
 }
 
 // FetchTopDomain is FetchTop for the canonical crawl entry point
@@ -231,7 +227,13 @@ func (b *Browser) FetchTop(rawurl string) (FetchResult, error) {
 // session must use FetchTop.
 func (b *Browser) FetchTopDomain(domain string) (FetchResult, error) {
 	b.topURL = url.URL{Scheme: "https", Host: domain, Path: "/"}
-	resp, finalURL, err := b.fetchURL(http.MethodGet, &b.topURL, nil, b.MaxRedirects, maxPageBody)
+	return b.fetchTop(&b.topURL)
+}
+
+// fetchTop is the top-level document fetch behind FetchTop and
+// FetchTopDomain.
+func (b *Browser) fetchTop(u *url.URL) (FetchResult, error) {
+	resp, finalURL, err := b.fetch(http.MethodGet, u, nil, b.MaxRedirects, maxPageBody)
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -312,6 +314,14 @@ const (
 // not implement it (cmd/webfarm's real net/http transport) take the
 // http.RoundTripper path below, where the fingerprint is recomputed by
 // hashing the downloaded bytes with the same function.
+//
+// RoundTripBody receives the session's reusable request itself, not a
+// copy. An implementation must not keep the request, its header map or
+// its body past the call: the next request of the session overwrites
+// all three. A wrapper (the fault injector) may expose RoundTripBody
+// only when its base does, so the browser never mistakes a transport
+// that forwards to a plain RoundTripper for one that honors this
+// contract.
 type bodyTransport interface {
 	RoundTripBody(req *http.Request) (status int, header http.Header, body string, fp uint64, err error)
 }
@@ -334,27 +344,9 @@ type response struct {
 // bypass (top-level documents are never blocked — blockers filter
 // subresources), and redirect following. The body is read fully,
 // truncated at limit bytes.
-func (b *Browser) fetch(method, rawurl string, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
-	u, err := url.Parse(rawurl)
-	if err != nil {
-		return response{}, nil, fmt.Errorf("browser: bad url %q: %w", rawurl, err)
-	}
-	return b.fetchParsed(method, u, form, rawurl, redirectsLeft, limit)
-}
-
-// fetchURL is fetch for an already-parsed URL: the hot crawl paths
-// build their URL without a string round trip, so the raw form — used
-// only in error text — is derived lazily on the (cold) paths that need
-// it.
-func (b *Browser) fetchURL(method string, u *url.URL, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
-	return b.fetchParsed(method, u, form, "", redirectsLeft, limit)
-}
-
-// fetchParsed is the shared redirect loop. cur is the current URL's raw
-// string for error text; "" means "derive from u when needed".
-func (b *Browser) fetchParsed(method string, u *url.URL, form url.Values, cur string, redirectsLeft, limit int) (response, *url.URL, error) {
+func (b *Browser) fetch(method string, u *url.URL, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
 	for {
-		resp, err := b.doRequest(method, u, form, cur, limit)
+		resp, err := b.doRequest(method, u, form, limit)
 		if err != nil {
 			return response{}, nil, err
 		}
@@ -363,17 +355,14 @@ func (b *Browser) fetchParsed(method string, u *url.URL, form url.Values, cur st
 		if isRedirect(resp.status) && redirectsLeft > 0 {
 			loc := resp.header.Get("Location")
 			if loc == "" {
-				if cur == "" {
-					cur = u.String()
-				}
-				return response{}, nil, fmt.Errorf("browser: redirect without location from %s", cur)
+				return response{}, nil, fmt.Errorf("browser: redirect without location from %s", u)
 			}
 			next, err := u.Parse(loc)
 			if err != nil {
 				return response{}, nil, fmt.Errorf("browser: bad redirect %q: %w", loc, err)
 			}
 			// 303 (and web convention for 301/302) switches to GET.
-			method, u, form, cur = http.MethodGet, next, nil, next.String()
+			method, u, form = http.MethodGet, next, nil
 			redirectsLeft--
 			continue
 		}
@@ -381,8 +370,10 @@ func (b *Browser) fetchParsed(method string, u *url.URL, form url.Values, cur st
 	}
 }
 
-// roundTrip dispatches one request, preferring the zero-copy body path.
-func (b *Browser) roundTrip(req *http.Request, rawurl string, limit int) (response, error) {
+// roundTrip dispatches one attempt's request, preferring the zero-copy
+// body path. A plain RoundTripper gets a copy of the reusable request:
+// net/http may still read a request after RoundTrip returns.
+func (b *Browser) roundTrip(req *http.Request, limit int) (response, error) {
 	if bt, ok := b.Transport.(bodyTransport); ok {
 		status, header, body, fp, err := bt.RoundTripBody(req)
 		if err != nil {
@@ -396,26 +387,23 @@ func (b *Browser) roundTrip(req *http.Request, rawurl string, limit int) (respon
 		}
 		return response{status: status, header: header, body: body, fp: fp}, nil
 	}
-	resp, err := b.Transport.RoundTrip(req)
+	resp, err := b.Transport.RoundTrip(req.Clone(req.Context()))
 	if err != nil {
 		return response{}, err
 	}
 	defer resp.Body.Close()
 	bodyBytes, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)))
 	if err != nil {
-		if rawurl == "" {
-			rawurl = req.URL.String()
-		}
-		return response{}, fmt.Errorf("browser: read %s: %w", rawurl, err)
+		return response{}, fmt.Errorf("browser: read %s: %w", req.URL, err)
 	}
 	return response{status: resp.StatusCode, header: resp.Header, body: string(bodyBytes)}, nil
 }
 
-// reqScratch is the reusable request state behind scratchRequest: one
+// reqScratch is the session's reusable request state: one
 // http.Request, one header map, and fixed single-value slices for each
-// header the browser sets — so a steady-state request on the fast path
-// allocates nothing but the Cookie string (and that only when the jar
-// has cookies to send).
+// header the browser sets — so a steady-state request allocates
+// nothing but the Cookie string (and that only when the jar has
+// cookies to send) and, for a form POST, its encoded body.
 type reqScratch struct {
 	req    http.Request
 	hdr    http.Header
@@ -423,79 +411,54 @@ type reqScratch struct {
 	geo    [1]string
 	visit  [1]string
 	cookie [1]string
+	ctype  [1]string
 }
 
-// scratchRequest assembles the session's reusable request in place.
-// Callers must only use it on the synchronous in-process fast path
-// (bodyTransport) with no form body and no per-request context: such a
-// transport never retains the request past the call, so reusing the
-// struct and header map across requests is invisible. The header keys
-// are written pre-canonicalized (http.Header is a plain map), so farm
-// lookups via Header.Get match.
-func (b *Browser) scratchRequest(method string, u *url.URL) *http.Request {
+// request assembles one attempt's request in the session's scratch
+// request, for dispatch by roundTrip. Every field is rewritten on every
+// call, so nothing of an earlier request — a form body, a parsed form,
+// a Visit, Cookie or Content-Type header, a context — carries over. The
+// form body is encoded afresh per call because each retry attempt
+// resends it. The header keys are written pre-canonicalized
+// (http.Header is a plain map), so farm lookups via Header.Get match.
+func (b *Browser) request(ctx context.Context, method string, u *url.URL, form url.Values) *http.Request {
 	s := &b.scratch
 	if s.hdr == nil {
 		s.hdr = http.Header{
 			"User-Agent":      s.ua[:],
 			vantage.GeoHeader: s.geo[:],
 		}
-		s.req = http.Request{
-			Proto:      "HTTP/1.1",
-			ProtoMajor: 1,
-			ProtoMinor: 1,
-			Header:     s.hdr,
-		}
 	}
 	s.ua[0] = b.UserAgent
 	s.geo[0] = b.VP.Name
-	if b.Visit != "" {
-		s.visit[0] = b.Visit
-		s.hdr[vantage.VisitHeader] = s.visit[:]
-	} else {
-		delete(s.hdr, vantage.VisitHeader)
-	}
+	setHeader(s.hdr, vantage.VisitHeader, s.visit[:], b.Visit)
 	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
-	if len(b.cookieBuf) > 0 {
-		s.cookie[0] = string(b.cookieBuf)
-		s.hdr["Cookie"] = s.cookie[:]
-	} else {
-		delete(s.hdr, "Cookie")
+	setHeader(s.hdr, "Cookie", s.cookie[:], string(b.cookieBuf)) // "" allocates nothing
+	s.req = http.Request{Method: method, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: s.hdr, Host: u.Host}
+	ctype := ""
+	if form != nil {
+		enc := form.Encode()
+		s.req.Body = io.NopCloser(strings.NewReader(enc))
+		s.req.ContentLength = int64(len(enc))
+		ctype = "application/x-www-form-urlencoded"
 	}
-	s.req.Method = method
-	s.req.URL = u
-	s.req.Host = u.Host
+	setHeader(s.hdr, "Content-Type", s.ctype[:], ctype)
+	// WithContext is the only way to set the context in place; inlined,
+	// its copy of the request stays on the stack.
+	s.req = *s.req.WithContext(ctx)
 	return &s.req
 }
 
-// newRequest assembles the request by hand: the URL is already parsed,
-// and the Cookie header is built in a single pass instead of one
-// AddCookie round per cookie.
-func (b *Browser) newRequest(method string, u *url.URL, form url.Values) *http.Request {
-	req := &http.Request{
-		Method:     method,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header, 5),
-		Host:       u.Host,
+// setHeader points h[key] at slot holding v, or deletes key when v is
+// empty.
+func setHeader(h http.Header, key string, slot []string, v string) {
+	if v == "" {
+		delete(h, key)
+		return
 	}
-	if form != nil {
-		enc := form.Encode()
-		req.Body = io.NopCloser(strings.NewReader(enc))
-		req.ContentLength = int64(len(enc))
-		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	}
-	req.Header.Set("User-Agent", b.UserAgent)
-	req.Header.Set(vantage.GeoHeader, b.VP.Name)
-	if b.Visit != "" {
-		req.Header.Set(vantage.VisitHeader, b.Visit)
-	}
-	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
-	if len(b.cookieBuf) > 0 {
-		req.Header.Set("Cookie", string(b.cookieBuf))
-	}
-	return req
+	slot[0] = v
+	h[key] = slot
 }
 
 func isRedirect(code int) bool {
@@ -510,8 +473,8 @@ func isRedirect(code int) bool {
 // fetchBlockable fetches a subresource URL unless the blocker vetoes
 // it. It returns (body, fetched, blocked). The URL is resolved once and
 // stringified once: the blocker, the page's Blocked/Fetched lists and
-// the error text share that string, and the request goes out on the
-// resolved URL itself.
+// the degraded-composition error share that string, and the request
+// goes out on the resolved URL itself.
 func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 	abs, err := page.URL.Parse(rawurl)
 	if err != nil {
@@ -522,7 +485,7 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 		page.Blocked = append(page.Blocked, absStr)
 		return "", false
 	}
-	resp, _, err := b.fetchParsed(http.MethodGet, abs, nil, absStr, 2, maxSubresourceBody)
+	resp, _, err := b.fetch(http.MethodGet, abs, nil, 2, maxSubresourceBody)
 	if err != nil {
 		// A transient failure that survived the whole retry budget (or a
 		// breaker fail-fast) degrades the composition: record it so the
@@ -780,7 +743,7 @@ func (b *Browser) Click(page *Page, button *dom.Node) (*Page, error) {
 	default:
 		return nil, fmt.Errorf("browser: unsupported action %q", action)
 	}
-	resp, _, err := b.fetch(http.MethodPost, abs.String(), form, b.MaxRedirects, maxPageBody)
+	resp, _, err := b.fetch(http.MethodPost, abs, form, b.MaxRedirects, maxPageBody)
 	if err != nil {
 		return nil, err
 	}

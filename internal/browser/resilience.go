@@ -12,12 +12,14 @@ import (
 
 // Resilience configures the browser's fault tolerance for flaky
 // transports: bounded per-request retries with seeded decorrelated
-// jitter backoff (the same discipline as the fleet client's), an
+// jitter backoff (xrand.Backoff, the fleet client's schedule), an
 // optional per-host admission gate (rate limiter + circuit breaker),
 // and a context that carries the per-visit deadline into every
-// request. The zero value disables everything and keeps the fetch
-// path byte-for-byte identical to the pre-resilience browser — the
-// in-process webfarm never fails, so the defaults pay nothing for it.
+// request. Every request takes the same path whatever is armed: the
+// same reusable request, the same retry loop. The zero value makes
+// that loop a single attempt whose outcome — response or error —
+// returns verbatim, and no field costs an allocation on a request that
+// succeeds at its first attempt.
 type Resilience struct {
 	// Ctx, when non-nil, is attached to every outgoing request — the
 	// per-visit deadline and cancellation reach the transport (real
@@ -28,7 +30,7 @@ type Resilience struct {
 	Retries int
 	// Backoff is the initial retry delay, doubled per attempt and
 	// capped at 2s (default 100ms). Each delay is jittered into
-	// [base/2, base] from Seed — see xrand.JitterDuration.
+	// [base/2, base] from Seed — see xrand.Backoff.
 	Backoff time.Duration
 	// Seed drives the backoff jitter deterministically.
 	Seed uint64
@@ -165,37 +167,14 @@ func (r *Resilience) sleep(d time.Duration) error {
 	}
 }
 
-// doRequest performs one logical request — newRequest + roundTrip —
-// under the Resilience policy: breaker admission once per request,
-// politeness pacing per attempt, bounded jittered retries of transient
-// failures, and exactly one terminal gate call (Report or Abandon) on
-// every exit path. With the zero Resilience it collapses to the
-// original single-shot path.
-func (b *Browser) doRequest(method string, u *url.URL, form url.Values, cur string, limit int) (response, error) {
+// doRequest performs one logical request under the Resilience policy:
+// breaker admission once per request, then attemptRequest's bounded
+// retry loop, then exactly one terminal gate call (Report or Abandon)
+// on every exit path. Every request takes this one path; with the zero
+// Resilience it is a single attempt whose outcome returns verbatim.
+func (b *Browser) doRequest(method string, u *url.URL, form url.Values, limit int) (response, error) {
 	res := &b.Resilience
-	if res.Retries <= 0 && res.Gate == nil {
-		if res.Ctx == nil && form == nil {
-			if _, ok := b.Transport.(bodyTransport); ok {
-				// Synchronous in-process dispatch never retains the
-				// request, so the session's scratch request/header can be
-				// reused across calls with zero per-request allocation.
-				return b.roundTrip(b.scratchRequest(method, u), cur, limit)
-			}
-		}
-		req := b.newRequest(method, u, form)
-		if res.Ctx != nil {
-			req = req.WithContext(res.Ctx)
-		}
-		return b.roundTrip(req, cur, limit)
-	}
-
 	host := u.Hostname()
-	if cur == "" {
-		// Resilience error text (retry exhaustion, 5xx classification)
-		// embeds the request URL; materialize it once per logical
-		// request on this (already allocation-heavier) path.
-		cur = u.String()
-	}
 	if res.Gate != nil {
 		// Breaker admission is per logical request, not per attempt:
 		// the breaker judges final outcomes, and a half-open probe slot
@@ -211,7 +190,7 @@ func (b *Browser) doRequest(method string, u *url.URL, form url.Values, cur stri
 			return response{}, err
 		}
 	}
-	resp, err := b.attemptRequest(res, method, u, form, cur, limit, host)
+	resp, err := b.attemptRequest(res, method, u, form, limit, host)
 	if res.Gate != nil {
 		// Settle the admission with exactly one terminal call. A final
 		// success or a post-retry transient failure is the breaker's
@@ -235,36 +214,27 @@ func (b *Browser) doRequest(method string, u *url.URL, form url.Values, cur stri
 }
 
 // attemptRequest runs the bounded retry loop for one admitted request:
-// a politeness token per attempt, jittered backoff between attempts,
-// and classification of each attempt's outcome. It never talks to the
-// breaker — doRequest settles the admission from its return value.
-func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form url.Values, cur string, limit int, host string) (response, error) {
-	backoff := res.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
+// a politeness token per attempt, a freshly assembled request per
+// attempt, xrand.Backoff between attempts, and classification of each
+// attempt's outcome. It never talks to the breaker — doRequest settles
+// the admission from its return value. Error text stringifies u only
+// when an error is made, so a successful request never does.
+func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form url.Values, limit int, host string) (response, error) {
 	b.rtCalls++
 	call := b.rtCalls
+	ctx := res.ctx()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if res.Gate != nil {
-			if err := res.Gate.Wait(res.ctx(), host); err != nil {
+			if err := res.Gate.Wait(ctx, host); err != nil {
 				return response{}, err
 			}
 		}
-		req := b.newRequest(method, u, form)
-		rctx := res.Ctx
+		actx := ctx
 		if attempt > 0 {
-			base := rctx
-			if base == nil {
-				base = context.Background()
-			}
-			rctx = WithAttempt(base, attempt)
+			actx = WithAttempt(ctx, attempt)
 		}
-		if rctx != nil {
-			req = req.WithContext(rctx)
-		}
-		resp, err := b.roundTrip(req, cur, limit)
+		resp, err := b.roundTrip(b.request(actx, method, u, form), limit)
 		switch {
 		case err == nil && (resp.status < 500 || res.Retries <= 0):
 			// Success — including 4xx (deterministic web content) and,
@@ -272,8 +242,8 @@ func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, for
 			// behavior.
 			return resp, nil
 		case err == nil:
-			lastErr = &statusError{url: cur, status: resp.status}
-		case IsTransient(err) && res.ctx().Err() == nil:
+			lastErr = &statusError{url: u.String(), status: resp.status}
+		case IsTransient(err) && ctx.Err() == nil:
 			lastErr = err
 		default:
 			// Definitive transport error ("no such host", a canceled
@@ -283,21 +253,18 @@ func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, for
 		}
 		if attempt >= res.Retries {
 			if res.Retries <= 0 {
-				// Gate armed but no retry budget: the transient error
-				// returns verbatim, exactly as the pre-resilience browser
-				// surfaced it — no "giving up after 1 attempts" rewrap.
+				// No retry budget: the transient error returns verbatim,
+				// exactly as the pre-resilience browser surfaced it — no
+				// "giving up after 1 attempts" rewrap.
 				return response{}, lastErr
 			}
-			return response{}, &exhaustedError{url: cur, attempts: attempt + 1, err: lastErr}
+			return response{}, &exhaustedError{url: u.String(), attempts: attempt + 1, err: lastErr}
 		}
 		if res.Meter != nil {
 			res.Meter.VisitRetry()
 		}
-		if err := res.sleep(xrand.JitterDuration(res.Seed, call, attempt, backoff)); err != nil {
+		if err := res.sleep(xrand.Backoff(res.Seed, call, attempt, res.Backoff)); err != nil {
 			return response{}, err
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
 		}
 	}
 }

@@ -183,10 +183,10 @@ type Client struct {
 	// (default 4).
 	MaxRetries int
 	// Backoff is the initial retry delay, doubled per attempt and
-	// capped at 2s (default 100ms). Each delay is jittered into
-	// [base/2, base] from Seed, so a fleet of workers that lost the
-	// coordinator at the same instant does not return as a
-	// synchronized thundering herd when it comes back.
+	// capped at 2s (default 100ms; see xrand.Backoff). Each delay is
+	// jittered into [base/2, base] from Seed, so a fleet of workers
+	// that lost the coordinator at the same instant does not return as
+	// a synchronized thundering herd when it comes back.
 	Backoff time.Duration
 	// Seed drives the backoff jitter deterministically (0 is a valid
 	// seed). Give each worker a distinct seed.
@@ -208,14 +208,6 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// jitter maps (seed, call, attempt) to a delay in [base/2, base] —
-// full determinism for tests, decorrelation across workers and calls
-// for the fleet. The formula lives in xrand.JitterDuration so the
-// browser's visit retries share the exact discipline.
-func jitter(seed, call uint64, attempt int, base time.Duration) time.Duration {
-	return xrand.JitterDuration(seed, call, attempt, base)
-}
-
 // maxResponseBytes caps how much of one coordinator response the
 // client reads. The largest reply, /v1/campaigns, is a few KiB even for
 // the paper-scale study, so 1 MiB only ever cuts off a broken or
@@ -232,10 +224,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	maxRetries := c.MaxRetries
 	if maxRetries <= 0 {
 		maxRetries = 4
-	}
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
 	}
 	call := c.calls.Add(1)
 	var lastErr error
@@ -274,7 +262,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		if attempt >= maxRetries {
 			return nil, 0, &TransientError{Err: lastErr}
 		}
-		delay := jitter(c.Seed, call, attempt, backoff)
+		delay := xrand.Backoff(c.Seed, call, attempt, c.Backoff)
 		if c.Sleep != nil {
 			c.Sleep(delay)
 		} else {
@@ -283,9 +271,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			case <-ctx.Done():
 				return nil, 0, context.Cause(ctx)
 			}
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
 		}
 	}
 }

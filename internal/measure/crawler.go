@@ -186,14 +186,14 @@ func (c *Crawler) session(ctx context.Context, vp vantage.VP) session {
 		tctx, s.cancel = context.WithTimeout(ctx, c.VisitTimeout)
 		s.Resilience.Ctx = tctx
 	}
-	if c.VisitRetries > 0 || c.Gate != nil {
-		s.Resilience.Retries = c.VisitRetries
-		s.Resilience.Backoff = c.RetryBackoff
-		s.Resilience.Seed = c.RetrySeed
-		s.Resilience.Gate = c.Gate
-		if m := campaign.MeterFrom(ctx); m != nil {
-			s.Resilience.Meter = m
-		}
+	// The zero retry and gate policy is inert: one attempt per request,
+	// no gate calls, no meter events.
+	s.Resilience.Retries = c.VisitRetries
+	s.Resilience.Backoff = c.RetryBackoff
+	s.Resilience.Seed = c.RetrySeed
+	s.Resilience.Gate = c.Gate
+	if m := campaign.MeterFrom(ctx); m != nil {
+		s.Resilience.Meter = m
 	}
 	return s
 }

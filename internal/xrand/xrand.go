@@ -14,7 +14,10 @@
 // race-free by construction.
 package xrand
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // Rand is a deterministic pseudo-random number generator.
 // It is NOT safe for concurrent use; derive one per goroutine with Fork.
@@ -181,14 +184,31 @@ func SubSeed(seed uint64, labels ...string) uint64 {
 	return h
 }
 
-// JitterDuration maps (seed, call, attempt) to a delay in [base/2, base]
-// — the decorrelated-jitter discipline shared by every retry loop in
-// the tree (the fleet client's backoff and the browser's visit
-// retries). Full determinism for tests, decorrelation across workers
-// and calls for a fleet: peers that fail at the same instant spread
-// their retries instead of returning as a synchronized thundering herd.
-func JitterDuration[D ~int64](seed, call uint64, attempt int, base D) D {
+// Backoff is the delay to wait after failed attempt (0 = the first
+// try) of one call: the base delay (100ms when base <= 0), doubled per
+// attempt and capped at 2s — though a base above the cap is used as
+// given after the first try — and jittered into [delay/2, delay] by
+// (seed, call, attempt). It is the one backoff schedule in the tree,
+// shared by the fleet client and the browser's visit retries. Full
+// determinism for tests, decorrelation across workers and calls for a
+// fleet: peers that fail at the same instant spread their retries
+// instead of returning as a synchronized thundering herd.
+func Backoff(seed, call uint64, attempt int, base time.Duration) time.Duration {
+	const maxDelay = 2 * time.Second
+	if base <= 0 {
+		base = 100 * time.Millisecond
+	}
+	for i := 0; i < attempt; i++ {
+		if base *= 2; base > maxDelay {
+			base = maxDelay
+		}
+	}
+	return jitter(seed, call, attempt, base)
+}
+
+// jitter maps (seed, call, attempt) to a delay in [base/2, base].
+func jitter(seed, call uint64, attempt int, base time.Duration) time.Duration {
 	half := base / 2
 	h := Mix64(Mix64(seed, call), uint64(attempt))
-	return half + D(h%uint64(half+1))
+	return half + time.Duration(h%uint64(half+1))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -246,5 +247,61 @@ func TestQuickSubSeedDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJitterBoundsAndDeterminism pins the jitter contract the retry
+// loops depend on: every delay lands in [base/2, base], the schedule is
+// a pure function of (seed, call, attempt), and different seeds (i.e.
+// different workers) decorrelate.
+func TestJitterBoundsAndDeterminism(t *testing.T) {
+	base := 100 * time.Millisecond
+	same := 0
+	for attempt := 0; attempt < 8; attempt++ {
+		d1 := jitter(1, 1, attempt, base)
+		d2 := jitter(2, 1, attempt, base)
+		if d1 < base/2 || d1 > base {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d1, base/2, base)
+		}
+		if d1 != jitter(1, 1, attempt, base) {
+			t.Fatalf("attempt %d: jitter not deterministic", attempt)
+		}
+		if d1 == d2 {
+			same++
+		}
+	}
+	if same == 8 {
+		t.Fatal("two seeds produced identical 8-delay schedules — no decorrelation")
+	}
+}
+
+// TestBackoffSchedule pins the envelope Backoff jitters: 100ms when no
+// base is given, doubled per attempt, capped at 2s, and a base above
+// the cap used as given for the first delay only.
+func TestBackoffSchedule(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		base     time.Duration
+		envelope []time.Duration
+	}{
+		{"default", 0, []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms}},
+		{"negative", -time.Second, []time.Duration{100 * ms, 200 * ms}},
+		{"doubling", 80 * ms, []time.Duration{80 * ms, 160 * ms, 320 * ms, 640 * ms, 1280 * ms, 2000 * ms}},
+		{"cap", 1500 * ms, []time.Duration{1500 * ms, 2000 * ms, 2000 * ms}},
+		{"above cap", 3 * time.Second, []time.Duration{3 * time.Second, 2000 * ms, 2000 * ms}},
+	} {
+		for seed := uint64(0); seed < 4; seed++ {
+			for attempt, env := range tc.envelope {
+				got := Backoff(seed, 7, attempt, tc.base)
+				if want := jitter(seed, 7, attempt, env); got != want {
+					t.Fatalf("%s: seed %d attempt %d: Backoff = %v, want %v (jitter of %v)",
+						tc.name, seed, attempt, got, want, env)
+				}
+				if got < env/2 || got > env {
+					t.Fatalf("%s: seed %d attempt %d: %v outside [%v, %v]", tc.name, seed, attempt, got, env/2, env)
+				}
+			}
+		}
 	}
 }
