@@ -173,9 +173,10 @@ func (s *Study) RunFleetWorkerWithClient(ctx context.Context, client *dist.Clien
 		if !ok {
 			return fmt.Errorf("cookiewalk: fleet worker: coordinator distributes unknown campaign %q", remote.Label)
 		}
-		// Shard count deliberately unchecked: leases carry explicit
-		// ranges, so a coordinator partitioned differently still hands
-		// out ranges this worker can run verbatim.
+		// Shard count deliberately unchecked: a lease names its shard
+		// and the coordinator's shard count, and RunRange derives the
+		// range from both, so a coordinator partitioned differently
+		// still hands out shards this worker runs exactly.
 		if remote.Targets != want.Targets || remote.TargetsHash != want.TargetsHash {
 			return fmt.Errorf(
 				"cookiewalk: fleet worker: campaign %q is a different universe (coordinator: %d targets hash %#x; local: %d targets hash %#x) — seed/scale mismatch?",

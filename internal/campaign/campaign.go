@@ -1,27 +1,46 @@
 // Package campaign is the streaming, sharded execution engine behind
-// every measurement crawl. It replaces the ad-hoc materialize-then-scan
-// plumbing (run all visits, collect a giant result slice, fold it) with
-// a pipeline that streams each visit's result into an incrementally
-// updated aggregator the moment it becomes available — in input order,
-// so aggregation is byte-for-byte deterministic regardless of worker
-// count, shard count, or scheduling.
+// every measurement crawl. Each visit's result streams into the sink
+// as soon as it is ready, in input order, so aggregation is
+// byte-for-byte deterministic regardless of worker count, shard count
+// or scheduling.
 //
 // A campaign partitions its target list into contiguous shards. Shards
 // run one after another, each with its own worker pool; inside a shard,
 // visits run concurrently but their results are re-sequenced through a
 // bounded in-flight window before reaching the sink. The window gives
-// backpressure (at most Window results are ever buffered, never the
-// full target list) and the re-sequencing gives determinism: the sink
+// backpressure and the re-sequencing gives determinism: the sink
 // observes results exactly as if the targets had been visited one by
-// one, left to right.
+// one, left to right. Workers hand results over in recycled batches
+// (see runShard), and batch boundaries never show in sink order,
+// journal bytes or counters.
 //
 // Cancellation is first-class: cancel the context and the engine stops
-// dispatching, lets in-flight visits finish (visit functions receive
-// the context and may abort early), accounts every undone target as
-// canceled, and returns context.Cause promptly with no goroutine left
-// behind. Per-shard counters (done / errors / canceled) survive in the
-// returned Stats, so callers can report exactly which slice of the
-// campaign failed or was cut short.
+// dispatching, lets in-flight visits finish, accounts every undone
+// target as canceled, and returns context.Cause promptly with no
+// goroutine left behind.
+//
+// Run, Resume and RunRange are one engine over a span of shards: Run
+// and Resume run every shard, RunRange the one shard a fleet worker
+// leased (see range.go). All three open the checkpoint in one place,
+// run shards through one loop and account them with one counter set,
+// Counts, which ShardStats, Stats and Progress embed. A shard run alone
+// gets the same account and journal bytes as inside a full Run.
+//
+// # Checkpoints
+//
+// With Config.Checkpoint set, every delivered result is appended to a
+// per-shard journal after the sink observed it, flushed every
+// FlushEvery records and fsynced at shard close. Resume replays the
+// journals into the sink in order and visits only the targets they
+// lack; the delivered sequence is byte-identical to an uninterrupted
+// Run's for any kill point and any Workers or Shards on either run. A
+// manifest pins the campaign's identity (label, target count,
+// TargetsHash), so a journal never replays onto another campaign. A
+// kill at any byte leaves a prefix-consistent log (internal/framelog),
+// and a torn or undecodable record's target is simply visited again.
+// Journal I/O never corrupts results: the campaign finishes, Run or
+// Resume reports the error, and the journal holds exactly the records
+// delivered before the failure. journal.go holds the record layout.
 package campaign
 
 import (
@@ -55,12 +74,10 @@ type Config struct {
 	// ProgressEvery is the delivery interval between progress callbacks
 	// (default 1000).
 	ProgressEvery int
-	// Checkpoint, when set, journals every delivered result to durable
-	// per-shard files so a killed campaign can continue with Resume
-	// instead of starting over. Run starts a FRESH journal (wiping any
-	// leftover files in the directory); Resume replays one. See the
-	// Checkpoint type and journal.go for the format and crash-safety
-	// guarantees.
+	// Checkpoint, when set, journals every delivered result so a killed
+	// campaign can continue with Resume (see the package doc). Run and
+	// RunRange start FRESH journals, wiping leftover files in the
+	// directory; Resume replays them.
 	Checkpoint *Checkpoint
 	// Budget, when set, is a weighted worker budget shared across
 	// campaigns: every visit holds one budget slot while it runs, so N
@@ -155,31 +172,63 @@ func DefaultShards(n int) int {
 	return s
 }
 
-// Progress is a point-in-time snapshot of a running campaign.
-type Progress struct {
-	Label  string
-	Shard  int // 1-based index of the shard in flight
-	Shards int
-	Done   int64 // visits delivered so far, across all shards
-	Total  int64
+// Counts is the engine's one counter set. A shard's account
+// (ShardStats), a campaign's (Stats) and every progress snapshot
+// (Progress) embed it, so the counters are declared, documented and
+// summed once.
+type Counts struct {
+	// Done counts delivered results (successes and errors alike),
+	// replayed or fresh.
+	Done int64
+	// Errors counts deliveries whose visit returned an error (replayed
+	// errors included — a resumed run's ledger matches the
+	// uninterrupted one's).
 	Errors int64
-	// Replayed counts deliveries served from a checkpoint journal
-	// (always ≤ Done; zero outside Resume). Done - Replayed is the
-	// fresh-visit count.
+	// Canceled counts targets never visited because the campaign was
+	// canceled first.
+	Canceled int64
+	// Replayed counts deliveries served from the checkpoint journal
+	// instead of a fresh visit (always ≤ Done; zero outside Resume).
 	Replayed int64
-	// Retries counts retried request attempts across all visits so far
-	// (see Meter) — zero unless the visit layer runs with resilience
-	// enabled.
-	Retries int64
-	// BreakerTrips counts per-host circuit breakers tripped open.
-	BreakerTrips int64
-	// BreakerDenials counts requests refused outright by an open
-	// breaker.
+	// Retries, BreakerTrips and BreakerDenials count the resilience
+	// events visits reported to the campaign Meter: retried request
+	// attempts, circuit breakers tripped open, and requests refused by
+	// an open breaker. All three stay zero when the visit layer runs
+	// without retries or breakers.
+	Retries        int64
+	BreakerTrips   int64
 	BreakerDenials int64
 }
 
 // Fresh returns the deliveries that ran a real visit (Done - Replayed).
-func (p Progress) Fresh() int64 { return p.Done - p.Replayed }
+func (c Counts) Fresh() int64 { return c.Done - c.Replayed }
+
+func (c *Counts) add(o Counts) {
+	c.Done += o.Done
+	c.Errors += o.Errors
+	c.Canceled += o.Canceled
+	c.Replayed += o.Replayed
+	c.Retries += o.Retries
+	c.BreakerTrips += o.BreakerTrips
+	c.BreakerDenials += o.BreakerDenials
+}
+
+// Progress is a point-in-time snapshot of a running campaign. Its
+// Counts cover every shard of the run so far.
+type Progress struct {
+	Label  string
+	Shard  int // 1-based index of the shard in flight
+	Shards int
+	Total  int64 // targets the run covers (see Stats.Targets)
+	Counts
+}
+
+// progress hands OnProgress, when set, a snapshot taken in shard.
+func (c Config) progress(shard, shards int, total int64, counts Counts) {
+	if c.OnProgress != nil {
+		c.OnProgress(Progress{Label: c.Label, Shard: shard + 1, Shards: shards, Total: total, Counts: counts})
+	}
+}
 
 // Meter accumulates resilience events — retries, breaker trips,
 // breaker denials — from a campaign's visit functions. The engine
@@ -214,11 +263,15 @@ func (m *Meter) BreakerDenial() {
 	}
 }
 
-func (m *Meter) counts() (retries, trips, denials int64) {
-	if m == nil {
-		return 0, 0, 0
+// take returns the events counted since its last call and restarts the
+// count from zero. The engine takes them into the shard in flight, so
+// no event is counted twice or lost.
+func (m *Meter) take() Counts {
+	return Counts{
+		Retries:        m.retries.Swap(0),
+		BreakerTrips:   m.breakerTrips.Swap(0),
+		BreakerDenials: m.breakerDenials.Swap(0),
 	}
-	return m.retries.Load(), m.breakerTrips.Load(), m.breakerDenials.Load()
 }
 
 type meterKey struct{}
@@ -302,61 +355,24 @@ type Result[R any] struct {
 	Err error
 }
 
-// ShardStats is the per-shard account of one campaign. All counters
-// share Progress's int64 width, so accounting never narrows on its
-// way to a progress line.
+// ShardStats is the per-shard account of one campaign.
 type ShardStats struct {
 	Shard   int
 	Targets int
-	// Done counts delivered results (successes and errors alike),
-	// replayed or fresh.
-	Done int64
-	// Errors counts deliveries whose visit returned an error (replayed
-	// errors included — a resumed run's ledger matches the
-	// uninterrupted one's).
-	Errors int64
-	// Canceled counts targets never visited because the campaign was
-	// canceled first.
-	Canceled int64
-	// Replayed counts deliveries served from the checkpoint journal
-	// instead of a fresh visit (always ≤ Done; zero outside Resume).
-	Replayed int64
-	// Retries, BreakerTrips and BreakerDenials account the resilience
-	// events this shard's visits reported to the campaign Meter (zero
-	// when the visit layer runs without retries/breakers).
-	Retries        int64
-	BreakerTrips   int64
-	BreakerDenials int64
+	Counts
 }
 
-// Stats is the whole-campaign account, the sum of its shards.
+// Stats is the account of one run, the sum of its shards. Targets is
+// the number of targets the run covers: the whole list for Run and
+// Resume, the shard's range for RunRange.
 type Stats struct {
-	Targets  int
-	Done     int64
-	Errors   int64
-	Canceled int64
-	// Replayed counts deliveries served from the checkpoint journal
-	// (see ShardStats.Replayed).
-	Replayed int64
-	// Retries, BreakerTrips and BreakerDenials sum the per-shard
-	// resilience counters (see ShardStats).
-	Retries        int64
-	BreakerTrips   int64
-	BreakerDenials int64
-	Shards         []ShardStats
+	Targets int
+	Counts
+	Shards []ShardStats
 }
 
-// Fresh returns the campaign's fresh-visit count (Done - Replayed).
-func (s Stats) Fresh() int64 { return s.Done - s.Replayed }
-
-func (s *Stats) add(sh ShardStats) {
-	s.Done += sh.Done
-	s.Errors += sh.Errors
-	s.Canceled += sh.Canceled
-	s.Replayed += sh.Replayed
-	s.Retries += sh.Retries
-	s.BreakerTrips += sh.BreakerTrips
-	s.BreakerDenials += sh.BreakerDenials
+func (s *Stats) addShard(sh ShardStats) {
+	s.add(sh.Counts)
 	s.Shards = append(s.Shards, sh)
 }
 
@@ -374,56 +390,40 @@ func (s *Stats) add(sh ShardStats) {
 // engine never calls it concurrently.
 func Run[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R])) (Stats, error) {
-	return run(ctx, cfg, targets, visit, sink, nil)
+	n := cfg.shards(len(targets))
+	return run(ctx, cfg, targets, visit, sink, 0, n, n, false)
 }
 
-// run is the engine shared by Run and Resume. A nil replay index means
-// a fresh campaign; non-nil (one slot per target) means resume mode,
-// where journaled indices are replayed instead of visited.
+// run is the one engine behind Run, Resume and RunRange. It runs shards
+// [first, last) of the nShards-way partition of targets, one after
+// another, and accounts only that span. With a checkpoint, resume
+// replays its journals; otherwise the run starts fresh ones.
 func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
-	replay []journalRecord) (Stats, error) {
+	first, last, nShards int, resume bool) (Stats, error) {
 
-	var ck *checkpointState
-	if cfg.Checkpoint != nil {
-		var err error
-		ck, err = prepareCheckpoint(cfg, len(targets), replay != nil)
-		if err != nil {
-			return Stats{}, err
-		}
+	ck, replay, err := openCheckpoint(cfg, len(targets), resume)
+	if err != nil {
+		return Stats{}, err
 	}
-	nShards := cfg.shards(len(targets))
-	stats := Stats{Targets: len(targets)}
-	total := int64(len(targets))
+	lo, _ := ShardRange(len(targets), nShards, first)
+	_, hi := ShardRange(len(targets), nShards, last-1)
+	stats := Stats{Targets: hi - lo}
 	// One Meter per campaign: visits report resilience events into it
-	// through their context, and per-shard deltas are cut at shard
-	// boundaries (shards run strictly one after another).
+	// through their context, and the delivery loop takes them into the
+	// shard in flight (shards run strictly one after another).
 	meter := &Meter{}
-	for shard := 0; shard < nShards; shard++ {
+	for shard := first; shard < last; shard++ {
 		lo, hi := ShardRange(len(targets), nShards, shard)
 		if ctx.Err() != nil {
 			// Campaign cut short: account the remaining shards without
 			// spinning up their pools. Progress consumers still see each
 			// skipped shard so the final snapshot reaches Shards/Shards.
-			stats.add(ShardStats{Shard: shard, Targets: hi - lo, Canceled: int64(hi - lo)})
+			stats.addShard(ShardStats{Shard: shard, Targets: hi - lo, Counts: Counts{Canceled: int64(hi - lo)}})
 		} else {
-			preR, preT, preD := meter.counts()
-			sh := runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, total, meter, ck, replay)
-			postR, postT, postD := meter.counts()
-			sh.Retries = postR - preR
-			sh.BreakerTrips = postT - preT
-			sh.BreakerDenials = postD - preD
-			stats.add(sh)
+			stats.addShard(runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, meter, ck, replay))
 		}
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(Progress{
-				Label: cfg.Label, Shard: shard + 1, Shards: nShards,
-				Done: stats.Done, Total: total, Errors: stats.Errors,
-				Replayed: stats.Replayed,
-				Retries:  stats.Retries, BreakerTrips: stats.BreakerTrips,
-				BreakerDenials: stats.BreakerDenials,
-			})
-		}
+		cfg.progress(shard, nShards, int64(stats.Targets), stats.Counts)
 	}
 	if stats.Canceled > 0 || ctx.Err() != nil {
 		if err := context.Cause(ctx); err != nil {
@@ -457,8 +457,7 @@ type shardResult[R any] struct {
 // order, so the journal is always a prefix-consistent log.
 func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
-	shard, nShards, lo, hi int, sofar *Stats, total int64,
-	meter *Meter, ck *checkpointState, replay []journalRecord) ShardStats {
+	shard, nShards, lo, hi int, sofar *Stats, meter *Meter, ck *checkpointState, replay []journalRecord) ShardStats {
 
 	var jw *journalWriter
 	if ck != nil && ck.err == nil {
@@ -687,17 +686,10 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			}
 			*q = shardResult[R]{}
 			if cfg.OnProgress != nil && (sh.Done+sh.Canceled)%progressEvery == 0 {
-				retries, trips, denials := meter.counts()
-				cfg.OnProgress(Progress{
-					Label: cfg.Label, Shard: shard + 1, Shards: nShards,
-					Done:     sofar.Done + sh.Done,
-					Total:    total,
-					Errors:   sofar.Errors + sh.Errors,
-					Replayed: sofar.Replayed + sh.Replayed,
-					// The meter counts campaign-globally and shards run
-					// sequentially, so its totals are exact here.
-					Retries: retries, BreakerTrips: trips, BreakerDenials: denials,
-				})
+				sh.add(meter.take())
+				c := sofar.Counts
+				c.add(sh.Counts)
+				cfg.progress(shard, nShards, int64(sofar.Targets), c)
 			}
 		}
 	}
@@ -707,6 +699,9 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			ck.fail(err)
 		}
 	}
+	// Every worker has returned, so the meter holds the rest of this
+	// shard's events.
+	sh.add(meter.take())
 	// Dispatch stopped early on cancellation: the never-dispatched tail.
 	sh.Canceled += int64(hi-lo) - sh.Done - sh.Canceled
 	return sh

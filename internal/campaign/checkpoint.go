@@ -147,27 +147,6 @@ func (ck *checkpointState) fail(err error) {
 	}
 }
 
-// prepareCheckpoint validates cfg.Checkpoint and readies Dir. A fresh
-// Run wipes leftover journals and writes the manifest; a Resume has
-// already validated the manifest (writing it if the dir was empty).
-func prepareCheckpoint(cfg Config, nTargets int, resuming bool) (*checkpointState, error) {
-	cp := *cfg.Checkpoint
-	if cp.Dir == "" {
-		return nil, fmt.Errorf("campaign: Checkpoint.Dir is empty")
-	}
-	if cp.Codec == nil {
-		return nil, fmt.Errorf("campaign: Checkpoint.Codec is nil")
-	}
-	if !resuming {
-		if err := InitCheckpointDir(cp.Dir, cfg.Label, nTargets, cp.TargetsHash); err != nil {
-			return nil, err
-		}
-	} else if err := os.MkdirAll(cp.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint dir: %w", err)
-	}
-	return &checkpointState{cp: cp}, nil
-}
-
 func writeManifest(dir string, m manifest) error {
 	if err := framelog.WriteManifest(filepath.Join(dir, manifestName), m); err != nil {
 		return fmt.Errorf("campaign: write manifest: %w", err)
@@ -175,66 +154,67 @@ func writeManifest(dir string, m manifest) error {
 	return nil
 }
 
-// loadCheckpoint validates the manifest against the resuming campaign
-// and loads every journaled record, indexed by target. A missing
-// manifest means nothing was ever journaled here: Resume then degrades
-// to a fresh Run (it writes the manifest and journals from scratch).
-func loadCheckpoint(cfg Config, nTargets int) ([]journalRecord, error) {
+// openCheckpoint validates cfg.Checkpoint, when set, and readies its
+// directory for a campaign of n targets. A resume checks the manifest
+// against the campaign and loads every journaled record, indexed by
+// target. A fresh run, or a resume that finds no manifest (nothing was
+// ever journaled here), wipes leftover journals and writes the
+// manifest.
+func openCheckpoint(cfg Config, n int, resume bool) (*checkpointState, []journalRecord, error) {
 	cp := cfg.Checkpoint
-	var m manifest
-	err := framelog.ReadManifest(filepath.Join(cp.Dir, manifestName), &m)
-	if errors.Is(err, os.ErrNotExist) {
-		// No manifest means no trustworthy journal — wipe any stray .cwj
-		// files before journaling from scratch. Without this, journals
-		// orphaned by a deleted manifest would survive next to the
-		// manifest written here, and a LATER resume would replay their
-		// checksummed-but-foreign records as this campaign's results.
-		if err := InitCheckpointDir(cp.Dir, cfg.Label, nTargets, cp.TargetsHash); err != nil {
-			return nil, err
+	if cp == nil {
+		return nil, nil, nil
+	}
+	if cp.Dir == "" {
+		return nil, nil, fmt.Errorf("campaign: Checkpoint.Dir is empty")
+	}
+	if cp.Codec == nil {
+		return nil, nil, fmt.Errorf("campaign: Checkpoint.Codec is nil")
+	}
+	ck := &checkpointState{cp: *cp}
+	if resume {
+		var m manifest
+		switch err := framelog.ReadManifest(filepath.Join(cp.Dir, manifestName), &m); {
+		case err == nil:
+			if m.Label != cfg.Label || m.Targets != n || m.TargetsHash != cp.TargetsHash {
+				return nil, nil, fmt.Errorf(
+					"campaign: checkpoint %s belongs to a different campaign: journal (label %q, %d targets, hash %#x) vs resume (label %q, %d targets, hash %#x)",
+					cp.Dir, m.Label, m.Targets, m.TargetsHash, cfg.Label, n, cp.TargetsHash)
+			}
+			replay, err := loadJournals(cp.Dir, n)
+			if err != nil {
+				return nil, nil, fmt.Errorf("campaign: load journals: %w", err)
+			}
+			return ck, replay, nil
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, nil, fmt.Errorf("campaign: read manifest: %w", err)
 		}
-		return make([]journalRecord, nTargets), nil
+		// Without a manifest no journal here is trustworthy, so the stray
+		// .cwj files go too. Otherwise journals orphaned by a deleted
+		// manifest would survive next to the manifest written below, and
+		// a LATER resume would replay their checksummed-but-foreign
+		// records as this campaign's results.
 	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
+	if err := InitCheckpointDir(cp.Dir, cfg.Label, n, cp.TargetsHash); err != nil {
+		return nil, nil, err
 	}
-	if m.Label != cfg.Label || m.Targets != nTargets || m.TargetsHash != cp.TargetsHash {
-		return nil, fmt.Errorf(
-			"campaign: checkpoint %s belongs to a different campaign: journal (label %q, %d targets, hash %#x) vs resume (label %q, %d targets, hash %#x)",
-			cp.Dir, m.Label, m.Targets, m.TargetsHash, cfg.Label, nTargets, cp.TargetsHash)
-	}
-	replay, err := loadJournals(cp.Dir, nTargets)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: load journals: %w", err)
-	}
-	return replay, nil
+	return ck, nil, nil
 }
 
 // Resume is Run for a campaign that may have already partially run
 // with the same Checkpoint configuration: journaled results are
-// replayed — decoded and delivered to the sink in order, without
-// calling visit — and only the targets missing from the journal are
-// scheduled, their results appended to the journal exactly as an
-// uninterrupted Run would have. The delivered sequence (and therefore
-// any deterministic sink's output) is byte-identical to an
-// uninterrupted Run's for ANY kill point and ANY Workers/Shards
-// setting, on either run.
-//
-// An empty or absent checkpoint directory makes Resume equivalent to
-// Run. A journal recorded for a different campaign (label, target
-// count or TargetsHash mismatch) is refused. Stats counts replayed
-// deliveries in both Done and Replayed.
+// replayed into the sink without calling visit, and only the targets
+// missing from the journal are visited and journaled (see the package
+// doc). An empty or absent checkpoint directory makes Resume
+// equivalent to Run. A journal recorded for a different campaign
+// (label, target count or TargetsHash mismatch) is refused. Stats
+// counts replayed deliveries in both Done and Replayed.
 func Resume[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R])) (Stats, error) {
 
 	if cfg.Checkpoint == nil {
 		return Stats{}, fmt.Errorf("campaign: Resume requires Config.Checkpoint")
 	}
-	if cfg.Checkpoint.Codec == nil {
-		return Stats{}, fmt.Errorf("campaign: Checkpoint.Codec is nil")
-	}
-	replay, err := loadCheckpoint(cfg, len(targets))
-	if err != nil {
-		return Stats{}, err
-	}
-	return run(ctx, cfg, targets, visit, sink, replay)
+	n := cfg.shards(len(targets))
+	return run(ctx, cfg, targets, visit, sink, 0, n, n, true)
 }

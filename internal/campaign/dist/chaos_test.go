@@ -60,7 +60,7 @@ func runChaosFleet(t *testing.T, seed uint64) {
 		cfg := campaign.Config{Label: lease.Label, Checkpoint: &campaign.Checkpoint{
 			Dir: scratch, Codec: textCodec{}, TargetsHash: lease.TargetsHash,
 		}}
-		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi, visitTarget, nil); err != nil {
+		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, visitTarget, nil); err != nil {
 			return "", err
 		}
 		return filepath.Join(scratch, campaign.ShardFilename(lease.Shard)), nil

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -399,6 +400,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// decodeRequest decodes r's JSON body, capped at maxRequestBytes, into
+// v. On failure it answers r itself, 413 for an oversized body and 400
+// for anything else, and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, what+": "+err.Error(), code)
+	return false
+}
+
 func (co *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, campaignsReply{TTLMillis: co.ttl.Milliseconds(), Campaigns: co.cfg.Specs})
 }
@@ -409,8 +427,7 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, "bad lease request", &req) {
 		return
 	}
 	co.mu.Lock()
@@ -435,8 +452,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, "bad heartbeat", &req) {
 		return
 	}
 	co.mu.Lock()

@@ -150,8 +150,7 @@ var ErrUnauthorized = errors.New("dist: unauthorized (missing or invalid fleet t
 // the client exhausted its bounded retries against network errors, 5xx
 // responses or torn response bodies — exactly what a coordinator
 // restart looks like from outside. Workers keep polling through these
-// (see Worker.MaxDowntime) instead of dying while the control plane is
-// down.
+// (see Worker) instead of dying while the control plane is down.
 type TransientError struct{ Err error }
 
 func (e *TransientError) Error() string { return e.Err.Error() }
@@ -214,6 +213,12 @@ func (c *Client) httpClient() *http.Client {
 // hostile peer, which could otherwise make the worker buffer without
 // bound.
 const maxResponseBytes = 1 << 20
+
+// maxRequestBytes caps the lease and heartbeat request bodies the
+// coordinator reads. Both are one short JSON object, so 64 KiB only
+// ever cuts off a broken or hostile peer, which could otherwise make
+// the coordinator buffer without bound.
+const maxRequestBytes = 64 << 10
 
 // do issues one request with bounded-backoff retries of transient
 // failures and returns the final response body and status code. A 401

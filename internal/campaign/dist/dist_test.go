@@ -57,12 +57,11 @@ func visitTarget(_ context.Context, d string) (string, error) { return "visited:
 // campaign, the way a worker's RunRange would.
 func rangeJournal(t *testing.T, label string, targets []string, shard, shards int) []byte {
 	t.Helper()
-	lo, hi := campaign.ShardRange(len(targets), shards, shard)
 	dir := t.TempDir()
 	cfg := campaign.Config{Label: label, Checkpoint: &campaign.Checkpoint{
 		Dir: dir, Codec: textCodec{}, TargetsHash: campaign.HashTargets(targets),
 	}}
-	if _, err := campaign.RunRange(context.Background(), cfg, targets, shard, shards, lo, hi, visitTarget, nil); err != nil {
+	if _, err := campaign.RunRange(context.Background(), cfg, targets, shard, shards, visitTarget, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, campaign.ShardFilename(shard)))
@@ -230,7 +229,7 @@ func TestWorkerFleetWithLostWorker(t *testing.T) {
 		cfg := campaign.Config{Label: lease.Label, Checkpoint: &campaign.Checkpoint{
 			Dir: scratch, Codec: textCodec{}, TargetsHash: lease.TargetsHash,
 		}}
-		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi, visitTarget, nil); err != nil {
+		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, visitTarget, nil); err != nil {
 			return "", err
 		}
 		return filepath.Join(scratch, campaign.ShardFilename(lease.Shard)), nil

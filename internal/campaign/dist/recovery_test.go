@@ -387,7 +387,7 @@ func TestWorkerShipRetryAfterTornUpload(t *testing.T) {
 		cfg := campaign.Config{Label: lease.Label, Checkpoint: &campaign.Checkpoint{
 			Dir: scratch, Codec: textCodec{}, TargetsHash: lease.TargetsHash,
 		}}
-		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi, visitTarget, nil); err != nil {
+		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, visitTarget, nil); err != nil {
 			return "", err
 		}
 		return filepath.Join(scratch, campaign.ShardFilename(lease.Shard)), nil
@@ -459,7 +459,7 @@ func TestWorkerAbandonsLeaseWhenShipExhausted(t *testing.T) {
 		cfg := campaign.Config{Label: lease.Label, Checkpoint: &campaign.Checkpoint{
 			Dir: scratch, Codec: textCodec{}, TargetsHash: lease.TargetsHash,
 		}}
-		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi, visitTarget, nil); err != nil {
+		if _, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, visitTarget, nil); err != nil {
 			return "", err
 		}
 		return filepath.Join(scratch, campaign.ShardFilename(lease.Shard)), nil

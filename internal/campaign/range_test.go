@@ -78,7 +78,7 @@ func TestRunRangeAssembly(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("worker-%d", s))
 		rcfg := cfg
 		rcfg.Checkpoint = &Checkpoint{Dir: dir, Codec: stringCodec{}, TargetsHash: hash}
-		stats, err := RunRange(context.Background(), rcfg, targets, s, shards, lo, hi, visit, nil)
+		stats, err := RunRange(context.Background(), rcfg, targets, s, shards, visit, nil)
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
@@ -134,7 +134,7 @@ func TestCheckJournalRejects(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{Label: "guard", Checkpoint: &Checkpoint{Dir: dir, Codec: stringCodec{}}}
-	if _, err := RunRange(context.Background(), cfg, targets, 0, 2, 0, 4,
+	if _, err := RunRange(context.Background(), cfg, targets, 0, 2,
 		func(_ context.Context, d string) (string, error) { return d, nil }, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -394,6 +394,19 @@ func frozenWords(ws []string) []string {
 // mainSel is compiled once: Visit runs it on every page of every crawl.
 var mainSel = dom.MustCompileSelector("main")
 
+// observe is the campaign visit function of every observation crawl:
+// one Visit from vp with opts, whose error string becomes the visit's
+// campaign error.
+func (c *Crawler) observe(vp vantage.VP, opts VisitOpts) func(context.Context, string) (Observation, error) {
+	return func(ctx context.Context, domain string) (Observation, error) {
+		o := c.Visit(ctx, vp, domain, opts)
+		if o.Err != "" {
+			return o, errors.New(o.Err)
+		}
+		return o, nil
+	}
+}
+
 // AnalyzeOne runs a single-target campaign: one visit through the same
 // engine path (progress callbacks, shard accounting) as full crawls.
 // The returned error is the visit's transport error, or the
@@ -401,14 +414,7 @@ var mainSel = dom.MustCompileSelector("main")
 func (c *Crawler) AnalyzeOne(ctx context.Context, vp vantage.VP, domain string, opts VisitOpts) (Observation, error) {
 	var obs Observation
 	var visitErr error
-	_, err := campaign.Run(ctx, c.engine("analyze "+domain), []string{domain},
-		func(ctx context.Context, d string) (Observation, error) {
-			o := c.Visit(ctx, vp, d, opts)
-			if o.Err != "" {
-				return o, errors.New(o.Err)
-			}
-			return o, nil
-		},
+	_, err := campaign.Run(ctx, c.engine("analyze "+domain), []string{domain}, c.observe(vp, opts),
 		func(r campaign.Result[Observation]) {
 			obs = r.Value
 			visitErr = r.Err

@@ -2,7 +2,6 @@ package measure
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -79,14 +78,7 @@ func (c *Crawler) RunLandscapeLease(ctx context.Context, lease dist.Lease, targe
 		Codec:       ObservationCodec{Reg: c.Reg},
 		TargetsHash: hash,
 	}
-	_, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, lease.Lo, lease.Hi,
-		func(ctx context.Context, domain string) (Observation, error) {
-			o := c.Visit(ctx, vp, domain, VisitOpts{})
-			if o.Err != "" {
-				return o, errors.New(o.Err)
-			}
-			return o, nil
-		}, nil)
+	_, err := campaign.RunRange(ctx, cfg, targets, lease.Shard, lease.Shards, c.observe(vp, VisitOpts{}), nil)
 	if err != nil {
 		return "", err
 	}

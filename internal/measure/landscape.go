@@ -2,7 +2,6 @@ package measure
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 
@@ -83,16 +82,9 @@ func (l *Landscape) buildIndex() {
 func (c *Crawler) Landscape(ctx context.Context, vps []vantage.VP, targets []string) (*Landscape, error) {
 	l := &Landscape{Targets: len(targets)}
 	for _, vp := range vps {
-		vp := vp
 		res := VPResult{VP: vp.Name}
 		stats, err := runExperimentCampaign(ctx, c, landscapeLabel(vp), ObservationCodec{Reg: c.Reg}, targets,
-			func(ctx context.Context, domain string) (Observation, error) {
-				o := c.Visit(ctx, vp, domain, VisitOpts{})
-				if o.Err != "" {
-					return o, errors.New(o.Err)
-				}
-				return o, nil
-			},
+			c.observe(vp, VisitOpts{}),
 			func(r campaign.Result[Observation]) {
 				o := r.Value
 				res.Visited++
