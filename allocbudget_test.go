@@ -30,27 +30,30 @@ import (
 //     context.WithTimeout that session arms; retries cost nothing until
 //     an attempt fails.
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
-//     language, category. Measured 33 allocs (cookiewall) / 29
-//     (regular) with the single-allocation Node.Text and the in-place
-//     eTLD+1 (62 / 56 before those two).
+//     language, category. Measured 15 allocs (cookiewall) / 8
+//     (regular) with detection in the worker's reused core.Detector
+//     buffer (33 / 29 before it; 62 / 56 before the single-allocation
+//     Node.Text and the in-place eTLD+1).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 401
+//     click, reload with every tracker, tally the jar. Measured 393
 //     allocs on the first cookiewall domain with the zero-alloc eTLD+1
 //     and tally, single-parse subresource fetches, map-free tracker
-//     responses, recorder-free farm replies (1 942 before them) and the
-//     consent POST on the reusable request (412 before it).
+//     responses, recorder-free farm replies (1 942 before them), the
+//     consent POST on the reusable request (412 before it) and
+//     detection in the reused buffer (401 before it).
 //
 // Budgets carry headroom for toolchain drift while still failing
 // tier-1 long before any path regresses to its previous profile
-// (earlier budgets: 110/100 and 150/125 uncached, 40/30 and 6/6 cached,
-// 6 cached gated; the first profiled visit made ~222 allocs).
+// (earlier budgets: 45/40, 110/100 and 150/125 uncached, 600 cookie
+// visit, 40/30 and 6/6 cached, 6 cached gated; the first profiled
+// visit made ~222 allocs).
 const (
 	cookiewallCachedAllocBudget   = 1
 	regularCachedAllocBudget      = 1
 	resilientCachedAllocBudget    = 4
-	cookiewallUncachedAllocBudget = 45
-	regularUncachedAllocBudget    = 40
-	cookieVisitAllocBudget        = 600
+	cookiewallUncachedAllocBudget = 20
+	regularUncachedAllocBudget    = 12
+	cookieVisitAllocBudget        = 500
 )
 
 // TestVisitAllocBudget pins the allocation count of the single-visit

@@ -413,7 +413,7 @@ func (s *Study) Screenshot(vpName, domain string) (string, error) {
 	var buttons []string
 	for _, btn := range []*dom.Node{det.AcceptButton, det.RejectButton, det.SubscribeButton} {
 		if btn != nil {
-			buttons = append(buttons, dom.NormalizeSpace(btn.Text()))
+			buttons = append(buttons, btn.Text())
 		}
 	}
 	title := fmt.Sprintf("%s (via %s)", domain, det.Source)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"cookiewalk/internal/currency"
 	"cookiewalk/internal/dom"
@@ -78,7 +79,9 @@ type Banner struct {
 	RejectButton    *dom.Node
 	SubscribeButton *dom.Node
 
-	// MatchedWords are the §3 subscription-corpus hits.
+	// MatchedWords are the §3 subscription-corpus hits, in corpus
+	// order, in a slice of exactly their length that nothing else
+	// references.
 	MatchedWords []string
 	// Prices are the currency-amount combinations found in the text.
 	Prices []currency.Price
@@ -108,78 +111,94 @@ type Options struct {
 	SkipFrames bool
 }
 
+// Detector is the banner detector with its scratch space kept warm.
+// Candidate texts and button labels are extracted, lower-cased and
+// matched in one byte buffer, and candidates are gathered in one
+// slice; the next call reuses both. What a call allocates is what its
+// Banner keeps (Text, MatchedWords, Prices), the shadow-root clones of
+// the BannerClick workaround and the lists of shadow roots and frames
+// it walks. A measurement worker keeps one Detector for its lifetime.
+// The zero value is ready to use; a Detector is not safe for
+// concurrent use.
+type Detector struct {
+	buf   []byte
+	cands []candidate
+}
+
 // Detect analyzes a loaded document (with frames and shadow roots
 // attached by the browser) and returns the detected banner, or a
-// Banner with KindNone when the page shows no consent UI.
-func Detect(doc *dom.Node) *Banner { return DetectWith(doc, Options{}) }
+// Banner with KindNone when the page shows no consent UI. It is the
+// one-shot form of Detector.DetectWith, with a fresh Detector.
+func Detect(doc *dom.Node) Banner {
+	var d Detector
+	return d.DetectWith(doc, Options{})
+}
 
-// DetectWith is Detect with ablation options.
-func DetectWith(doc *dom.Node, opts Options) *Banner {
-	var cands []candidate
+// DetectWith is Detect with ablation options, on the detector's warm
+// buffers. The returned Banner shares no memory with the detector.
+func (d *Detector) DetectWith(doc *dom.Node, opts Options) Banner {
+	d.cands = d.cands[:0]
 
 	// 1. Main document.
-	collectCandidates(doc, SourceMainDOM, "", &cands)
+	d.collect(doc, SourceMainDOM, "")
 
-	// 2. Shadow roots — the BannerClick workaround: clone the shadow
-	// content, search the clone with ordinary selectors, then map the
-	// hit back to the original node for interaction.
+	// 2. Shadow roots.
 	if !opts.SkipShadow {
 		for _, sr := range doc.ShadowRoots() {
-			clone, backMap := sr.Root.CloneWithMap()
-			var shadowCands []candidate
-			collectCandidates(clone, SourceShadowDOM, sr.Mode, &shadowCands)
-			for _, c := range shadowCands {
-				orig := backMap[c.node]
-				if orig == nil {
-					continue
-				}
-				c.node = orig
-				cands = append(cands, c)
-			}
+			d.collectShadow(sr)
 		}
 	}
 
 	// 3. iframe documents (including frames hosted in shadow roots).
 	if !opts.SkipFrames {
 		for _, fd := range doc.FrameDocs() {
-			collectCandidates(fd, SourceIFrame, "", &cands)
+			d.collect(fd, SourceIFrame, "")
 			if opts.SkipShadow {
 				continue
 			}
 			// Nested shadow roots inside frame documents.
 			for _, sr := range fd.ShadowRoots() {
-				clone, backMap := sr.Root.CloneWithMap()
-				var shadowCands []candidate
-				collectCandidates(clone, SourceShadowDOM, sr.Mode, &shadowCands)
-				for _, c := range shadowCands {
-					if orig := backMap[c.node]; orig != nil {
-						c.node = orig
-						cands = append(cands, c)
-					}
-				}
+				d.collectShadow(sr)
 			}
 		}
 	}
 
-	if len(cands) == 0 {
-		return &Banner{Kind: KindNone}
+	if len(d.cands) == 0 {
+		return Banner{Kind: KindNone}
 	}
 
-	best := cands[0]
-	for _, c := range cands[1:] {
+	best := d.cands[0]
+	for _, c := range d.cands[1:] {
 		if c.score > best.score || (c.score == best.score && c.size < best.size) {
 			best = c
 		}
 	}
-	return buildBanner(best)
+	return d.build(best)
+}
+
+// collectShadow is the BannerClick workaround: clone the shadow
+// content, search the clone with ordinary selectors, then map each hit
+// back to the original node for interaction.
+func (d *Detector) collectShadow(sr *dom.ShadowRoot) {
+	clone, backMap := sr.Root.CloneWithMap()
+	start := len(d.cands)
+	d.collect(clone, SourceShadowDOM, sr.Mode)
+	kept := d.cands[:start]
+	for _, c := range d.cands[start:] {
+		if orig := backMap[c.node]; orig != nil {
+			c.node = orig
+			kept = append(kept, c)
+		}
+	}
+	d.cands = kept
 }
 
 // buttonSel finds interactive elements inside a banner.
 var buttonSel = dom.MustCompileSelector("button, a, input[type=button], input[type=submit]")
 
-// collectCandidates scans one tree for overlay elements whose text
-// contains consent keywords.
-func collectCandidates(root *dom.Node, source Source, mode dom.ShadowMode, out *[]candidate) {
+// collect scans one tree for overlay elements whose text contains
+// consent keywords.
+func (d *Detector) collect(root *dom.Node, source Source, mode dom.ShadowMode) {
 	root.Walk(func(n *dom.Node) bool {
 		if n.Type != dom.ElementNode || n.Tag == "body" || n.Tag == "html" {
 			return true
@@ -187,14 +206,13 @@ func collectCandidates(root *dom.Node, source Source, mode dom.ShadowMode, out *
 		if !n.IsOverlay() || !n.IsVisible() {
 			return true
 		}
-		text := strings.ToLower(n.Text())
-		hits := countKeywordHits(text)
+		d.buf = n.AppendText(d.buf[:0])
+		hits := countKeywordHits(d.lower())
 		if hits == 0 {
 			return true
 		}
 		score := hits * 2
-		buttons := n.QueryAll(buttonSel)
-		if len(buttons) > 0 {
+		if n.Query(buttonSel) != nil {
 			score += 3
 		}
 		if _, ok := n.Attr("role"); ok {
@@ -202,28 +220,74 @@ func collectCandidates(root *dom.Node, source Source, mode dom.ShadowMode, out *
 		}
 		size := 0
 		n.Walk(func(*dom.Node) bool { size++; return true })
-		*out = append(*out, candidate{node: n, source: source, mode: mode, score: score, size: size})
+		d.cands = append(d.cands, candidate{node: n, source: source, mode: mode, score: score, size: size})
 		return true
 	})
 }
 
-// buildBanner classifies the winning candidate and locates its buttons.
-func buildBanner(c candidate) *Banner {
-	text := dom.NormalizeSpace(c.node.DeepText())
-	b := &Banner{
+// lower appends the lower-case form of the text in the buffer to the
+// buffer and returns it: a view that the detector's next use of the
+// buffer overwrites.
+func (d *Detector) lower() []byte {
+	n := len(d.buf)
+	d.buf = appendLower(d.buf, d.buf[:n])
+	return d.buf[n:]
+}
+
+// appendLower appends the lower-case form of src to dst, byte for byte
+// what strings.ToLower returns: every rune maps through
+// unicode.ToLower, and invalid UTF-8 becomes U+FFFD. src may be a
+// prefix of dst's buffer: appending never writes below len(dst).
+func appendLower(dst, src []byte) []byte {
+	for i := 0; i < len(src); {
+		if c := src[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(src[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += size
+	}
+	return dst
+}
+
+// build classifies the winning candidate and locates its buttons.
+func (d *Detector) build(c candidate) Banner {
+	b := Banner{
 		Source:     c.source,
 		ShadowMode: c.mode,
 		Element:    c.node,
-		Text:       text,
+		Text:       c.node.DeepText(),
 		Score:      c.score,
 	}
-	lower := strings.ToLower(text)
 
-	// Buttons.
-	for _, btn := range c.node.QueryAll(buttonSel) {
-		label := strings.ToLower(dom.NormalizeSpace(btn.Text()))
-		if label == "" {
-			continue
+	// §3 classification: subscription words OR currency combinations.
+	d.buf = append(d.buf[:0], b.Text...)
+	b.MatchedWords = matchCorpusWords(d.lower())
+	b.Prices = currency.FindPrices(b.Text)
+	if m, ok := currency.CheapestMonthly(b.Prices); ok {
+		b.MonthlyEUR = m
+	}
+	if len(b.MatchedWords) > 0 || len(b.Prices) > 0 {
+		b.Kind = KindCookiewall
+	} else {
+		b.Kind = KindRegular
+	}
+
+	// Buttons, in document order: each label is extracted and
+	// lower-cased in the buffer.
+	c.node.Walk(func(btn *dom.Node) bool {
+		if btn == c.node || !btn.Matches(buttonSel) {
+			return true
+		}
+		d.buf = btn.AppendText(d.buf[:0])
+		label := d.lower()
+		if len(label) == 0 {
+			return true
 		}
 		switch {
 		case b.AcceptButton == nil && containsAnyWord(label, acceptWords):
@@ -233,18 +297,7 @@ func buildBanner(c candidate) *Banner {
 		case b.SubscribeButton == nil && containsAnyWord(label, subscribeWords):
 			b.SubscribeButton = btn
 		}
-	}
-
-	// §3 classification: subscription words OR currency combinations.
-	b.MatchedWords = matchCorpusWords(lower)
-	b.Prices = currency.FindPrices(text)
-	if m, ok := currency.CheapestMonthly(b.Prices); ok {
-		b.MonthlyEUR = m
-	}
-	if len(b.MatchedWords) > 0 || len(b.Prices) > 0 {
-		b.Kind = KindCookiewall
-	} else {
-		b.Kind = KindRegular
-	}
+		return true
+	})
 	return b
 }

@@ -177,7 +177,7 @@ func TestCorpusWordMatching(t *testing.T) {
 		"nur mit werbung weiterlesen":  nil,
 	}
 	for text, want := range cases {
-		got := matchCorpusWords(text)
+		got := matchCorpusWords([]byte(text))
 		if len(got) != len(want) {
 			t.Errorf("matchCorpusWords(%q) = %v, want %v", text, got, want)
 			continue
@@ -220,5 +220,26 @@ func TestDetectTextIsNormalized(t *testing.T) {
 	b := Detect(dom.Parse(html))
 	if strings.Contains(b.Text, "\n") || strings.Contains(b.Text, " ") {
 		t.Fatalf("text not normalized: %q", b.Text)
+	}
+}
+
+// TestDetectAllocs pins what one detection on a warm Detector
+// allocates, per page, at exactly the measured count (see
+// detectFixture.allocs). Text extraction, lower-casing, keyword and
+// label matching and corpus tokenizing allocate nothing.
+func TestDetectAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	}
+	var d Detector
+	for _, f := range detectFixtures() {
+		if got := d.DetectWith(f.doc, Options{}); got.Kind != f.kind {
+			t.Fatalf("%s: kind = %v, want %v", f.name, got.Kind, f.kind)
+		}
+		got := testing.AllocsPerRun(100, func() { d.DetectWith(f.doc, Options{}) })
+		t.Logf("%s: %.1f allocs (budget %.0f)", f.name, got, f.allocs)
+		if got > f.allocs {
+			t.Errorf("%s: detection allocates %.1f, budget is %.0f — the detect path regressed", f.name, got, f.allocs)
+		}
 	}
 }

@@ -22,12 +22,16 @@
 //     word lists for interaction.
 package core
 
-import "strings"
+import (
+	"bytes"
+	"math/bits"
+	"unicode/utf8"
+)
 
 // bannerKeywords flag an overlay as a consent UI. They cover the
 // languages of the study's sites; one hit is enough for candidacy,
 // density raises the score.
-var bannerKeywords = []string{
+var bannerKeywords = wordList(
 	// Universal.
 	"cookie", "cookies", "consent", "gdpr", "tracking",
 	// German.
@@ -45,11 +49,11 @@ var bannerKeywords = []string{
 	"rastreo", "rastreamento", "socios", "parceiros",
 	// Dutch / Afrikaans.
 	"toestemming", "advertenties", "advertensies", "koekies",
-}
+)
 
 // acceptWords label consent-granting buttons (BannerClick's accept
 // interaction, 99% accuracy in the original paper).
-var acceptWords = []string{
+var acceptWords = wordList(
 	"accept all", "accept", "agree", "allow all", "got it",
 	"alle akzeptieren", "akzeptieren", "zustimmen", "einverstanden",
 	"accetta", "accetto", "consenti",
@@ -57,19 +61,19 @@ var acceptWords = []string{
 	"aceptar", "aceitar",
 	"godkänn", "acceptera", "tillad",
 	"accepteren", "aanvaar",
-}
+)
 
 // rejectWords label consent-refusing buttons. Cookiewalls, by
 // definition, have none.
-var rejectWords = []string{
+var rejectWords = wordList(
 	"reject all", "reject", "decline", "refuse", "deny",
 	"ablehnen", "alle ablehnen", "nur notwendige",
 	"rifiuta", "refuser", "rechazar", "recusar",
 	"neka", "avvisa", "afvis", "weigeren", "weier",
-}
+)
 
 // subscribeWords label the pay option of a cookiewall.
-var subscribeWords = []string{
+var subscribeWords = wordList(
 	"subscribe", "subscription",
 	"abo", "abonnieren", "abonnement",
 	"abbonati", "abbonamento",
@@ -77,7 +81,7 @@ var subscribeWords = []string{
 	"suscribirse", "suscripción", "assinar",
 	"prenumerera", "abonneren", "teken nou in",
 	"werbefrei", "ad-free", "pur", "zahlen", "kaufen",
-}
+)
 
 // cookiewallCorpus is the paper's exact §3 word list for classifying a
 // banner as a cookiewall: "(1) words related to subscriptions (i.e.,
@@ -88,12 +92,22 @@ var cookiewallCorpus = []string{
 	"abo", "abonnent", "abbonamento", "abonne", "abonné", "ad-free", "subscribe",
 }
 
+// wordList converts a word list to bytes once, so detection matches it
+// against its byte buffer without a conversion per call.
+func wordList(words ...string) [][]byte {
+	out := make([][]byte, len(words))
+	for i, w := range words {
+		out[i] = []byte(w)
+	}
+	return out
+}
+
 // containsAnyWord reports whether lowercased text contains any of the
 // phrases (substring match for multi-word phrases, which is how button
 // labels are matched).
-func containsAnyWord(text string, words []string) bool {
+func containsAnyWord(text []byte, words [][]byte) bool {
 	for _, w := range words {
-		if strings.Contains(text, w) {
+		if bytes.Contains(text, w) {
 			return true
 		}
 	}
@@ -101,10 +115,10 @@ func containsAnyWord(text string, words []string) bool {
 }
 
 // countKeywordHits counts distinct banner keywords present in text.
-func countKeywordHits(text string) int {
+func countKeywordHits(text []byte) int {
 	n := 0
 	for _, w := range bannerKeywords {
-		if strings.Contains(text, w) {
+		if bytes.Contains(text, w) {
 			n++
 		}
 	}
@@ -112,37 +126,59 @@ func countKeywordHits(text string) int {
 }
 
 // matchCorpusWords returns the subscription-corpus words found in
-// text using token matching: short words (≤4 runes, e.g. "abo") must
-// match a whole token; longer words match as token prefixes so that
-// "abonne" covers "abonnement" and "abbonamento" covers its inflected
-// forms. This mirrors the word search the paper performs with
-// BeautifulSoup over banner text.
-func matchCorpusWords(text string) []string {
-	tokens := tokenizeKeepHyphen(text)
-	var found []string
-	for _, w := range cookiewallCorpus {
-		short := len([]rune(w)) <= 4
-		for _, tok := range tokens {
-			if short && tok == w {
-				found = append(found, w)
-				break
+// lower-cased text using token matching: short words (≤4 runes, e.g.
+// "abo") must match a whole token; longer words match as token
+// prefixes so that "abonne" covers "abonnement" and "abbonamento"
+// covers its inflected forms. This mirrors the word search the paper
+// performs with BeautifulSoup over banner text. The words come back in
+// corpus order, in a slice of exactly their length (nil for none).
+func matchCorpusWords(text []byte) []string {
+	var found uint // bit i set: cookiewallCorpus[i] matched
+	eachToken(text, func(tok []byte) {
+		for i, w := range cookiewallCorpus {
+			if len(tok) < len(w) || string(tok[:len(w)]) != w {
+				continue
 			}
-			if !short && strings.HasPrefix(tok, w) {
-				found = append(found, w)
-				break
+			if len(tok) == len(w) || utf8.RuneCountInString(w) > 4 {
+				found |= 1 << i
 			}
+		}
+	})
+	if found == 0 {
+		return nil
+	}
+	out := make([]string, 0, bits.OnesCount(found))
+	for i, w := range cookiewallCorpus {
+		if found&(1<<i) != 0 {
+			out = append(out, w)
 		}
 	}
-	return found
+	return out
 }
 
-func tokenizeKeepHyphen(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		if r == '-' {
-			return false
+// eachToken calls fn for every token of text: each maximal run of
+// letters (isLetterRune) and hyphens, as a view of text.
+func eachToken(text []byte, fn func(tok []byte)) {
+	start := -1
+	for i := 0; i < len(text); {
+		r, size := rune(text[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(text[i:])
 		}
-		return !isLetterRune(r)
-	})
+		switch {
+		case r == '-' || isLetterRune(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			fn(text[start:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		fn(text[start:])
+	}
 }
 
 func isLetterRune(r rune) bool {

@@ -152,8 +152,8 @@ func boundaryOK(text string, start, end int, token string) bool {
 }
 
 // FindPrices extracts all currency-amount combinations from text.
-// The text should be whitespace-normalized (dom.NormalizeSpace) so that
-// non-breaking spaces do not break adjacency.
+// The text should be whitespace-normalized (as dom.Node.Text returns
+// it) so that non-breaking spaces do not break adjacency.
 //
 // Matching scans manually rather than with FindAll: a candidate that
 // fails validation (word boundary, malformed amount) must only advance

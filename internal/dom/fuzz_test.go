@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,7 @@ func FuzzParse(f *testing.F) {
 		"<a href='unterminated",
 		"<template shadowrootmode=open><template shadowrootmode=open>",
 		"\x00\xff<div \x00 id=\"a\">",
+		"<p> a&nbsp;b </p><div><template shadowrootmode=open><p>\u00a0x\t\xc3y </p><iframe></iframe></template></div><iframe></iframe>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -42,7 +44,51 @@ func FuzzParse(f *testing.F) {
 		if again := Render(doc2); again != Render(Parse(again)) {
 			t.Fatalf("render not idempotent for %q", input)
 		}
+		// DeepText streams its parts through one normalizer. It must
+		// equal normalizing the space-joined texts of the parts; every
+		// iframe gets a fresh parse of the input as its document.
+		deep := Parse(input)
+		deep.Walk(func(n *Node) bool {
+			if n.Tag == "iframe" {
+				n.FrameDoc = Parse(input)
+			}
+			return true
+		})
+		for _, sr := range deep.ShadowRoots() {
+			sr.Root.Walk(func(n *Node) bool {
+				if n.Tag == "iframe" {
+					n.FrameDoc = Parse(input)
+				}
+				return true
+			})
+		}
+		for _, n := range []*Node{deep, deep.Body()} {
+			if got, want := n.DeepText(), deepTextRef(n); got != want {
+				t.Fatalf("DeepText = %q, want %q (input %q)", got, want, input)
+			}
+		}
 	})
+}
+
+// deepTextRef is DeepText assembled part by part: the non-empty texts
+// of n, its shadow roots and its frame documents, joined by spaces and
+// normalized as one string.
+func deepTextRef(n *Node) string {
+	var parts []string
+	if t := n.Text(); t != "" {
+		parts = append(parts, t)
+	}
+	for _, sr := range n.ShadowRoots() {
+		if t := sr.Root.Text(); t != "" {
+			parts = append(parts, t)
+		}
+	}
+	for _, fd := range n.FrameDocs() {
+		if t := fd.Text(); t != "" {
+			parts = append(parts, t)
+		}
+	}
+	return normalizeSpace(strings.Join(parts, " "))
 }
 
 // FuzzSelectors ensures arbitrary selector sources never panic the

@@ -11,7 +11,7 @@
 //     workaround (clone shadow children into the light DOM, search the
 //     clone, then map hits back to the originals) exists precisely
 //     because XPath/CSS cannot see into shadow roots; see
-//     Node.CloneWithMap and core.ExpandShadowDOM.
+//     Node.CloneWithMap and core.Detector.DetectWith.
 //   - iframes are separate documents (Node.FrameDoc), loaded by the
 //     browser, and must be searched explicitly.
 package dom
@@ -328,36 +328,40 @@ func cloneInto(n *Node, backMap map[*Node]*Node) *Node {
 // (including roots hosted inside other shadow trees), in document order.
 func (n *Node) ShadowRoots() []*ShadowRoot {
 	var out []*ShadowRoot
-	var visit func(*Node)
-	visit = func(d *Node) {
-		d.Walk(func(e *Node) bool {
-			if e.Shadow != nil {
-				out = append(out, e.Shadow)
-				visit(e.Shadow.Root)
-			}
-			return true
-		})
-	}
-	visit(n)
+	eachShadowRoot(n, func(sr *ShadowRoot) { out = append(out, sr) })
 	return out
+}
+
+// eachShadowRoot calls fn for every root ShadowRoots returns, in the
+// same order, without collecting them.
+func eachShadowRoot(n *Node, fn func(*ShadowRoot)) {
+	n.Walk(func(e *Node) bool {
+		if e.Shadow != nil {
+			fn(e.Shadow)
+			eachShadowRoot(e.Shadow.Root, fn)
+		}
+		return true
+	})
 }
 
 // FrameDocs returns the content documents of all iframes in n's subtree
 // that have been loaded, including frames hosted inside shadow roots.
 func (n *Node) FrameDocs() []*Node {
 	var out []*Node
-	var visit func(*Node)
-	visit = func(d *Node) {
-		d.Walk(func(e *Node) bool {
-			if e.Type == ElementNode && e.FrameDoc != nil {
-				out = append(out, e.FrameDoc)
-			}
-			if e.Shadow != nil {
-				visit(e.Shadow.Root)
-			}
-			return true
-		})
-	}
-	visit(n)
+	eachFrameDoc(n, func(fd *Node) { out = append(out, fd) })
 	return out
+}
+
+// eachFrameDoc calls fn for every document FrameDocs returns, in the
+// same order, without collecting them.
+func eachFrameDoc(n *Node, fn func(*Node)) {
+	n.Walk(func(e *Node) bool {
+		if e.Type == ElementNode && e.FrameDoc != nil {
+			fn(e.FrameDoc)
+		}
+		if e.Shadow != nil {
+			eachFrameDoc(e.Shadow.Root, fn)
+		}
+		return true
+	})
 }

@@ -328,6 +328,23 @@ func matchRest(cx *complexSelector, idx int, n *Node, scope *Node) bool {
 	return false
 }
 
+// Matches reports whether n is an element matching the selector, the
+// DOM's Element.matches. Ancestor compounds may match any node up to
+// n's root, so n.Query(sel) is the first descendant d of n in document
+// order for which d.Matches(sel) holds.
+func (n *Node) Matches(sel *Selector) bool {
+	if n.Type != ElementNode {
+		return false
+	}
+	scope := n.Root()
+	for i := range sel.alternatives {
+		if sel.alternatives[i].matches(n, scope) {
+			return true
+		}
+	}
+	return false
+}
+
 // Query returns the first descendant of n (excluding n) matching the
 // selector, in document order, or nil. Matching follows querySelector
 // semantics: the selector is evaluated against the whole tree (ancestor
@@ -336,13 +353,9 @@ func matchRest(cx *complexSelector, idx int, n *Node, scope *Node) bool {
 func (n *Node) Query(sel *Selector) *Node {
 	var found *Node
 	n.Walk(func(d *Node) bool {
-		if d != n && d.Type == ElementNode {
-			for i := range sel.alternatives {
-				if sel.alternatives[i].matches(d, d.Root()) {
-					found = d
-					return false
-				}
-			}
+		if d != n && d.Matches(sel) {
+			found = d
+			return false
 		}
 		return true
 	})
@@ -354,13 +367,8 @@ func (n *Node) Query(sel *Selector) *Node {
 func (n *Node) QueryAll(sel *Selector) []*Node {
 	var out []*Node
 	n.Walk(func(d *Node) bool {
-		if d != n && d.Type == ElementNode {
-			for i := range sel.alternatives {
-				if sel.alternatives[i].matches(d, d.Root()) {
-					out = append(out, d)
-					break
-				}
-			}
+		if d != n && d.Matches(sel) {
+			out = append(out, d)
 		}
 		return true
 	})

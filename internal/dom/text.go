@@ -32,29 +32,61 @@ func blockTag(tag string) bool {
 	return false
 }
 
-// Text returns the user-visible text of n's subtree with whitespace
-// normalized: runs of Unicode space (including NBSP from &nbsp;)
-// collapse to single ASCII spaces and block boundaries insert spaces.
-// It does not descend into shadow roots or iframes — callers that need
-// pierced text (the cookiewall detector) collect those explicitly.
-//
-// Extraction and normalization happen in one streaming pass — the text
-// never exists un-normalized, halving the string work of the old
-// extract-then-NormalizeSpace pipeline while producing identical
-// bytes (the normalizer is fed the same chunk sequence the old code
-// concatenated). A first walk sizes the builder, so the text is
-// written into a single allocation instead of a doubling series.
-func (n *Node) Text() string {
-	var t textNormalizer
-	t.b.Grow(textBound(n))
+// AppendText appends the user-visible text of n's subtree to dst and
+// returns the extended buffer. The text is whitespace-normalized: runs
+// of Unicode space (including NBSP from &nbsp;) collapse to single
+// ASCII spaces, block boundaries insert spaces, and the ends are
+// trimmed. It does not descend into shadow roots or iframes (see
+// DeepText). Extraction and normalization are one streaming pass, so a
+// caller that keeps dst across calls, as the banner detector does,
+// extracts text without allocating.
+func (n *Node) AppendText(dst []byte) []byte {
+	t := textNormalizer{emit: func(s string) { dst = append(dst, s...) }}
 	appendText(&t, n)
-	return t.b.String()
+	return dst
+}
+
+// Text returns n's text as AppendText extracts it. A first walk sizes
+// the builder, so the text is written into a single allocation.
+func (n *Node) Text() string {
+	var b strings.Builder
+	b.Grow(textBound(n))
+	t := textNormalizer{emit: func(s string) { b.WriteString(s) }}
+	appendText(&t, n)
+	return b.String()
+}
+
+// DeepText returns the text of n's subtree including all shadow roots
+// and loaded iframe documents beneath it: what a screenshot shows, and
+// what manual annotation in the paper would read. It is n's Text, then
+// every shadow root's, then every frame document's, joined by single
+// spaces (empty parts add nothing), streamed through the same
+// normalizer as Text and written into a single allocation.
+func (n *Node) DeepText() string {
+	size := 0
+	textParts(n, func(p *Node) { size += textBound(p) })
+	var b strings.Builder
+	b.Grow(size)
+	t := textNormalizer{emit: func(s string) { b.WriteString(s) }}
+	textParts(n, func(p *Node) {
+		appendText(&t, p)
+		t.writeSpace()
+	})
+	return b.String()
+}
+
+// textParts calls fn for every tree DeepText reads, in order: n itself,
+// each shadow root beneath it, each loaded frame document beneath it.
+func textParts(n *Node, fn func(*Node)) {
+	fn(n)
+	eachShadowRoot(n, func(sr *ShadowRoot) { fn(sr.Root) })
+	eachFrameDoc(n, fn)
 }
 
 // textBound bounds the length of n's Text from above: every text node
 // appendText visits contributes at most its own bytes plus the one
-// separating space that may precede it (only invalid UTF-8, which
-// WriteRune widens to U+FFFD, can exceed it).
+// separating space that may precede it (only invalid UTF-8, which the
+// normalizer widens to U+FFFD, can exceed it).
 func textBound(n *Node) int {
 	switch n.Type {
 	case TextNode:
@@ -73,46 +105,68 @@ func textBound(n *Node) int {
 	return size
 }
 
-// textNormalizer streams chunks through the NormalizeSpace state
-// machine: runs of Unicode whitespace collapse to single ASCII spaces,
-// leading and trailing whitespace never gets written.
+// textNormalizer is the one whitespace normalizer behind every text
+// extraction: runs of Unicode whitespace collapse to single ASCII
+// spaces, leading and trailing whitespace never gets written, and
+// invalid UTF-8 becomes U+FFFD. It hands its output to emit one run at
+// a time, so AppendText and Text differ only in where the runs land.
 type textNormalizer struct {
-	b     strings.Builder
+	emit  func(string)
 	space bool // pending whitespace run
 	wrote bool // a non-space rune has been written
 }
 
 func (t *textNormalizer) writeString(s string) {
 	for i := 0; i < len(s); {
-		// ASCII bytes skip rune decoding and WriteRune; the unicode
-		// space set restricted to ASCII is exactly \t\n\v\f\r and ' '.
-		if c := s[i]; c < utf8.RuneSelf {
-			i++
-			if c == ' ' || (c >= '\t' && c <= '\r') {
-				t.space = true
-				continue
-			}
-			if t.space && t.wrote {
-				t.b.WriteByte(' ')
-			}
-			t.space = false
-			t.wrote = true
-			t.b.WriteByte(c)
+		if run := wordLen(s[i:]); run > 0 {
+			t.put(s[i : i+run])
+			i += run
 			continue
 		}
+		// s[i] starts whitespace or is a byte of invalid UTF-8.
 		r, size := utf8.DecodeRuneInString(s[i:])
 		i += size
 		if unicode.IsSpace(r) {
 			t.space = true
+		} else {
+			t.put("\uFFFD")
+		}
+	}
+}
+
+// wordLen returns the length of the longest prefix of s that holds no
+// whitespace and no invalid UTF-8: the bytes the normalizer copies
+// through unchanged.
+func wordLen(s string) int {
+	i := 0
+	for i < len(s) {
+		// The unicode space set restricted to ASCII is exactly
+		// \t\n\v\f\r and ' '.
+		if c := s[i]; c < utf8.RuneSelf {
+			if c == ' ' || (c >= '\t' && c <= '\r') {
+				break
+			}
+			i++
 			continue
 		}
-		if t.space && t.wrote {
-			t.b.WriteByte(' ')
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) || (r == utf8.RuneError && size == 1) {
+			break
 		}
-		t.space = false
-		t.wrote = true
-		t.b.WriteRune(r)
+		i += size
 	}
+	return i
+}
+
+// put writes one run of non-space text, preceded by a single space when
+// whitespace separates it from earlier output.
+func (t *textNormalizer) put(run string) {
+	if t.space && t.wrote {
+		t.emit(" ")
+	}
+	t.space = false
+	t.wrote = true
+	t.emit(run)
 }
 
 func (t *textNormalizer) writeSpace() { t.space = true }
@@ -138,38 +192,6 @@ func appendText(t *textNormalizer, n *Node) {
 	if n.Type == ElementNode && blockTag(n.Tag) {
 		t.writeSpace()
 	}
-}
-
-// DeepText returns the text of n's subtree including all shadow roots
-// and loaded iframe documents beneath it. This is what a screenshot
-// shows, and what manual annotation in the paper would read.
-func (n *Node) DeepText() string {
-	var parts []string
-	if t := n.Text(); t != "" {
-		parts = append(parts, t)
-	}
-	for _, sr := range n.ShadowRoots() {
-		if t := sr.Root.Text(); t != "" {
-			parts = append(parts, t)
-		}
-	}
-	for _, fd := range n.FrameDocs() {
-		if t := fd.Text(); t != "" {
-			parts = append(parts, t)
-		}
-	}
-	return NormalizeSpace(strings.Join(parts, " "))
-}
-
-// NormalizeSpace folds every run of Unicode whitespace (including
-// non-breaking spaces) into a single ASCII space and trims the ends.
-// Price matching depends on this: "3,99&nbsp;€" must compare equal to
-// "3,99 €".
-func NormalizeSpace(s string) string {
-	var t textNormalizer
-	t.b.Grow(len(s))
-	t.writeString(s)
-	return t.b.String()
 }
 
 // --- inline style and visibility heuristics ------------------------------
@@ -253,19 +275,10 @@ func (n *Node) IsVisible() bool {
 	return true
 }
 
-// hostOf returns the shadow host for a shadow fragment root, if this
-// document fragment is a shadow root.
-func hostOf(fragment *Node) *Node {
-	// The fragment keeps no back pointer; hosts are discovered by the
-	// ShadowRoot struct. We thread it via a hidden attribute-free map
-	// would be overkill: instead, shadow fragments are created only by
-	// AttachShadow, which we can detect by scanning the host chain.
-	// To keep this O(1), AttachShadow tags the fragment.
-	if fragment.shadowHost != nil {
-		return fragment.shadowHost
-	}
-	return nil
-}
+// hostOf returns the shadow host of a shadow fragment root, or nil for
+// any other node. AttachShadow and cloneInto set the fragment's
+// shadowHost back pointer, so the lookup is O(1).
+func hostOf(fragment *Node) *Node { return fragment.shadowHost }
 
 // IsOverlay reports whether the element looks like a page overlay:
 // position fixed/sticky/absolute with a z-index, or a dialog role, or

@@ -67,6 +67,12 @@ func TestDeepTextIncludesShadowAndFrames(t *testing.T) {
 	if plain := host.Text(); contains(plain, "in shadow") || contains(plain, "in frame") {
 		t.Fatalf("Text leaked pierced content: %q", plain)
 	}
+	if testing.Short() {
+		return // alloc counting is exact; skip in -short/-race runs
+	}
+	if n := testing.AllocsPerRun(100, func() { host.DeepText() }); n != 1 {
+		t.Fatalf("DeepText allocates %.1f times, want 1", n)
+	}
 }
 
 func contains(haystack, needle string) bool {
@@ -80,18 +86,28 @@ func contains(haystack, needle string) bool {
 	})()
 }
 
+// normalizeSpace runs one string through the text normalizer.
+func normalizeSpace(s string) string {
+	var out []byte
+	t := textNormalizer{emit: func(run string) { out = append(out, run...) }}
+	t.writeString(s)
+	return string(out)
+}
+
 func TestNormalizeSpace(t *testing.T) {
 	cases := map[string]string{
-		"  a  b  ":        "a b",
-		"a b":             "a b",
-		"\t\n x \r\n y  ": "x y",
-		"":                "",
-		"   ":             "",
-		"solo":            "solo",
+		"  a  b  ":         "a b",
+		"a b":              "a b",
+		"\t\n x \r\n y  ":  "x y",
+		"":                 "",
+		"   ":              "",
+		"solo":             "solo",
+		"3,99\u00a0€":      "3,99 €",
+		"x\xffy\u2003\xc3": "x\uFFFDy \uFFFD",
 	}
 	for in, want := range cases {
-		if got := NormalizeSpace(in); got != want {
-			t.Errorf("NormalizeSpace(%q) = %q, want %q", in, got, want)
+		if got := normalizeSpace(in); got != want {
+			t.Errorf("normalizeSpace(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -38,9 +38,11 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 		b.Fatal(err)
 	}
 
+	// One detector for every analysis, as a crawl worker keeps one.
+	var det core.Detector
 	b.Run("hit", func(b *testing.B) {
 		var c analysisCache
-		c.get(page.Fingerprint, func() core.Analysis { return analyzePage(page) })
+		c.get(page.Fingerprint, func() core.Analysis { return analyzePage(&det, page) })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -60,7 +62,7 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Distinct fingerprint per iteration: every get is a first
 			// claim running the full pipeline.
-			a := c.get(uint64(i), func() core.Analysis { return analyzePage(page) })
+			a := c.get(uint64(i), func() core.Analysis { return analyzePage(&det, page) })
 			if a.Kind != core.KindCookiewall {
 				b.Fatal("wrong analysis")
 			}

@@ -158,16 +158,24 @@ func runExperimentCampaign[R any](ctx context.Context, c *Crawler, label string,
 	return run(ctx, cfg, targets, visit, sink)
 }
 
+// worker is what a campaign worker's Affinity slot holds between
+// visits: the browser and the banner detector, whose text buffer and
+// candidate slice every detection on the worker reuses.
+type worker struct {
+	browser.Browser
+	det core.Detector
+}
+
 // session is one visit's fresh-profile browser, armed with the
 // crawler's resilience policy (visit deadline, retries, host gate, and
-// the campaign meter carried by ctx). The browser comes from the
-// campaign worker's Affinity slot, so each worker keeps one session —
-// cookie-jar map, request scratch, parser arenas — pinned for its
-// whole lifetime; outside a slot every visit gets a new browser.
-// Reset makes reuse invisible to the measurement either way. Call
-// release when no page state is needed anymore.
+// the campaign meter carried by ctx). The worker comes from the
+// campaign worker's Affinity slot, so each campaign worker keeps one
+// browser — cookie-jar map, request scratch, parser arenas — and one
+// detector pinned for its whole lifetime; outside a slot every visit
+// gets new ones. Reset makes reuse invisible to the measurement either
+// way. Call release when no page state is needed anymore.
 type session struct {
-	*browser.Browser
+	*worker
 	aff    *campaign.Affinity
 	cancel context.CancelFunc
 }
@@ -175,10 +183,10 @@ type session struct {
 func (c *Crawler) session(ctx context.Context, vp vantage.VP) session {
 	s := session{aff: campaign.AffinityFrom(ctx)}
 	// Take empties the slot, so a (hypothetical) nested session on the
-	// same worker gets a fresh browser instead of aliasing this one.
-	s.Browser, _ = s.aff.Take().(*browser.Browser)
-	if s.Browser == nil {
-		s.Browser = new(browser.Browser)
+	// same worker gets a fresh worker instead of aliasing this one.
+	s.worker, _ = s.aff.Take().(*worker)
+	if s.worker == nil {
+		s.worker = new(worker)
 	}
 	s.Reset(c.Transport, vp)
 	if c.VisitTimeout > 0 {
@@ -198,13 +206,19 @@ func (c *Crawler) session(ctx context.Context, vp vantage.VP) session {
 	return s
 }
 
-// release disarms the visit deadline and hands the browser back to
-// the slot it came from, if ctx carried one.
+// release disarms the visit deadline and hands the worker back to the
+// slot it came from, if ctx carried one.
 func (s session) release() {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	s.aff.Put(s.Browser)
+	s.aff.Put(s.worker)
+}
+
+// detect runs the full banner detector on doc with the worker's
+// detector.
+func (s session) detect(doc *dom.Node) core.Banner {
+	return s.det.DetectWith(doc, core.Options{})
 }
 
 // Observation is the per-site outcome of one measurement visit.
@@ -301,7 +315,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 	}
 	var a core.Analysis
 	if c.NoAnalysisCache {
-		a = analyzePage(b.Compose(fr))
+		a = analyzePage(&b.det, b.Compose(fr))
 		if cerr := b.ComposeErr(); cerr != nil {
 			obs.Err = cerr.Error()
 			return obs
@@ -313,7 +327,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 			if cerr := b.ComposeErr(); cerr != nil {
 				return core.Analysis{}, cerr
 			}
-			return analyzePage(page), nil
+			return analyzePage(&b.det, page), nil
 		})
 		if aerr != nil {
 			obs.Err = aerr.Error()
@@ -327,7 +341,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 
 // setAnalysis stamps the VP-independent analysis onto a per-visit
 // observation. The MatchedWords slice is shared with the cache entry
-// (frozen by analyzePage), never copied per visit.
+// (frozen at detection, see analyzePage), never copied per visit.
 func (o *Observation) setAnalysis(a core.Analysis) {
 	o.Kind = a.Kind
 	o.Source = a.Source
@@ -346,19 +360,21 @@ func (o *Observation) setAnalysis(a core.Analysis) {
 
 // analyzePage runs the pure post-fetch pipeline — detection,
 // classification, language and category measurement — on a composed
-// page. It depends on page content only (never on the vantage point,
-// visit label or worker), the invariant that makes its result safe to
-// memoize by content fingerprint.
-func analyzePage(page *browser.Page) core.Analysis {
-	det := core.Detect(page.Doc)
+// page, detecting with d. It depends on page content only (never on
+// the vantage point, visit label or worker), the invariant that makes
+// its result safe to memoize by content fingerprint.
+func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
+	det := d.DetectWith(page.Doc, core.Options{})
 	a := core.Analysis{
-		Kind:         det.Kind,
-		Source:       det.Source,
-		ShadowMode:   string(det.ShadowMode),
-		HasAccept:    det.AcceptButton != nil,
-		HasReject:    det.RejectButton != nil,
-		HasSub:       det.SubscribeButton != nil,
-		MatchedWords: frozenWords(det.MatchedWords),
+		Kind:       det.Kind,
+		Source:     det.Source,
+		ShadowMode: string(det.ShadowMode),
+		HasAccept:  det.AcceptButton != nil,
+		HasReject:  det.RejectButton != nil,
+		HasSub:     det.SubscribeButton != nil,
+		// Exact length and referenced by nothing else (core.Banner's
+		// contract), so the memo entry owns it, frozen, as it is.
+		MatchedWords: det.MatchedWords,
 		PriceCount:   len(det.Prices),
 		MonthlyEUR:   det.MonthlyEUR,
 		AdblockPlea:  page.AdblockPlea,
@@ -377,18 +393,6 @@ func analyzePage(page *browser.Page) core.Analysis {
 		a.Category = categorize.Classify(content.Text())
 	}
 	return a
-}
-
-// frozenWords copies the matched words into an exact-capacity slice:
-// the analysis is shared across visits, so an append by any future
-// consumer must reallocate instead of scribbling on the cache entry.
-func frozenWords(ws []string) []string {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]string, len(ws))
-	copy(out, ws)
-	return out
 }
 
 // mainSel is compiled once: Visit runs it on every page of every crawl.
@@ -510,7 +514,7 @@ func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain string,
 	if err != nil {
 		return cookies.Tally{}, err
 	}
-	det := core.Detect(page.Doc)
+	det := b.detect(page.Doc)
 	switch mode {
 	case ModeAccept:
 		if det.AcceptButton != nil {

@@ -47,7 +47,7 @@ func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []
 				return ablationCounts{}, nil
 			}
 			wall := func(opts core.Options) bool {
-				return core.DetectWith(page.Doc, opts).Kind == core.KindCookiewall
+				return b.det.DetectWith(page.Doc, opts).Kind == core.KindCookiewall
 			}
 			return ablationCounts{
 				full:     wall(core.Options{}),
@@ -114,7 +114,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return outFailed, nil
 			}
-			det := core.Detect(page.Doc)
+			det := b.detect(page.Doc)
 			if det.Kind == core.KindNone {
 				return outNoBanner, nil
 			}
@@ -125,7 +125,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return outFailed, nil
 			}
-			if core.Detect(after.Doc).Kind != core.KindNone {
+			if b.detect(after.Doc).Kind != core.KindNone {
 				return outFailed, nil // banner survived the reject click
 			}
 			return outRejected, nil
@@ -180,7 +180,7 @@ func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []stri
 				if err != nil {
 					return false
 				}
-				return core.Detect(page.Doc).Kind != core.KindNone
+				return b.detect(page.Doc).Kind != core.KindNone
 			}
 			return botPair{
 				mitigated: showsBanner(browser.DefaultUserAgent),
@@ -238,7 +238,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			det := core.Detect(page.Doc)
+			det := b.detect(page.Doc)
 			if det.Kind != core.KindCookiewall || det.AcceptButton == nil {
 				return revOutcome{}, nil
 			}
@@ -247,7 +247,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if core.Detect(after.Doc).Kind == core.KindNone {
+			if b.detect(after.Doc).Kind == core.KindNone {
 				out.gone = true
 			}
 			// Later visit with cookies kept: still no banner.
@@ -255,7 +255,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if core.Detect(again.Doc).Kind == core.KindNone {
+			if b.detect(again.Doc).Kind == core.KindNone {
 				out.persisted = true
 			}
 			// The §5 recipe: delete cookies (and local storage), revisit.
@@ -264,7 +264,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if core.Detect(fresh.Doc).Kind == core.KindCookiewall {
+			if b.detect(fresh.Doc).Kind == core.KindCookiewall {
 				out.back = true
 			}
 			return out, nil
