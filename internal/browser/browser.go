@@ -147,10 +147,11 @@ type Page struct {
 	Doc *dom.Node
 	// Status is the final HTTP status code.
 	Status int
-	// Blocked lists URLs the content blocker suppressed.
+	// Blocked lists URLs the content blocker suppressed, in fetch
+	// order. It is the only per-subresource record a page keeps: URLs
+	// that went out are not listed, so an unblocked fetch never
+	// stringifies its URL.
 	Blocked []string
-	// Fetched lists subresource URLs actually requested.
-	Fetched []string
 	// ScrollLocked reports the §4.5 promipool.de quirk: the page locked
 	// scrolling because it detected the blocker.
 	ScrollLocked bool
@@ -233,7 +234,7 @@ func (b *Browser) FetchTopDomain(domain string) (FetchResult, error) {
 // fetchTop is the top-level document fetch behind FetchTop and
 // FetchTopDomain.
 func (b *Browser) fetchTop(u *url.URL) (FetchResult, error) {
-	resp, finalURL, err := b.fetch(http.MethodGet, u, nil, b.MaxRedirects, maxPageBody)
+	resp, finalURL, err := b.fetch(http.MethodGet, u, "", b.MaxRedirects, maxPageBody)
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -343,8 +344,9 @@ type response struct {
 // fetch performs one HTTP request with cookies, geo headers, blocker
 // bypass (top-level documents are never blocked — blockers filter
 // subresources), and redirect following. The body is read fully,
-// truncated at limit bytes.
-func (b *Browser) fetch(method string, u *url.URL, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
+// truncated at limit bytes. form is a POST's url-encoded body, "" for
+// none; a redirect drops it.
+func (b *Browser) fetch(method string, u *url.URL, form string, redirectsLeft, limit int) (response, *url.URL, error) {
 	for {
 		resp, err := b.doRequest(method, u, form, limit)
 		if err != nil {
@@ -362,7 +364,7 @@ func (b *Browser) fetch(method string, u *url.URL, form url.Values, redirectsLef
 				return response{}, nil, fmt.Errorf("browser: bad redirect %q: %w", loc, err)
 			}
 			// 303 (and web convention for 301/302) switches to GET.
-			method, u, form = http.MethodGet, next, nil
+			method, u, form = http.MethodGet, next, ""
 			redirectsLeft--
 			continue
 		}
@@ -403,7 +405,7 @@ func (b *Browser) roundTrip(req *http.Request, limit int) (response, error) {
 // http.Request, one header map, and fixed single-value slices for each
 // header the browser sets — so a steady-state request allocates
 // nothing but the Cookie string (and that only when the jar has
-// cookies to send) and, for a form POST, its encoded body.
+// cookies to send) and, for a form POST, its body reader.
 type reqScratch struct {
 	req    http.Request
 	hdr    http.Header
@@ -417,11 +419,12 @@ type reqScratch struct {
 // request assembles one attempt's request in the session's scratch
 // request, for dispatch by roundTrip. Every field is rewritten on every
 // call, so nothing of an earlier request — a form body, a parsed form,
-// a Visit, Cookie or Content-Type header, a context — carries over. The
-// form body is encoded afresh per call because each retry attempt
-// resends it. The header keys are written pre-canonicalized
-// (http.Header is a plain map), so farm lookups via Header.Get match.
-func (b *Browser) request(ctx context.Context, method string, u *url.URL, form url.Values) *http.Request {
+// a Visit, Cookie or Content-Type header, a context — carries over.
+// form is the url-encoded POST body ("" for none); it is wrapped in a
+// fresh reader per call because each retry attempt resends it. The
+// header keys are written pre-canonicalized (http.Header is a plain
+// map), so farm lookups via Header.Get match.
+func (b *Browser) request(ctx context.Context, method string, u *url.URL, form string) *http.Request {
 	s := &b.scratch
 	if s.hdr == nil {
 		s.hdr = http.Header{
@@ -437,10 +440,9 @@ func (b *Browser) request(ctx context.Context, method string, u *url.URL, form u
 	s.req = http.Request{Method: method, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: s.hdr, Host: u.Host}
 	ctype := ""
-	if form != nil {
-		enc := form.Encode()
-		s.req.Body = io.NopCloser(strings.NewReader(enc))
-		s.req.ContentLength = int64(len(enc))
+	if form != "" {
+		s.req.Body = io.NopCloser(strings.NewReader(form))
+		s.req.ContentLength = int64(len(form))
 		ctype = "application/x-www-form-urlencoded"
 	}
 	setHeader(s.hdr, "Content-Type", s.ctype[:], ctype)
@@ -471,21 +473,23 @@ func isRedirect(code int) bool {
 }
 
 // fetchBlockable fetches a subresource URL unless the blocker vetoes
-// it. It returns (body, fetched, blocked). The URL is resolved once and
-// stringified once: the blocker, the page's Blocked/Fetched lists and
-// the degraded-composition error share that string, and the request
-// goes out on the resolved URL itself.
+// it, and returns the body of a 200 reply. The URL is resolved once
+// (see resolveSubresource) and the request goes out on the resolved URL
+// itself. It is stringified only where a string is needed: for the
+// blocker and the page's Blocked list when a blocker is set, and for
+// the degraded-composition error.
 func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
-	abs, err := page.URL.Parse(rawurl)
+	abs, err := resolveSubresource(page.URL, rawurl)
 	if err != nil {
 		return "", false
 	}
-	absStr := abs.String()
-	if b.Blocker != nil && b.Blocker.ShouldBlock(page.Host(), absStr) {
-		page.Blocked = append(page.Blocked, absStr)
-		return "", false
+	if b.Blocker != nil {
+		if absStr := abs.String(); b.Blocker.ShouldBlock(page.Host(), absStr) {
+			page.Blocked = append(page.Blocked, absStr)
+			return "", false
+		}
 	}
-	resp, _, err := b.fetch(http.MethodGet, abs, nil, 2, maxSubresourceBody)
+	resp, _, err := b.fetch(http.MethodGet, abs, "", 2, maxSubresourceBody)
 	if err != nil {
 		// A transient failure that survived the whole retry budget (or a
 		// breaker fail-fast) degrades the composition: record it so the
@@ -493,15 +497,37 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 		// errors — unknown hosts, bad URLs — keep the historical
 		// silently-skipped behavior; they are the page, not the weather.
 		if b.composeErr == nil && (IsTransient(err) || isCircuitOpen(err)) {
-			b.composeErr = fmt.Errorf("browser: subresource %s: %w", absStr, err)
+			b.composeErr = fmt.Errorf("browser: subresource %s: %w", abs, err)
 		}
 		return "", false
 	}
-	page.Fetched = append(page.Fetched, absStr)
 	if resp.status != http.StatusOK {
 		return "", false
 	}
 	return resp.body, true
+}
+
+// resolveSubresource is base.Parse(ref) without the resolution step
+// where that step cannot change the result. For an absolute ref — a
+// scheme, no opaque part, no raw path, no "/." that could start a dot
+// segment — ResolveReference only copies the parsed ref and rewrites a
+// path that resolvePath leaves as it is, so the parsed ref is the
+// answer. The farm's subresource URLs are all of that form.
+// FuzzResolveSubresource pins the equivalence.
+func resolveSubresource(base *url.URL, ref string) (*url.URL, error) {
+	u, err := url.Parse(ref)
+	if err != nil {
+		return nil, err
+	}
+	if isPlainAbsolute(u) {
+		return u, nil
+	}
+	return base.ResolveReference(u), nil
+}
+
+// isPlainAbsolute reports whether resolving u against any base yields u.
+func isPlainAbsolute(u *url.URL) bool {
+	return u.Scheme != "" && u.Opaque == "" && u.RawPath == "" && !strings.Contains(u.Path, "/.")
 }
 
 // scriptInjectSel finds declarative banner-loader scripts.
@@ -729,17 +755,19 @@ func (b *Browser) Click(page *Page, button *dom.Node) (*Page, error) {
 	if err != nil {
 		return nil, fmt.Errorf("browser: bad target %q: %w", target, err)
 	}
-	var form url.Values
+	// The bodies are url.Values{...}.Encode() of each form, written out:
+	// the two consent choices are constants.
+	var form string
 	switch action {
 	case "consent-accept":
-		form = url.Values{"choice": {"accept"}}
+		form = "choice=accept"
 	case "consent-reject":
-		form = url.Values{"choice": {"reject"}}
+		form = "choice=reject"
 	case "smp-subscribe":
 		if b.SMPToken == "" {
 			return nil, fmt.Errorf("browser: subscribe click without SMP token")
 		}
-		form = url.Values{"token": {b.SMPToken}}
+		form = "token=" + url.QueryEscape(b.SMPToken)
 	default:
 		return nil, fmt.Errorf("browser: unsupported action %q", action)
 	}

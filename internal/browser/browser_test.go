@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 
@@ -76,6 +77,8 @@ func TestScriptInjection(t *testing.T) {
 			s.Provider.Name == "contentpass" && s.Embedding == synthweb.EmbedMainDOM
 	})
 	b := newBrowser("Germany")
+	rec := &recordingTransport{base: b.Transport.(bodyTransport)}
+	b.Transport = rec
 	page, err := b.Open("https://" + s.Domain + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +93,30 @@ func TestScriptInjection(t *testing.T) {
 		t.Fatal("banner fragment not injected")
 	}
 	found := false
-	for _, u := range page.Fetched {
+	for _, u := range rec.urls {
 		if strings.Contains(u, "cdn.contentpass.example/cw.js") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("loader not fetched: %v", page.Fetched)
+		t.Fatalf("loader not fetched: %v", rec.urls)
 	}
+}
+
+// recordingTransport records the URL of every request, then forwards it
+// to the farm's in-process transport on its zero-copy path.
+type recordingTransport struct {
+	base bodyTransport
+	urls []string
+}
+
+func (r *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	panic("recordingTransport: the browser must take the RoundTripBody path")
+}
+
+func (r *recordingTransport) RoundTripBody(req *http.Request) (int, http.Header, string, uint64, error) {
+	r.urls = append(r.urls, req.URL.String())
+	return r.base.RoundTripBody(req)
 }
 
 func TestShadowDOMMaterialized(t *testing.T) {

@@ -208,16 +208,15 @@ func TestInjectTargetMissing(t *testing.T) {
 }
 
 func TestDataURLsSkipped(t *testing.T) {
-	b, _ := scriptedBrowser(map[string]scripted{
+	b, st := scriptedBrowser(map[string]scripted{
 		"https://a.de/": {status: 200,
 			body: `<img src="data:image/gif;base64,R0lGOD"><p>ok</p>`},
 	})
-	page, err := b.Open("https://a.de/")
-	if err != nil {
+	if _, err := b.Open("https://a.de/"); err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Fetched) != 0 {
-		t.Fatalf("fetched = %v", page.Fetched)
+	if len(st.hits) != 1 || st.hits["https://a.de/"] != 1 {
+		t.Fatalf("requested %v, want only the top document once", st.hits)
 	}
 }
 

@@ -172,7 +172,7 @@ func (r *Resilience) sleep(d time.Duration) error {
 // retry loop, then exactly one terminal gate call (Report or Abandon)
 // on every exit path. Every request takes this one path; with the zero
 // Resilience it is a single attempt whose outcome returns verbatim.
-func (b *Browser) doRequest(method string, u *url.URL, form url.Values, limit int) (response, error) {
+func (b *Browser) doRequest(method string, u *url.URL, form string, limit int) (response, error) {
 	res := &b.Resilience
 	host := u.Hostname()
 	if res.Gate != nil {
@@ -219,7 +219,7 @@ func (b *Browser) doRequest(method string, u *url.URL, form url.Values, limit in
 // attempt's outcome. It never talks to the breaker — doRequest settles
 // the admission from its return value. Error text stringifies u only
 // when an error is made, so a successful request never does.
-func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form url.Values, limit int, host string) (response, error) {
+func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form string, limit int, host string) (response, error) {
 	b.rtCalls++
 	call := b.rtCalls
 	ctx := res.ctx()

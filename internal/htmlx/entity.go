@@ -46,16 +46,27 @@ var namedEntities = map[string]string{
 // UnescapeEntities decodes HTML character references in s: named
 // references (&euro;), decimal (&#8364;) and hexadecimal (&#x20AC;)
 // numeric references. Unknown or malformed references are passed
-// through verbatim, matching browser behaviour for text content.
+// through verbatim, matching browser behaviour for text content. When
+// no reference decodes — a URL query such as "?site=x&n=3" — s itself
+// is returned, uncopied.
 func UnescapeEntities(s string) string {
-	amp := strings.IndexByte(s, '&')
-	if amp < 0 {
-		return s
+	i, repl, consumed := 0, "", 0
+	for {
+		amp := strings.IndexByte(s[i:], '&')
+		if amp < 0 {
+			return s
+		}
+		i += amp
+		if repl, consumed = decodeEntity(s[i:]); consumed > 0 {
+			break
+		}
+		i++
 	}
 	var b strings.Builder
 	b.Grow(len(s))
-	b.WriteString(s[:amp])
-	s = s[amp:]
+	b.WriteString(s[:i])
+	b.WriteString(repl)
+	s = s[i+consumed:]
 	for len(s) > 0 {
 		if s[0] != '&' {
 			next := strings.IndexByte(s, '&')

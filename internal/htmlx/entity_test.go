@@ -43,6 +43,42 @@ func TestEntityEdges(t *testing.T) {
 	}
 }
 
+// TestUnescapeNoCopy: input whose every '&' fails to start a reference
+// comes back unchanged without an allocation (a copy of a non-empty
+// string would allocate), and input with a reference after such an '&'
+// still decodes.
+func TestUnescapeNoCopy(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"https://t.example/p.gif?site=a.de&n=3&o=0", ""},
+		{"a & b", ""},
+		{"&", ""},
+		{"x&", ""},
+		{"&&&", ""},
+		{"&EURO; &x &#; &#x; &#12", ""},
+		{"AT&T", ""},
+		{"?a=1&b=2&amp;c=3", "?a=1&b=2&c=3"},
+		{"&n=1&euro;", "&n=1€"},
+		{"&z;&#8364;", "&z;€"},
+		{"&#x20AC;&", "€&"},
+		{"no ampersand", ""},
+	}
+	for _, c := range cases {
+		got := UnescapeEntities(c.in)
+		if c.want == "" {
+			if got != c.in {
+				t.Errorf("UnescapeEntities(%q) = %q, want it unchanged", c.in, got)
+			}
+			if a := testing.AllocsPerRun(10, func() { UnescapeEntities(c.in) }); a != 0 {
+				t.Errorf("UnescapeEntities(%q) allocates %.0f, want 0", c.in, a)
+			}
+			continue
+		}
+		if got != c.want {
+			t.Errorf("UnescapeEntities(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 func TestTokenTypeStrings(t *testing.T) {
 	want := map[TokenType]string{
 		ErrorToken: "Error", TextToken: "Text", StartTagToken: "StartTag",

@@ -157,9 +157,9 @@ func (f *Farm) route(r *http.Request) reply {
 	host := canonHost(r.Host)
 	switch {
 	case f.trackers[host]:
-		return f.serveTracker(r, "tr")
+		return f.serveTracker(r, kindTracker)
 	case f.benign[host]:
-		return f.serveTracker(r, "bc")
+		return f.serveTracker(r, kindBenign)
 	case f.providerHosts[host] != "":
 		return f.serveProvider(r, f.providerHosts[host])
 	}
@@ -174,30 +174,49 @@ func (f *Farm) route(r *http.Request) reply {
 
 // --- tracker & benign hosts ------------------------------------------------
 
-// serveTracker sets n cookies (names prefixed tr/bc, indexed from o)
-// and returns a pixel. The cookie count is how Figures 4 and 5 are
-// physically realized.
+// serveTracker sets n cookies (names prefixed tr on tracker hosts, bc
+// on benign ones, indexed from o) and returns a pixel. The cookie count
+// is how Figures 4 and 5 are physically realized.
 //
-// Every cookie-measurement page load hits a handful of these, so the
-// reply is built lean: the parameters are read straight from the raw
-// query, all n Set-Cookie values are formatted into one buffer and
-// sliced out of a single string, and a cookie-less pixel shares one
-// constant header.
-func (f *Farm) serveTracker(r *http.Request, prefix string) reply {
-	n, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "n"))
-	o, _ := strconv.Atoi(queryGet(r.URL.RawQuery, "o"))
-	if n < 0 || n > 64 {
-		n = 0
+// Every cookie-measurement page load hits a handful of these, and a
+// study repeats the same (site, n, o) request across repetitions and
+// modes, so the reply header is memoized in the render cache under
+// (kind, site, n, o). A hit allocates nothing: the parameters are read
+// straight from the raw query, and the key's site is a substring of it
+// unless it carries escapes.
+// A miss formats all n Set-Cookie values into one buffer, and a
+// cookie-less pixel shares one constant header.
+func (f *Farm) serveTracker(r *http.Request, kind renderKind) reply {
+	q := r.URL.RawQuery
+	n, _ := strconv.Atoi(queryGet(q, "n"))
+	if n <= 0 || n > 64 {
+		return renderReply(pixelHeader, gifPixel)
 	}
-	h := pixelHeader
-	if n > 0 {
-		h = http.Header{
-			"Content-Type":  gifContentType,
-			"Cache-Control": noStore,
-			"Set-Cookie":    trackerCookies(prefix, o, n, queryGet(r.URL.RawQuery, "site")),
+	o, _ := strconv.Atoi(queryGet(q, "o"))
+	site := queryGet(q, "site")
+	key := renderKey{domain: site, kind: kind, n: uint8(n), o: int32(o)}
+	cacheable := int(key.o) == o
+	if cacheable {
+		if px, ok := f.renders.get(key); ok {
+			return renderReply(px.header, px)
 		}
 	}
-	return renderReply(h, gifPixel)
+	prefix := "tr"
+	if kind == kindBenign {
+		prefix = "bc"
+	}
+	h := http.Header{
+		"Content-Type":  gifContentType,
+		"Cache-Control": noStore,
+		"Set-Cookie":    trackerCookies(prefix, o, n, site),
+	}
+	if !cacheable {
+		return renderReply(h, gifPixel)
+	}
+	// Clone the site: it aliases the request URL, which a cached key
+	// must not pin.
+	key.domain = strings.Clone(site)
+	return renderReply(h, f.renders.put(key, gifPixel.body, h))
 }
 
 // trackerCookies returns the n Set-Cookie values

@@ -322,6 +322,45 @@ func TestTrackerCookiesMatchSprintf(t *testing.T) {
 	}
 }
 
+// TestTrackerReplyMemo: a pixel reply served from the render cache
+// carries exactly the Set-Cookie values a fresh build formats, per host
+// kind, site, n and o — including o past the int32 range the key holds
+// (never cached) and sites that only differ in a suffix or an escape.
+func TestTrackerReplyMemo(t *testing.T) {
+	f := New(testReg)
+	tr := f.Transport().(*inProcessTransport)
+	for _, c := range []struct {
+		host, prefix, query string
+		site                string
+		n, o                int
+	}{
+		{f.trackerPool[0], "tr", "site=a.de&n=3&o=6", "a.de", 3, 6},
+		{f.benignPool[0], "bc", "site=a.de&n=3&o=6", "a.de", 3, 6},
+		{f.trackerPool[1], "tr", "site=a.de&n=2&o=6", "a.de", 2, 6},
+		{f.trackerPool[1], "tr", "site=a.de&n=3&o=9", "a.de", 3, 9},
+		{f.trackerPool[0], "tr", "site=a.de.x&n=3&o=6", "a.de.x", 3, 6},
+		{f.trackerPool[0], "tr", "site=%C3%BC.de&n=1&o=0", "ü.de", 1, 0},
+		{f.trackerPool[0], "tr", "site=b.de&n=2&o=-4", "b.de", 2, -4},
+		{f.trackerPool[0], "tr", "site=b.de&n=2&o=4294967300", "b.de", 2, 4294967300},
+		{f.trackerPool[0], "tr", "site=b.de&n=2&o=4", "b.de", 2, 4},
+	} {
+		for pass := 0; pass < 2; pass++ {
+			req := httptest.NewRequest(http.MethodGet, "https://"+c.host+"/p.gif?"+c.query, nil)
+			status, header, body, _, err := tr.RoundTripBody(req)
+			if err != nil || status != 200 || body != "GIF89a" {
+				t.Fatalf("%s?%s: %d %q, %v", c.host, c.query, status, body, err)
+			}
+			want := make([]string, c.n)
+			for j := range want {
+				want[j] = fmt.Sprintf("%s%02d=%s; Path=/; Max-Age=31536000", c.prefix, c.o+j, c.site)
+			}
+			if got := header["Set-Cookie"]; !slices.Equal(got, want) {
+				t.Errorf("%s?%s pass %d: Set-Cookie %q, want %q", c.host, c.query, pass, got, want)
+			}
+		}
+	}
+}
+
 func TestQueryGetMatchesValuesGet(t *testing.T) {
 	for _, q := range []string{
 		"", "n=3", "site=a.de&n=3&o=6", "n=1&n=2", "n&n=2", "=1&n=2", "&&n=4&",

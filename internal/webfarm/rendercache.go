@@ -7,14 +7,19 @@ import (
 	"cookiewalk/internal/xrand"
 )
 
-// renderCache memoizes rendered documents. Page, banner-fragment and
-// banner-document renders are pure functions of a small key — the
-// site, the consent state, whether the banner is shown to this
-// visitor, and the per-visit jitter label when tracker embeds are on
-// the page — so a landscape crawl that visits every site from eight
-// vantage points re-renders each distinct page once instead of eight
-// times. The cache stores the exact rendered string, which makes
+// renderCache memoizes rendered documents and tracker replies. Page,
+// banner-fragment and banner-document renders are pure functions of a
+// small key — the site, the consent state, whether the banner is shown
+// to this visitor, and the per-visit jitter label when tracker embeds
+// are on the page — so a landscape crawl that visits every site from
+// eight vantage points re-renders each distinct page once instead of
+// eight times. The cache stores the exact rendered string, which makes
 // cached and uncached output byte-identical by construction.
+//
+// A tracker or benign-host pixel is a pure function of (host kind,
+// site, n, o) too: its entry holds the constant pixel body and the
+// reply header with the n Set-Cookie values, built once and shared by
+// every repetition that embeds the same tracker chunk.
 //
 // Each entry also carries the render's content fingerprint (a stable
 // hash of the body bytes), computed once when the entry is stored.
@@ -34,8 +39,9 @@ type renderCache struct {
 const (
 	renderShards = 64
 	// renderShardMax bounds entries per shard (≈260k entries across the
-	// cache, comfortably above a full-scale crawl's working set of
-	// ~2 variants × 45k sites spread over 64 shards).
+	// cache, comfortably above a full-scale study's working set: at seed
+	// 42, scale 1, reps 5 the whole study stores about 109k entries, 14k
+	// of them tracker replies, spread over 64 shards).
 	renderShardMax = 4096
 )
 
@@ -58,9 +64,10 @@ type render struct {
 	// the same value.
 	fp uint64
 	// header is the complete, SHARED response header of a page render
-	// (Content-Type plus the state's first-party Set-Cookie values): like
-	// the body a pure function of the render key, built once and served
-	// read-only by every reply for the key. nil for other renders.
+	// (Content-Type plus the state's first-party Set-Cookie values) or a
+	// tracker reply (its n Set-Cookie values): like the body a pure
+	// function of the render key, built once and served read-only by
+	// every reply for the key. nil for other renders.
 	header http.Header
 }
 
@@ -77,6 +84,10 @@ const (
 	kindFragmentLocal
 	kindFragmentProvider
 	kindBannerDoc
+	// kindTracker and kindBenign are the pixel replies of tracker and
+	// benign hosts (cookie prefixes tr and bc).
+	kindTracker
+	kindBenign
 )
 
 // Page-state flags folded into the key. Everything else a request
@@ -92,6 +103,11 @@ type renderKey struct {
 	domain string
 	kind   renderKind
 	flags  uint8
+	// n and o are a tracker reply's cookie count and first cookie index
+	// (0 for other kinds). They fill the padding after kind and flags,
+	// so the key stays 40 bytes.
+	n uint8
+	o int32
 	// visit is the jitter label, retained only when the render embeds
 	// jittered tracker counts (consented/subscribed pages).
 	visit string
@@ -102,7 +118,7 @@ func (c *renderCache) shard(k renderKey) *renderShard {
 	if k.visit != "" {
 		h = h*31 ^ fnv32(k.visit)
 	}
-	h ^= uint32(k.kind)<<8 ^ uint32(k.flags)
+	h ^= uint32(k.kind)<<8 ^ uint32(k.flags) ^ uint32(k.n)<<16 ^ uint32(k.o)
 	return &c.shards[h%renderShards]
 }
 

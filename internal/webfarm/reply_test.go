@@ -134,9 +134,9 @@ func TestSeamsAgree(t *testing.T) {
 }
 
 // TestReplyAllocations pins the allocation cost of the reply path: a
-// cached page served through RoundTripBody allocates nothing, and a
-// page render miss costs its one exactly sized buffer plus at most a
-// couple of small values.
+// cached page and a repeated cookie-setting tracker pixel served
+// through RoundTripBody allocate nothing, and a page render miss costs
+// its one exactly sized buffer plus at most a couple of small values.
 func TestReplyAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
@@ -150,6 +150,16 @@ func TestReplyAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { tr.RoundTripBody(req) }); got != 0 {
 		t.Errorf("cached page round trip allocates %.1f, want 0", got)
+	}
+	for _, host := range []string{testFarm.trackerPool[0], testFarm.benignPool[0]} {
+		px := seamGet(http.MethodGet, "https://"+host+"/p.gif?site="+s.Domain+"&n=3&o=6")()
+		status, header, _, _, err := tr.RoundTripBody(px)
+		if err != nil || status != 200 || len(header["Set-Cookie"]) != 3 {
+			t.Fatalf("RoundTripBody(%s): %d %q, %v", px.URL, status, header, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { tr.RoundTripBody(px) }); got != 0 {
+			t.Errorf("repeated pixel round trip to %s allocates %.1f, want 0", host, got)
+		}
 	}
 
 	const renderMissBudget = 3
