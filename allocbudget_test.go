@@ -30,34 +30,39 @@ import (
 //     context.WithTimeout that session arms; retries cost nothing until
 //     an attempt fails.
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
-//     language, category. Measured 12 allocs (cookiewall) / 5
-//     (regular) with detection in the worker's reused core.Detector
-//     buffer (33 / 29 before it; 62 / 56 before the single-allocation
-//     Node.Text and the in-place eTLD+1).
+//     language, category. Measured 5 allocs (cookiewall) / 4 (regular)
+//     with detection that searches shadow roots in place, scans prices
+//     without a regexp and extracts banner text into the worker's
+//     core.Detector buffer (12 / 5 before them; 33 / 29 before the
+//     buffer; 62 / 56 before the single-allocation Node.Text and the
+//     in-place eTLD+1).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 145
-//     allocs on the first cookiewall domain with tracker replies served
-//     from the farm's render cache, absolute subresource URLs parsed
-//     once and never stringified, entity decoding that leaves
-//     non-decoding '&' uncopied and pre-encoded consent bodies (390
-//     before them). Earlier steps: the zero-alloc eTLD+1 and tally,
-//     single-parse subresource fetches, map-free tracker responses,
-//     recorder-free farm replies (1 942 before them), the consent POST
-//     on the reusable request (412 before it) and detection in the
-//     reused buffer (401 before it).
+//     click, reload with every tracker, tally the jar. Measured 121
+//     allocs on the first cookiewall domain with detection that only
+//     locates the banner (no banner text, corpus slice or price list),
+//     subresources found by walking the trees without collecting them
+//     and the consent form read without ParseForm (145 before them).
+//     Earlier steps: tracker replies from the farm's render cache,
+//     absolute subresource URLs parsed once and never stringified,
+//     entity decoding that leaves non-decoding '&' uncopied and
+//     pre-encoded consent bodies (390 before them); the zero-alloc
+//     eTLD+1 and tally, single-parse subresource fetches, map-free
+//     tracker responses, recorder-free farm replies (1 942 before
+//     them), the consent POST on the reusable request (412 before it)
+//     and detection in the reused buffer (401 before it).
 //
 // Budgets carry headroom for toolchain drift while still failing
 // tier-1 long before any path regresses to its previous profile
-// (earlier budgets: 45/40, 110/100 and 150/125 uncached, 600 and 500
-// cookie visit, 40/30 and 6/6 cached, 6 cached gated; the first
-// profiled visit made ~222 allocs).
+// (earlier budgets: 20/12, 45/40, 110/100 and 150/125 uncached, 180,
+// 600 and 500 cookie visit, 40/30 and 6/6 cached, 6 cached gated; the
+// first profiled visit made ~222 allocs).
 const (
 	cookiewallCachedAllocBudget   = 1
 	regularCachedAllocBudget      = 1
 	resilientCachedAllocBudget    = 4
-	cookiewallUncachedAllocBudget = 20
-	regularUncachedAllocBudget    = 12
-	cookieVisitAllocBudget        = 180
+	cookiewallUncachedAllocBudget = 8
+	regularUncachedAllocBudget    = 6
+	cookieVisitAllocBudget        = 140
 )
 
 // TestVisitAllocBudget pins the allocation count of the single-visit

@@ -417,7 +417,7 @@ func (s *Study) Screenshot(vpName, domain string) (string, error) {
 		}
 	}
 	title := fmt.Sprintf("%s (via %s)", domain, det.Source)
-	return report.BannerBox(title, det.Kind.String(), det.Text, buttons), nil
+	return report.BannerBox(title, det.Kind.String(), det.Element.DeepText(), buttons), nil
 }
 
 // DetectInHTML runs the banner detector over raw HTML — the

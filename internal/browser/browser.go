@@ -571,6 +571,8 @@ func compileInjectTarget(src string) *dom.Selector {
 // This models what the provider's JavaScript does in a real browser,
 // and — critically for §4.5 — goes through the content blocker.
 func (b *Browser) runScriptDirectives(page *Page) {
+	// QueryAll's snapshot, not a walk: each directive appends to the
+	// tree the loop iterates.
 	for _, script := range page.Doc.QueryAll(scriptInjectSel) {
 		src, _ := script.Attr("src")
 		targetSel, _ := script.Attr("data-cw-inject")
@@ -637,31 +639,35 @@ var subresourceSel = dom.MustCompileSelector("img[src], script[src], link[href]"
 
 // fetchSubresources requests cookie-setting resources: images, plain
 // scripts and stylesheets — across the main document, shadow roots and
-// loaded frames.
+// loaded frames, in that order and in document order within each.
+// Fetching changes no tree, so the trees are walked in place, with no
+// list of roots or elements collected.
 func (b *Browser) fetchSubresources(page *Page) {
-	roots := []*dom.Node{page.Doc}
-	for _, sr := range page.Doc.ShadowRoots() {
-		roots = append(roots, sr.Root)
-	}
-	roots = append(roots, page.Doc.FrameDocs()...)
-	for _, root := range roots {
-		for _, el := range root.QueryAll(subresourceSel) {
-			if el.Tag == "script" {
-				if _, isInject := el.Attr("data-cw-inject"); isInject {
-					continue // already executed as a directive
-				}
+	b.fetchSubresourcesIn(page, page.Doc)
+	page.Doc.EachShadowRoot(func(sr *dom.ShadowRoot) { b.fetchSubresourcesIn(page, sr.Root) })
+	page.Doc.EachFrameDoc(func(fd *dom.Node) { b.fetchSubresourcesIn(page, fd) })
+}
+
+// fetchSubresourcesIn fetches the subresources of one tree.
+func (b *Browser) fetchSubresourcesIn(page *Page, root *dom.Node) {
+	root.Walk(func(el *dom.Node) bool {
+		if el == root || !el.Matches(subresourceSel) {
+			return true
+		}
+		if el.Tag == "script" {
+			if _, isInject := el.Attr("data-cw-inject"); isInject {
+				return true // already executed as a directive
 			}
-			attr := "src"
-			if el.Tag == "link" {
-				attr = "href"
-			}
-			u, _ := el.Attr(attr)
-			if u == "" || strings.HasPrefix(u, "data:") {
-				continue
-			}
+		}
+		attr := "src"
+		if el.Tag == "link" {
+			attr = "href"
+		}
+		if u, _ := el.Attr(attr); u != "" && !strings.HasPrefix(u, "data:") {
 			b.fetchBlockable(page, u)
 		}
-	}
+		return true
+	})
 }
 
 // applyCosmetics removes elements matched by the blocker's cosmetic
@@ -672,6 +678,8 @@ func (b *Browser) applyCosmetics(page *Page) {
 		return
 	}
 	for _, sel := range b.Blocker.CompiledCosmetics(page.Host()) {
+		// QueryAll's snapshot, not a walk: detaching a node mid-walk
+		// would end the walk at it.
 		for _, n := range page.Doc.QueryAll(sel) {
 			n.Detach()
 		}

@@ -134,7 +134,7 @@ func TestShadowDOMMaterialized(t *testing.T) {
 		t.Fatal("shadow content leaked into light DOM")
 	}
 	// ...but must exist inside a shadow root.
-	roots := page.Doc.ShadowRoots()
+	roots := shadowRoots(page.Doc)
 	if len(roots) == 0 {
 		t.Fatal("no shadow roots")
 	}
@@ -159,7 +159,7 @@ func TestInjectedShadowViaProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := page.Doc.ShadowRoots()
+	roots := shadowRoots(page.Doc)
 	if len(roots) != 1 || roots[0].Mode != dom.ShadowClosed {
 		t.Fatalf("shadow roots = %v", roots)
 	}
@@ -178,7 +178,7 @@ func TestIFrameLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := page.Doc.FrameDocs()
+	frames := frameDocs(page.Doc)
 	if len(frames) == 0 {
 		t.Fatal("iframe document not loaded")
 	}
@@ -269,7 +269,7 @@ func TestSubscriptionFlow(t *testing.T) {
 	sub = query(page.Doc, "#cw-subscribe")
 	if sub == nil {
 		// banner might be injected into the slot
-		for _, sr := range page.Doc.ShadowRoots() {
+		for _, sr := range shadowRoots(page.Doc) {
 			if n := query(sr.Root, "#cw-subscribe"); n != nil {
 				sub = n
 			}
@@ -304,7 +304,7 @@ func TestBlockerSuppressesBannerScript(t *testing.T) {
 	if query(page.Doc, "#cw-banner") != nil {
 		t.Fatal("banner present despite blocker")
 	}
-	if len(page.Doc.ShadowRoots()) != 0 || len(page.Doc.FrameDocs()) != 0 {
+	if len(shadowRoots(page.Doc)) != 0 || len(frameDocs(page.Doc)) != 0 {
 		t.Fatal("banner materialized despite blocker")
 	}
 	if len(page.Blocked) == 0 {
@@ -446,4 +446,18 @@ func TestClickErrors(t *testing.T) {
 	if _, err := b.Click(page, bogus); err == nil {
 		t.Fatal("unknown action must error")
 	}
+}
+
+// shadowRoots collects the roots doc.EachShadowRoot visits.
+func shadowRoots(doc *dom.Node) []*dom.ShadowRoot {
+	var out []*dom.ShadowRoot
+	doc.EachShadowRoot(func(sr *dom.ShadowRoot) { out = append(out, sr) })
+	return out
+}
+
+// frameDocs collects the documents doc.EachFrameDoc visits.
+func frameDocs(doc *dom.Node) []*dom.Node {
+	var out []*dom.Node
+	doc.EachFrameDoc(func(fd *dom.Node) { out = append(out, fd) })
+	return out
 }

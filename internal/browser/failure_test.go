@@ -166,7 +166,7 @@ func TestBrokenFrameSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Doc.FrameDocs()) != 0 {
+	if len(frameDocs(page.Doc)) != 0 {
 		t.Fatal("404 frame must not attach a document")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // shadowWallHTML is a farm-shaped cookiewall page: the accept-or-pay
 // banner sits in an open shadow root, and a CMP iframe beside it holds
 // a weaker consent overlay, so detection takes every path: the main
-// document, the shadow clone and the frame document.
+// document, the shadow root searched in place and the frame document.
 const shadowWallHTML = `<!DOCTYPE html><html><head><title>Tagesblatt</title></head><body>
 <header><h1>Tagesblatt</h1><nav><a href="/">Start</a> <a href="/sport">Sport</a></nav></header>
 <main><article><h2>Nachrichten</h2><p>Politik, Wirtschaft und Sport aus der Region.</p></article></main>
@@ -32,11 +32,10 @@ type detectFixture struct {
 	name string
 	doc  *dom.Node
 	kind Kind
-	// allocs is what one DetectWith on a warm Detector allocates:
-	// Banner.Text for every banner; for the cookiewall also the
-	// shadow-root clone (most of it), the shadow-root and frame lists,
-	// MatchedWords and the price search.
-	allocs float64
+	// locateAllocs and describeAllocs are what one Locate and one
+	// Describe on a warm Detector allocate: nothing to locate, and the
+	// MatchedWords slice to describe a banner with corpus words.
+	locateAllocs, describeAllocs float64
 }
 
 // detectFixtures returns the cookiewall with shadow DOM and iframe, a
@@ -45,23 +44,25 @@ func detectFixtures() []detectFixture {
 	wall := dom.Parse(shadowWallHTML)
 	wall.ByID("cmp").FrameDoc = dom.Parse(cmpFrameHTML)
 	return []detectFixture{
-		{"cookiewall", wall, KindCookiewall, 27},
-		{"regular", dom.Parse(regularBannerHTML), KindRegular, 1},
+		{"cookiewall", wall, KindCookiewall, 0, 1},
+		{"regular", dom.Parse(regularBannerHTML), KindRegular, 0, 0},
 		{"none", dom.Parse(`<html><body><main><p>Just an article about cooking.</p></main>` +
-			`<footer><a href="/privacy">Privacy and cookie policy</a></footer></body></html>`), KindNone, 0},
+			`<footer><a href="/privacy">Privacy and cookie policy</a></footer></body></html>`), KindNone, 0, 0},
 	}
 }
 
 // BenchmarkDetect is the detect layer of the hot-path benchmark suite:
-// one DetectWith per page on a Detector reused across iterations, as a
-// crawl worker keeps one.
+// one Locate and one Describe per page, as the landscape's analysis
+// runs them, on a Detector reused across iterations, as a crawl worker
+// keeps one. The report's visits run Locate only.
 func BenchmarkDetect(b *testing.B) {
 	for _, f := range detectFixtures() {
 		b.Run(f.name, func(b *testing.B) {
 			var d Detector
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := d.DetectWith(f.doc, Options{}); got.Kind != f.kind {
+				got := d.Locate(f.doc, Options{})
+				if d.Describe(&got); got.Kind != f.kind {
 					b.Fatalf("kind = %v, want %v", got.Kind, f.kind)
 				}
 			}

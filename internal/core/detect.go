@@ -60,17 +60,17 @@ func (k Kind) String() string {
 }
 
 // Banner is a detected consent UI with everything the measurement
-// pipeline needs.
+// pipeline needs. Detector.Locate fills the verdict, the element and
+// the buttons; Detector.Describe adds the classification evidence.
 type Banner struct {
 	Kind   Kind
 	Source Source
 	// ShadowMode is set when Source is SourceShadowDOM.
 	ShadowMode dom.ShadowMode
-	// Element is the banner's root node in the ORIGINAL tree (main
-	// document, frame document, or shadow root) — interactions use it.
+	// Element is the banner's root node in the page's own tree (main
+	// document, frame document, or shadow root): interactions use it,
+	// and its DeepText is the banner text that was classified.
 	Element *dom.Node
-	// Text is the normalized banner text used for classification.
-	Text string
 	// Score is the detection score (diagnostics).
 	Score int
 
@@ -81,12 +81,13 @@ type Banner struct {
 
 	// MatchedWords are the §3 subscription-corpus hits, in corpus
 	// order, in a slice of exactly their length that nothing else
-	// references.
+	// references. Set by Describe.
 	MatchedWords []string
-	// Prices are the currency-amount combinations found in the text.
-	Prices []currency.Price
+	// PriceCount is the number of currency-amount combinations in the
+	// banner text. Set by Describe.
+	PriceCount int
 	// MonthlyEUR is the cheapest detected price normalized to EUR per
-	// month (0 when no price was found).
+	// month (0 when no price was found). Set by Describe.
 	MonthlyEUR float64
 }
 
@@ -105,62 +106,64 @@ type candidate struct {
 // (Unmodified BannerClick lacked both capabilities; the paper's §3
 // extension added them.)
 type Options struct {
-	// SkipShadow disables the shadow-DOM clone workaround.
+	// SkipShadow disables the search of shadow roots.
 	SkipShadow bool
 	// SkipFrames disables iframe-document traversal.
 	SkipFrames bool
 }
 
 // Detector is the banner detector with its scratch space kept warm.
-// Candidate texts and button labels are extracted, lower-cased and
-// matched in one byte buffer, and candidates are gathered in one
-// slice; the next call reuses both. What a call allocates is what its
-// Banner keeps (Text, MatchedWords, Prices), the shadow-root clones of
-// the BannerClick workaround and the lists of shadow roots and frames
-// it walks. A measurement worker keeps one Detector for its lifetime.
-// The zero value is ready to use; a Detector is not safe for
-// concurrent use.
+// Detection is two steps, so each caller pays only for what it reads:
+// Locate finds the banner, its kind and its buttons; Describe adds the
+// corpus words and prices that only the landscape's §4.2 analysis
+// reads. Texts are extracted, lower-cased and matched in one byte
+// buffer, candidates gathered in one slice and prices in another; the
+// next call reuses all three. Locate allocates nothing, and Describe
+// only the MatchedWords it returns. A measurement worker keeps one
+// Detector for its lifetime. The zero value is ready to use; a
+// Detector is not safe for concurrent use.
 type Detector struct {
-	buf   []byte
-	cands []candidate
+	buf    []byte
+	cands  []candidate
+	prices []currency.Price
 }
 
 // Detect analyzes a loaded document (with frames and shadow roots
-// attached by the browser) and returns the detected banner, or a
-// Banner with KindNone when the page shows no consent UI. It is the
-// one-shot form of Detector.DetectWith, with a fresh Detector.
+// attached by the browser) and returns the detected and described
+// banner, or a Banner with KindNone when the page shows no consent UI.
+// It is Locate and Describe on a fresh Detector.
 func Detect(doc *dom.Node) Banner {
 	var d Detector
-	return d.DetectWith(doc, Options{})
+	b := d.Locate(doc, Options{})
+	d.Describe(&b)
+	return b
 }
 
-// DetectWith is Detect with ablation options, on the detector's warm
-// buffers. The returned Banner shares no memory with the detector.
-func (d *Detector) DetectWith(doc *dom.Node, opts Options) Banner {
+// Locate finds the banner on a loaded document under the ablation
+// options: the best candidate, its Kind, Source and buttons. A banner
+// is a cookiewall when its text holds a §3 corpus word or, failing
+// that, a price. The returned Banner shares no memory with the
+// detector.
+func (d *Detector) Locate(doc *dom.Node, opts Options) Banner {
 	d.cands = d.cands[:0]
 
 	// 1. Main document.
 	d.collect(doc, SourceMainDOM, "")
 
-	// 2. Shadow roots.
+	// 2. Shadow roots, searched in place.
 	if !opts.SkipShadow {
-		for _, sr := range doc.ShadowRoots() {
-			d.collectShadow(sr)
-		}
+		doc.EachShadowRoot(d.collectShadow)
 	}
 
-	// 3. iframe documents (including frames hosted in shadow roots).
+	// 3. iframe documents (including frames hosted in shadow roots),
+	// each with the shadow roots nested inside it.
 	if !opts.SkipFrames {
-		for _, fd := range doc.FrameDocs() {
+		doc.EachFrameDoc(func(fd *dom.Node) {
 			d.collect(fd, SourceIFrame, "")
-			if opts.SkipShadow {
-				continue
+			if !opts.SkipShadow {
+				fd.EachShadowRoot(d.collectShadow)
 			}
-			// Nested shadow roots inside frame documents.
-			for _, sr := range fd.ShadowRoots() {
-				d.collectShadow(sr)
-			}
-		}
+		})
 	}
 
 	if len(d.cands) == 0 {
@@ -173,24 +176,16 @@ func (d *Detector) DetectWith(doc *dom.Node, opts Options) Banner {
 			best = c
 		}
 	}
-	return d.build(best)
+	return d.locate(best)
 }
 
-// collectShadow is the BannerClick workaround: clone the shadow
-// content, search the clone with ordinary selectors, then map each hit
-// back to the original node for interaction.
+// collectShadow searches one shadow fragment in place. The BannerClick
+// workaround searched a copy of the fragment with ordinary selectors
+// and mapped hits back; the copy's root had no host, so visibility is
+// checked up to the fragment root only, and the candidates are the
+// ones the copy yielded.
 func (d *Detector) collectShadow(sr *dom.ShadowRoot) {
-	clone, backMap := sr.Root.CloneWithMap()
-	start := len(d.cands)
-	d.collect(clone, SourceShadowDOM, sr.Mode)
-	kept := d.cands[:start]
-	for _, c := range d.cands[start:] {
-		if orig := backMap[c.node]; orig != nil {
-			c.node = orig
-			kept = append(kept, c)
-		}
-	}
-	d.cands = kept
+	d.collect(sr.Root, SourceShadowDOM, sr.Mode)
 }
 
 // buttonSel finds interactive elements inside a banner.
@@ -199,11 +194,15 @@ var buttonSel = dom.MustCompileSelector("button, a, input[type=button], input[ty
 // collect scans one tree for overlay elements whose text contains
 // consent keywords.
 func (d *Detector) collect(root *dom.Node, source Source, mode dom.ShadowMode) {
+	visible := (*dom.Node).IsVisible
+	if source == SourceShadowDOM {
+		visible = (*dom.Node).IsVisibleInTree
+	}
 	root.Walk(func(n *dom.Node) bool {
 		if n.Type != dom.ElementNode || n.Tag == "body" || n.Tag == "html" {
 			return true
 		}
-		if !n.IsOverlay() || !n.IsVisible() {
+		if !n.IsOverlay() || !visible(n) {
 			return true
 		}
 		d.buf = n.AppendText(d.buf[:0])
@@ -255,27 +254,22 @@ func appendLower(dst, src []byte) []byte {
 	return dst
 }
 
-// build classifies the winning candidate and locates its buttons.
-func (d *Detector) build(c candidate) Banner {
+// locate classifies the winning candidate and locates its buttons.
+func (d *Detector) locate(c candidate) Banner {
 	b := Banner{
+		Kind:       KindRegular,
 		Source:     c.source,
 		ShadowMode: c.mode,
 		Element:    c.node,
-		Text:       c.node.DeepText(),
 		Score:      c.score,
 	}
 
-	// §3 classification: subscription words OR currency combinations.
-	d.buf = append(d.buf[:0], b.Text...)
-	b.MatchedWords = matchCorpusWords(d.lower())
-	b.Prices = currency.FindPrices(b.Text)
-	if m, ok := currency.CheapestMonthly(b.Prices); ok {
-		b.MonthlyEUR = m
-	}
-	if len(b.MatchedWords) > 0 || len(b.Prices) > 0 {
+	// §3 classification: subscription words OR currency combinations,
+	// in the banner's deep text.
+	d.buf = c.node.AppendDeepText(d.buf[:0])
+	n := len(d.buf)
+	if corpusHits(d.lower()) != 0 || currency.HasPrice(d.buf[:n]) {
 		b.Kind = KindCookiewall
-	} else {
-		b.Kind = KindRegular
 	}
 
 	// Buttons, in document order: each label is extracted and
@@ -300,4 +294,19 @@ func (d *Detector) build(c candidate) Banner {
 		return true
 	})
 	return b
+}
+
+// Describe adds the classification evidence to a located banner: the
+// §3 corpus words, the number of prices and the cheapest monthly
+// price, read from the banner's deep text. A KindNone banner has none.
+func (d *Detector) Describe(b *Banner) {
+	if b.Element == nil {
+		return
+	}
+	d.buf = b.Element.AppendDeepText(d.buf[:0])
+	n := len(d.buf)
+	b.MatchedWords = corpusWords(corpusHits(d.lower()))
+	d.prices = currency.AppendPrices(d.prices[:0], d.buf[:n])
+	b.PriceCount = len(d.prices)
+	b.MonthlyEUR, _ = currency.CheapestMonthly(d.prices)
 }

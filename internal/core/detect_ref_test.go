@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"cookiewalk/internal/currency"
@@ -10,11 +11,14 @@ import (
 // This file keeps the string pipeline that Detector replaced, as the
 // reference FuzzDetect checks it against: every candidate and button
 // label is a fresh strings.ToLower(n.Text()), buttons come from
-// QueryAll, and the corpus search tokenizes with strings.FieldsFunc.
-// Three things changed in the move: the names (a ref prefix), the
-// byte-slice word lists, read through string conversions, and the
-// dom.NormalizeSpace calls around DeepText and Text, which were no-ops
-// on their already normalized output and went with NormalizeSpace.
+// QueryAll, the corpus search tokenizes with strings.FieldsFunc, and
+// shadow roots are searched the BannerClick way, in a clone whose hits
+// map back to the original nodes. Four things changed in the move: the
+// names (a ref prefix), the byte-slice word lists, read through string
+// conversions, the dom.NormalizeSpace calls around DeepText and Text,
+// which were no-ops on their already normalized output and went with
+// NormalizeSpace, and the clone, which dom no longer provides: refClone
+// copies what the candidate search reads.
 
 func refDetectWith(doc *dom.Node, opts Options) *Banner {
 	var cands []candidate
@@ -26,8 +30,8 @@ func refDetectWith(doc *dom.Node, opts Options) *Banner {
 	// content, search the clone with ordinary selectors, then map the
 	// hit back to the original node for interaction.
 	if !opts.SkipShadow {
-		for _, sr := range doc.ShadowRoots() {
-			clone, backMap := sr.Root.CloneWithMap()
+		for _, sr := range shadowRoots(doc) {
+			clone, backMap := refCloneWithMap(sr.Root)
 			var shadowCands []candidate
 			refCollectCandidates(clone, SourceShadowDOM, sr.Mode, &shadowCands)
 			for _, c := range shadowCands {
@@ -43,14 +47,14 @@ func refDetectWith(doc *dom.Node, opts Options) *Banner {
 
 	// 3. iframe documents (including frames hosted in shadow roots).
 	if !opts.SkipFrames {
-		for _, fd := range doc.FrameDocs() {
+		for _, fd := range frameDocs(doc) {
 			refCollectCandidates(fd, SourceIFrame, "", &cands)
 			if opts.SkipShadow {
 				continue
 			}
 			// Nested shadow roots inside frame documents.
-			for _, sr := range fd.ShadowRoots() {
-				clone, backMap := sr.Root.CloneWithMap()
+			for _, sr := range shadowRoots(fd) {
+				clone, backMap := refCloneWithMap(sr.Root)
 				var shadowCands []candidate
 				refCollectCandidates(clone, SourceShadowDOM, sr.Mode, &shadowCands)
 				for _, c := range shadowCands {
@@ -113,7 +117,6 @@ func refBuildBanner(c candidate) *Banner {
 		Source:     c.source,
 		ShadowMode: c.mode,
 		Element:    c.node,
-		Text:       text,
 		Score:      c.score,
 	}
 	lower := strings.ToLower(text)
@@ -135,12 +138,15 @@ func refBuildBanner(c candidate) *Banner {
 	}
 
 	// §3 classification: subscription words OR currency combinations.
+	// The prices come from currency's scanner, which FuzzFindPrices
+	// checks against the regexp search it replaced.
 	b.MatchedWords = refMatchCorpusWords(lower)
-	b.Prices = currency.FindPrices(text)
-	if m, ok := currency.CheapestMonthly(b.Prices); ok {
+	prices := currency.AppendPrices(nil, []byte(text))
+	b.PriceCount = len(prices)
+	if m, ok := currency.CheapestMonthly(prices); ok {
 		b.MonthlyEUR = m
 	}
-	if len(b.MatchedWords) > 0 || len(b.Prices) > 0 {
+	if len(b.MatchedWords) > 0 || len(prices) > 0 {
 		b.Kind = KindCookiewall
 	} else {
 		b.Kind = KindRegular
@@ -193,4 +199,37 @@ func tokenizeKeepHyphen(text string) []string {
 		}
 		return !isLetterRune(r)
 	})
+}
+
+// refCloneWithMap deep-copies n's subtree and returns a map from each
+// copy back to its original. It copies what the candidate search reads
+// (type, tag, text, attributes and children) and leaves out shadow
+// roots and frames, which the search does not enter. The copy's root
+// has no shadow host, so visibility checks stop there.
+func refCloneWithMap(n *dom.Node) (*dom.Node, map[*dom.Node]*dom.Node) {
+	backMap := make(map[*dom.Node]*dom.Node)
+	var clone func(n *dom.Node) *dom.Node
+	clone = func(n *dom.Node) *dom.Node {
+		c := &dom.Node{Type: n.Type, Tag: n.Tag, Data: n.Data, Attrs: slices.Clone(n.Attrs)}
+		backMap[c] = n
+		for ch := n.FirstChild; ch != nil; ch = ch.NextSibling {
+			c.AppendChild(clone(ch))
+		}
+		return c
+	}
+	return clone(n), backMap
+}
+
+// shadowRoots collects the roots n.EachShadowRoot visits.
+func shadowRoots(n *dom.Node) []*dom.ShadowRoot {
+	var out []*dom.ShadowRoot
+	n.EachShadowRoot(func(sr *dom.ShadowRoot) { out = append(out, sr) })
+	return out
+}
+
+// frameDocs collects the documents n.EachFrameDoc visits.
+func frameDocs(n *dom.Node) []*dom.Node {
+	var out []*dom.Node
+	n.EachFrameDoc(func(fd *dom.Node) { out = append(out, fd) })
+	return out
 }

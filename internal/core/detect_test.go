@@ -31,7 +31,7 @@ const cookiewallHTML = `
 func TestDetectRegularBanner(t *testing.T) {
 	b := Detect(dom.Parse(regularBannerHTML))
 	if b.Kind != KindRegular {
-		t.Fatalf("kind = %v (text %q)", b.Kind, b.Text)
+		t.Fatalf("kind = %v (text %q)", b.Kind, b.Element.DeepText())
 	}
 	if b.Source != SourceMainDOM {
 		t.Fatalf("source = %v", b.Source)
@@ -42,8 +42,8 @@ func TestDetectRegularBanner(t *testing.T) {
 	if b.RejectButton == nil || b.RejectButton.ID() != "r" {
 		t.Fatal("reject button not found")
 	}
-	if len(b.Prices) != 0 {
-		t.Fatalf("prices on a regular banner: %v", b.Prices)
+	if b.PriceCount != 0 {
+		t.Fatalf("%d prices on a regular banner", b.PriceCount)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestDetectCookiewall(t *testing.T) {
 	if len(b.MatchedWords) == 0 {
 		t.Fatal("corpus words not matched (Abo)")
 	}
-	if len(b.Prices) != 1 || b.Prices[0].Code != "EUR" {
-		t.Fatalf("prices = %v", b.Prices)
+	if b.PriceCount != 1 {
+		t.Fatalf("%d prices, want 1", b.PriceCount)
 	}
 	if b.MonthlyEUR < 2.98 || b.MonthlyEUR > 3.0 {
 		t.Fatalf("monthly = %g", b.MonthlyEUR)
@@ -177,14 +177,14 @@ func TestCorpusWordMatching(t *testing.T) {
 		"nur mit werbung weiterlesen":  nil,
 	}
 	for text, want := range cases {
-		got := matchCorpusWords([]byte(text))
+		got := corpusWords(corpusHits([]byte(text)))
 		if len(got) != len(want) {
-			t.Errorf("matchCorpusWords(%q) = %v, want %v", text, got, want)
+			t.Errorf("corpus words of %q = %v, want %v", text, got, want)
 			continue
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("matchCorpusWords(%q) = %v, want %v", text, got, want)
+				t.Errorf("corpus words of %q = %v, want %v", text, got, want)
 			}
 		}
 	}
@@ -218,28 +218,40 @@ func TestSourceAndKindStrings(t *testing.T) {
 func TestDetectTextIsNormalized(t *testing.T) {
 	html := "<html><body><div class=\"cookie-banner\" role=\"dialog\" style=\"position:fixed;bottom:0\"><p>We   use\n\tcookies today.</p><button>Accept</button></div></body></html>"
 	b := Detect(dom.Parse(html))
-	if strings.Contains(b.Text, "\n") || strings.Contains(b.Text, " ") {
-		t.Fatalf("text not normalized: %q", b.Text)
+	if text := b.Element.DeepText(); strings.Contains(text, "\n") || strings.Contains(text, "  ") {
+		t.Fatalf("text not normalized: %q", text)
 	}
 }
 
-// TestDetectAllocs pins what one detection on a warm Detector
+// TestDetectAllocs pins what each detection step on a warm Detector
 // allocates, per page, at exactly the measured count (see
-// detectFixture.allocs). Text extraction, lower-casing, keyword and
-// label matching and corpus tokenizing allocate nothing.
+// detectFixture). Locate allocates nothing: text extraction,
+// lower-casing, keyword, label and corpus matching and the price check
+// all run in the detector's buffers. Describe allocates only the
+// MatchedWords it returns.
 func TestDetectAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
 	}
 	var d Detector
 	for _, f := range detectFixtures() {
-		if got := d.DetectWith(f.doc, Options{}); got.Kind != f.kind {
-			t.Fatalf("%s: kind = %v, want %v", f.name, got.Kind, f.kind)
+		b := d.Locate(f.doc, Options{})
+		if b.Kind != f.kind {
+			t.Fatalf("%s: kind = %v, want %v", f.name, b.Kind, f.kind)
 		}
-		got := testing.AllocsPerRun(100, func() { d.DetectWith(f.doc, Options{}) })
-		t.Logf("%s: %.1f allocs (budget %.0f)", f.name, got, f.allocs)
-		if got > f.allocs {
-			t.Errorf("%s: detection allocates %.1f, budget is %.0f — the detect path regressed", f.name, got, f.allocs)
+		for _, step := range []struct {
+			name   string
+			run    func()
+			budget float64
+		}{
+			{"locate", func() { d.Locate(f.doc, Options{}) }, f.locateAllocs},
+			{"describe", func() { c := b; d.Describe(&c) }, f.describeAllocs},
+		} {
+			got := testing.AllocsPerRun(100, step.run)
+			t.Logf("%s %s: %.1f allocs (budget %.0f)", f.name, step.name, got, step.budget)
+			if got > step.budget {
+				t.Errorf("%s %s: allocates %.1f, budget is %.0f: the detect path regressed", f.name, step.name, got, step.budget)
+			}
 		}
 	}
 }

@@ -52,12 +52,12 @@ func TestAllLanguagesClassifyAsCookiewall(t *testing.T) {
 		t.Run(c.lang, func(t *testing.T) {
 			b := Detect(dom.Parse(wallHTML(c.text, c.accept, c.subscribe)))
 			if b.Kind != KindCookiewall {
-				t.Fatalf("kind = %v (text %q)", b.Kind, b.Text)
+				t.Fatalf("kind = %v (text %q)", b.Kind, b.Element.DeepText())
 			}
 			if c.viaWords && len(b.MatchedWords) == 0 {
 				t.Errorf("no corpus words matched in %q", c.text)
 			}
-			if !c.viaWords && len(b.Prices) == 0 {
+			if !c.viaWords && b.PriceCount == 0 {
 				t.Errorf("price-only language needs a detected price")
 			}
 			if b.AcceptButton == nil {
@@ -106,7 +106,7 @@ func TestAllLanguagesRegularNotMisclassified(t *testing.T) {
 </div></body></html>`, pair[0], accept, reject)
 			b := Detect(dom.Parse(html))
 			if b.Kind != KindRegular {
-				t.Fatalf("kind = %v, words=%v prices=%v", b.Kind, b.MatchedWords, b.Prices)
+				t.Fatalf("kind = %v, words=%v prices=%d", b.Kind, b.MatchedWords, b.PriceCount)
 			}
 			if b.AcceptButton == nil || b.RejectButton == nil {
 				t.Errorf("buttons not recognized: accept=%v reject=%v",

@@ -6,10 +6,12 @@
 // Detection walks the page the way the paper's tool does:
 //
 //  1. candidate overlay elements are collected from the main DOM, from
-//     every loaded iframe document, and from every shadow root — the
-//     latter via the paper's workaround: clone the shadow children,
-//     search the clone with ordinary selectors, then map hits back to
+//     every loaded iframe document, and from every shadow root. The
+//     paper's workaround for shadow roots clones the shadow children,
+//     searches the clone with ordinary selectors and maps hits back to
 //     the original shadow nodes (CSS cannot cross shadow boundaries);
+//     the detector searches each fragment in place with the clone's
+//     visibility, which stops at the fragment root;
 //  2. candidates are scored by consent-keyword density, the presence of
 //     buttons, and overlay markers; the best-scoring, innermost
 //     candidate wins;
@@ -125,15 +127,15 @@ func countKeywordHits(text []byte) int {
 	return n
 }
 
-// matchCorpusWords returns the subscription-corpus words found in
-// lower-cased text using token matching: short words (≤4 runes, e.g.
-// "abo") must match a whole token; longer words match as token
-// prefixes so that "abonne" covers "abonnement" and "abbonamento"
-// covers its inflected forms. This mirrors the word search the paper
-// performs with BeautifulSoup over banner text. The words come back in
-// corpus order, in a slice of exactly their length (nil for none).
-func matchCorpusWords(text []byte) []string {
-	var found uint // bit i set: cookiewallCorpus[i] matched
+// corpusHits returns the subscription-corpus words found in
+// lower-cased text, bit i standing for cookiewallCorpus[i], using token
+// matching: short words (≤4 runes, e.g. "abo") must match a whole
+// token; longer words match as token prefixes so that "abonne" covers
+// "abonnement" and "abbonamento" covers its inflected forms. This
+// mirrors the word search the paper performs with BeautifulSoup over
+// banner text.
+func corpusHits(text []byte) uint {
+	var found uint
 	eachToken(text, func(tok []byte) {
 		for i, w := range cookiewallCorpus {
 			if len(tok) < len(w) || string(tok[:len(w)]) != w {
@@ -144,6 +146,12 @@ func matchCorpusWords(text []byte) []string {
 			}
 		}
 	})
+	return found
+}
+
+// corpusWords returns the corpus words of a corpusHits result in corpus
+// order, in a slice of exactly their length (nil for none).
+func corpusWords(found uint) []string {
 	if found == 0 {
 		return nil
 	}

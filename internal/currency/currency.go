@@ -12,8 +12,8 @@
 package currency
 
 import (
+	"bytes"
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 	"unicode"
@@ -55,12 +55,10 @@ type Price struct {
 	// Code is the ISO 4217 currency code.
 	Code   string
 	Period Period
-	// Raw is the matched substring, for debugging and reports.
-	Raw string
 }
 
-// def describes one currency's detectable tokens. Longer tokens are
-// matched first so "R$" wins over "R" and "A$" over "$".
+// def describes one currency's detectable tokens. Tokens are tried in
+// defs order, so "R$" wins over "R" and "A$" over "$".
 type def struct {
 	code   string
 	tokens []string
@@ -101,112 +99,64 @@ var eurRates = map[string]float64{
 // (0 for unknown codes).
 func EURRate(code string) float64 { return eurRates[strings.ToUpper(code)] }
 
-var (
-	tokenToCode = map[string]string{}
-	priceRe     *regexp.Regexp
-)
-
-func init() {
-	var tokens []string
-	for _, d := range defs {
-		for _, t := range d.tokens {
-			tokenToCode[t] = d.code
-			tokens = append(tokens, regexp.QuoteMeta(t))
-		}
+// HasPrice reports whether text holds a currency-amount combination:
+// whether AppendPrices would find one. It stops at the first.
+func HasPrice(text []byte) bool {
+	if !containsDigit(text) {
+		return false
 	}
-	// Sort-by-length is already implied by defs ordering for the
-	// critical prefixes (r$ before $; rs before r), but alternation in
-	// Go regexp is leftmost-first, so preserve defs order exactly.
-	sym := "(?:" + strings.Join(tokens, "|") + ")"
-	num := `\d{1,4}(?:[.,]\d{1,3})*`
-	// Two orders: symbol-first and amount-first, with optional space.
-	priceRe = regexp.MustCompile(`(?i)(?:(` + sym + `)\s?(` + num + `)|(` + num + `)\s?(` + sym + `))`)
+	s := scanner{text: text}
+	_, ok := s.next()
+	return ok
 }
 
-// wordish tokens (letters only) must sit on word boundaries to avoid
-// matching "kr" inside "krank", "r" inside "für", or "eur" inside
-// "europe". The check is Unicode-aware: 'ü' counts as a letter.
-func boundaryOK(text string, start, end int, token string) bool {
-	alpha := true
-	for i := 0; i < len(token); i++ {
-		c := token[i]
+// AppendPrices appends every currency-amount combination in text to
+// dst, in text order, and returns the extended slice. The text should
+// be whitespace-normalized (as dom.Node.AppendText writes it) so that
+// non-breaking spaces do not break adjacency. A caller that keeps dst
+// across calls, as the banner detector does, finds prices without
+// allocating.
+func AppendPrices(dst []Price, text []byte) []Price {
+	// Every price holds a digit, and most consent banners hold none.
+	if !containsDigit(text) {
+		return dst
+	}
+	s := scanner{text: text}
+	for {
+		m, ok := s.next()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, Price{Amount: m.amount, Code: m.code, Period: detectPeriod(text, m.start, m.end)})
+	}
+}
+
+// boundaryOK reports whether a symbol sits on word boundaries. Letter
+// tokens must, to avoid matching "kr" inside "krank", "r" inside
+// "für", or "eur" inside "europe". The check is Unicode-aware: 'ü'
+// counts as a letter. token is the lower-cased symbol.
+func boundaryOK(text []byte, start, end int, token []byte) bool {
+	for _, c := range token {
 		if !((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) && c != '.' {
-			alpha = false
-			break
+			return true
 		}
 	}
-	if !alpha {
-		return true
-	}
 	if start > 0 {
-		if r, _ := utf8.DecodeLastRuneInString(text[:start]); unicode.IsLetter(r) {
+		if r, _ := utf8.DecodeLastRune(text[:start]); unicode.IsLetter(r) {
 			return false
 		}
 	}
 	if end < len(text) {
-		if r, _ := utf8.DecodeRuneInString(text[end:]); unicode.IsLetter(r) {
+		if r, _ := utf8.DecodeRune(text[end:]); unicode.IsLetter(r) {
 			return false
 		}
 	}
 	return true
 }
 
-// FindPrices extracts all currency-amount combinations from text.
-// The text should be whitespace-normalized (as dom.Node.Text returns
-// it) so that non-breaking spaces do not break adjacency.
-//
-// Matching scans manually rather than with FindAll: a candidate that
-// fails validation (word boundary, malformed amount) must only advance
-// the scan by one byte, otherwise "für 2,99 €" would consume "r 2,99"
-// as a rejected ZAR candidate and never see the Euro price.
-func FindPrices(text string) []Price {
-	// Every alternative of the price pattern contains an amount (\d+),
-	// so text without a single digit can never match. Most consent
-	// banners carry no digits at all, which makes this check the
-	// difference between "no regexp work" and a full backtracking scan
-	// on the crawl's hot path.
-	if !containsDigit(text) {
-		return nil
-	}
-	var out []Price
-	offset := 0
-	for offset < len(text) {
-		m := priceRe.FindStringSubmatchIndex(text[offset:])
-		if m == nil {
-			break
-		}
-		for i := range m {
-			if m[i] >= 0 {
-				m[i] += offset
-			}
-		}
-		var symStart, symEnd, numStart, numEnd int
-		if m[2] >= 0 { // symbol-first alternative
-			symStart, symEnd, numStart, numEnd = m[2], m[3], m[4], m[5]
-		} else {
-			numStart, numEnd, symStart, symEnd = m[6], m[7], m[8], m[9]
-		}
-		token := strings.ToLower(text[symStart:symEnd])
-		code, tokenOK := tokenToCode[token]
-		amount, amountOK := parseAmount(text[numStart:numEnd])
-		if !tokenOK || !amountOK || !boundaryOK(text, symStart, symEnd, token) {
-			offset = m[0] + 1 // rejected: re-scan from the next byte
-			continue
-		}
-		out = append(out, Price{
-			Amount: amount,
-			Code:   code,
-			Period: detectPeriod(text, m[0], m[1]),
-			Raw:    text[m[0]:m[1]],
-		})
-		offset = m[1]
-	}
-	return out
-}
-
-func containsDigit(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
+func containsDigit(s []byte) bool {
+	for _, c := range s {
+		if isDigit(c) {
 			return true
 		}
 	}
@@ -214,39 +164,55 @@ func containsDigit(s string) bool {
 }
 
 // parseAmount handles both decimal conventions: "3.99", "3,99",
-// "1.299,00" (German thousands), "1,299.00" (English thousands).
-func parseAmount(s string) (float64, bool) {
-	lastDot := strings.LastIndexByte(s, '.')
-	lastComma := strings.LastIndexByte(s, ',')
+// "1.299,00" (German thousands), "1,299.00" (English thousands). The
+// later separator is the decimal mark when both occur; a lone kind is
+// one when 1-2 digits follow its last occurrence. The number is
+// rewritten in a stack buffer, so short amounts parse without
+// allocating.
+func parseAmount(s []byte) (float64, bool) {
+	lastDot := bytes.LastIndexByte(s, '.')
+	lastComma := bytes.LastIndexByte(s, ',')
+	var buf [32]byte
+	num := buf[:0]
 	switch {
-	case lastDot < 0 && lastComma < 0:
-		// integer
 	case lastDot >= 0 && lastComma >= 0:
-		// Later separator is the decimal mark; strip the other.
 		if lastDot > lastComma {
-			s = strings.ReplaceAll(s, ",", "")
+			num = appendWithout(num, s, ',')
 		} else {
-			s = strings.ReplaceAll(s, ".", "")
-			s = strings.Replace(s, ",", ".", 1)
+			num = decimalComma(appendWithout(num, s, '.'))
 		}
+	case lastComma >= 0 && len(s)-lastComma-1 <= 2:
+		num = decimalComma(append(num, s...))
 	case lastComma >= 0:
-		// Single comma: decimal if followed by 1-2 digits, else thousands.
-		if len(s)-lastComma-1 <= 2 {
-			s = strings.Replace(s, ",", ".", 1)
-		} else {
-			s = strings.ReplaceAll(s, ",", "")
-		}
+		num = appendWithout(num, s, ',')
+	case lastDot >= 0 && len(s)-lastDot-1 > 2:
+		num = appendWithout(num, s, '.')
 	default:
-		// Single dot: decimal if followed by 1-2 digits, else thousands.
-		if len(s)-lastDot-1 > 2 {
-			s = strings.ReplaceAll(s, ".", "")
-		}
+		num = append(num, s...)
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(num), 64)
 	if err != nil || v < 0 {
 		return 0, false
 	}
 	return v, true
+}
+
+// appendWithout appends s to dst without the bytes equal to c.
+func appendWithout(dst, s []byte, c byte) []byte {
+	for _, b := range s {
+		if b != c {
+			dst = append(dst, b)
+		}
+	}
+	return dst
+}
+
+// decimalComma turns the first comma of num into a decimal point.
+func decimalComma(num []byte) []byte {
+	if i := bytes.IndexByte(num, ','); i >= 0 {
+		num[i] = '.'
+	}
+	return num
 }
 
 // periodWords maps lower-case period markers to a Period. The corpus
@@ -285,25 +251,23 @@ var periodWords = []struct {
 // detectPeriod inspects a window around the matched price for period
 // wording and returns the marker NEAREST to the price. Proximity
 // matters when two prices share a sentence ("2,99 € pro Monat bzw.
-// 29,99 € pro Jahr"): each price must bind to its own period.
-func detectPeriod(text string, start, end int) Period {
-	lo := start - 24
-	if lo < 0 {
-		lo = 0
-	}
-	hi := end + 32
-	if hi > len(text) {
-		hi = len(text)
-	}
-	window := strings.ToLower(text[lo:hi])
+// 29,99 € pro Jahr"): each price must bind to its own period. The
+// window is lower-cased in a stack buffer; distances compare offsets
+// in the lower-cased window with the price's offsets in the original.
+func detectPeriod(text []byte, start, end int) Period {
+	lo := max(start-24, 0)
+	hi := min(end+32, len(text))
+	var buf [128]byte
+	window := appendLower(buf[:0], text[lo:hi])
 	priceLo, priceHi := start-lo, end-lo
 
 	best := PeriodUnknown
 	bestDist := 1 << 30
 	for _, pw := range periodWords {
+		word := []byte(pw.word)
 		from := 0
 		for {
-			idx := strings.Index(window[from:], pw.word)
+			idx := bytes.Index(window[from:], word)
 			if idx < 0 {
 				break
 			}
@@ -312,8 +276,8 @@ func detectPeriod(text string, start, end int) Period {
 			switch {
 			case idx >= priceHi:
 				dist = idx - priceHi
-			case idx+len(pw.word) <= priceLo:
-				dist = priceLo - (idx + len(pw.word))
+			case idx+len(word) <= priceLo:
+				dist = priceLo - (idx + len(word))
 			default:
 				dist = 0
 			}
@@ -325,6 +289,26 @@ func detectPeriod(text string, start, end int) Period {
 		}
 	}
 	return best
+}
+
+// appendLower appends the lower-case form of src to dst, byte for byte
+// what strings.ToLower returns: every rune maps through
+// unicode.ToLower, and invalid UTF-8 becomes U+FFFD.
+func appendLower(dst, src []byte) []byte {
+	for i := 0; i < len(src); {
+		if c := src[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(src[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += size
+	}
+	return dst
 }
 
 // MonthlyEUR normalizes a price to EUR per month. Unknown periods are

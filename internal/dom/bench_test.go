@@ -46,14 +46,3 @@ func BenchmarkDeepText(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCloneWithMap(b *testing.B) {
-	doc := Parse(benchPage)
-	host := doc.ByID("host")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if c, _ := host.CloneWithMap(); c == nil {
-			b.Fatal("nil clone")
-		}
-	}
-}

@@ -54,17 +54,21 @@ func FuzzParse(f *testing.F) {
 			}
 			return true
 		})
-		for _, sr := range deep.ShadowRoots() {
+		deep.EachShadowRoot(func(sr *ShadowRoot) {
 			sr.Root.Walk(func(n *Node) bool {
 				if n.Tag == "iframe" {
 					n.FrameDoc = Parse(input)
 				}
 				return true
 			})
-		}
+		})
 		for _, n := range []*Node{deep, deep.Body()} {
-			if got, want := n.DeepText(), deepTextRef(n); got != want {
+			got, want := n.DeepText(), deepTextRef(n)
+			if got != want {
 				t.Fatalf("DeepText = %q, want %q (input %q)", got, want, input)
+			}
+			if appended := n.AppendDeepText([]byte("x")); string(appended) != "x"+got {
+				t.Fatalf("AppendDeepText = %q, want %q (input %q)", appended, "x"+got, input)
 			}
 		}
 	})
@@ -78,16 +82,16 @@ func deepTextRef(n *Node) string {
 	if t := n.Text(); t != "" {
 		parts = append(parts, t)
 	}
-	for _, sr := range n.ShadowRoots() {
+	n.EachShadowRoot(func(sr *ShadowRoot) {
 		if t := sr.Root.Text(); t != "" {
 			parts = append(parts, t)
 		}
-	}
-	for _, fd := range n.FrameDocs() {
+	})
+	n.EachFrameDoc(func(fd *Node) {
 		if t := fd.Text(); t != "" {
 			parts = append(parts, t)
 		}
-	}
+	})
 	return normalizeSpace(strings.Join(parts, " "))
 }
 

@@ -10,8 +10,9 @@
 //   - CSS selectors do NOT cross shadow roots. BannerClick's shadow-DOM
 //     workaround (clone shadow children into the light DOM, search the
 //     clone, then map hits back to the originals) exists precisely
-//     because XPath/CSS cannot see into shadow roots; see
-//     Node.CloneWithMap and core.Detector.DetectWith.
+//     because XPath/CSS cannot see into shadow roots. The detector
+//     searches each fragment in place instead, with the visibility the
+//     clone had (Node.IsVisibleInTree); see core.Detector.Locate.
 //   - iframes are separate documents (Node.FrameDoc), loaded by the
 //     browser, and must be searched explicitly.
 package dom
@@ -287,80 +288,30 @@ func (n *Node) Body() *Node {
 	return nil
 }
 
-// CloneWithMap deep-copies n's subtree and returns a map from each
-// clone back to its original node. Shadow roots are cloned; FrameDoc
-// pointers are shared (frames are separate documents owned by the
-// browser, and cloning a host must not re-load the frame). This is the
-// primitive behind the BannerClick shadow-DOM workaround: search the
-// clone with ordinary selectors, then interact with mapped originals.
-func (n *Node) CloneWithMap() (*Node, map[*Node]*Node) {
-	backMap := make(map[*Node]*Node)
-	return cloneInto(n, backMap), backMap
-}
-
-func cloneInto(n *Node, backMap map[*Node]*Node) *Node {
-	c := &Node{
-		Type:     n.Type,
-		Tag:      n.Tag,
-		Data:     n.Data,
-		FrameDoc: n.FrameDoc,
-	}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make([]htmlx.Attribute, len(n.Attrs))
-		copy(c.Attrs, n.Attrs)
-	}
-	backMap[c] = n
-	if n.Shadow != nil {
-		c.Shadow = &ShadowRoot{
-			Mode: n.Shadow.Mode,
-			Host: c,
-			Root: cloneInto(n.Shadow.Root, backMap),
-		}
-		c.Shadow.Root.shadowHost = c
-	}
-	for ch := n.FirstChild; ch != nil; ch = ch.NextSibling {
-		c.AppendChild(cloneInto(ch, backMap))
-	}
-	return c
-}
-
-// ShadowRoots returns every shadow root hosted anywhere in n's subtree
-// (including roots hosted inside other shadow trees), in document order.
-func (n *Node) ShadowRoots() []*ShadowRoot {
-	var out []*ShadowRoot
-	eachShadowRoot(n, func(sr *ShadowRoot) { out = append(out, sr) })
-	return out
-}
-
-// eachShadowRoot calls fn for every root ShadowRoots returns, in the
-// same order, without collecting them.
-func eachShadowRoot(n *Node, fn func(*ShadowRoot)) {
+// EachShadowRoot calls fn for every shadow root hosted anywhere in n's
+// subtree, including roots hosted inside other shadow trees, in
+// document order: a host's root comes before the roots inside it and
+// before the hosts after it.
+func (n *Node) EachShadowRoot(fn func(*ShadowRoot)) {
 	n.Walk(func(e *Node) bool {
 		if e.Shadow != nil {
 			fn(e.Shadow)
-			eachShadowRoot(e.Shadow.Root, fn)
+			e.Shadow.Root.EachShadowRoot(fn)
 		}
 		return true
 	})
 }
 
-// FrameDocs returns the content documents of all iframes in n's subtree
-// that have been loaded, including frames hosted inside shadow roots.
-func (n *Node) FrameDocs() []*Node {
-	var out []*Node
-	eachFrameDoc(n, func(fd *Node) { out = append(out, fd) })
-	return out
-}
-
-// eachFrameDoc calls fn for every document FrameDocs returns, in the
-// same order, without collecting them.
-func eachFrameDoc(n *Node, fn func(*Node)) {
+// EachFrameDoc calls fn for the content document of every loaded
+// iframe in n's subtree, including frames hosted inside shadow roots,
+// in document order. It does not descend into the frame documents.
+func (n *Node) EachFrameDoc(fn func(*Node)) {
 	n.Walk(func(e *Node) bool {
 		if e.Type == ElementNode && e.FrameDoc != nil {
 			fn(e.FrameDoc)
 		}
 		if e.Shadow != nil {
-			eachFrameDoc(e.Shadow.Root, fn)
+			e.Shadow.Root.EachFrameDoc(fn)
 		}
 		return true
 	})

@@ -149,9 +149,10 @@ func TestParseNestedShadow(t *testing.T) {
 	if inner.Shadow.Root.Text() != "deep" {
 		t.Fatalf("deep text = %q", inner.Shadow.Root.Text())
 	}
-	roots := doc.ShadowRoots()
-	if len(roots) != 2 {
-		t.Fatalf("ShadowRoots = %d", len(roots))
+	var roots []*ShadowRoot
+	doc.EachShadowRoot(func(sr *ShadowRoot) { roots = append(roots, sr) })
+	if len(roots) != 2 || roots[0] != outer.Shadow || roots[1] != inner.Shadow {
+		t.Fatalf("EachShadowRoot visits %d roots, want outer then inner", len(roots))
 	}
 }
 
@@ -206,26 +207,6 @@ func TestRenderRoundTrip(t *testing.T) {
 	host := doc2.ByID("a")
 	if host == nil || host.Shadow == nil {
 		t.Fatal("shadow lost in round trip")
-	}
-}
-
-func TestCloneWithMap(t *testing.T) {
-	doc := Parse(`<div id="host"><template shadowrootmode="open"><button id="btn">Pay</button></template><span>light</span></div>`)
-	host := doc.ByID("host")
-	clone, back := host.CloneWithMap()
-	// The clone's shadow button maps back to the original.
-	cb := clone.Shadow.Root.ByID("btn")
-	if cb == nil {
-		t.Fatal("clone lost shadow content")
-	}
-	orig := back[cb]
-	if orig == nil || orig != host.Shadow.Root.ByID("btn") {
-		t.Fatal("back-map does not reach original button")
-	}
-	// Mutating the clone must not touch the original.
-	cb.SetAttr("id", "changed")
-	if host.Shadow.Root.ByID("btn") == nil {
-		t.Fatal("original mutated through clone")
 	}
 }
 

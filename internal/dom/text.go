@@ -68,19 +68,32 @@ func (n *Node) DeepText() string {
 	var b strings.Builder
 	b.Grow(size)
 	t := textNormalizer{emit: func(s string) { b.WriteString(s) }}
+	appendDeepText(&t, n)
+	return b.String()
+}
+
+// AppendDeepText appends n's DeepText to dst and returns the extended
+// buffer; a caller that keeps dst across calls, as the banner detector
+// does, extracts it without allocating.
+func (n *Node) AppendDeepText(dst []byte) []byte {
+	t := textNormalizer{emit: func(s string) { dst = append(dst, s...) }}
+	appendDeepText(&t, n)
+	return dst
+}
+
+func appendDeepText(t *textNormalizer, n *Node) {
 	textParts(n, func(p *Node) {
-		appendText(&t, p)
+		appendText(t, p)
 		t.writeSpace()
 	})
-	return b.String()
 }
 
 // textParts calls fn for every tree DeepText reads, in order: n itself,
 // each shadow root beneath it, each loaded frame document beneath it.
 func textParts(n *Node, fn func(*Node)) {
 	fn(n)
-	eachShadowRoot(n, func(sr *ShadowRoot) { fn(sr.Root) })
-	eachFrameDoc(n, fn)
+	n.EachShadowRoot(func(sr *ShadowRoot) { fn(sr.Root) })
+	n.EachFrameDoc(fn)
 }
 
 // textBound bounds the length of n's Text from above: every text node
@@ -254,7 +267,17 @@ func (n *Node) IsDisplayed() bool {
 // IsVisible reports whether n and all its light-DOM ancestors are
 // displayed. Shadow hosts count as ancestors for nodes inside shadow
 // roots.
-func (n *Node) IsVisible() bool {
+func (n *Node) IsVisible() bool { return n.visible(true) }
+
+// IsVisibleInTree is IsVisible bounded at the root of n's own tree:
+// inside a shadow fragment it does not climb to the host. It is the
+// visibility BannerClick's shadow-DOM workaround sees, since a copy of
+// the fragment has no host.
+func (n *Node) IsVisibleInTree() bool { return n.visible(false) }
+
+// visible checks n and its ancestors, climbing out of shadow fragments
+// to their hosts when crossShadow is set.
+func (n *Node) visible(crossShadow bool) bool {
 	for cur := n; cur != nil; {
 		if !cur.IsDisplayed() {
 			return false
@@ -264,7 +287,7 @@ func (n *Node) IsVisible() bool {
 			continue
 		}
 		// Climb out of a shadow fragment to its host.
-		if cur.Type == DocumentNode {
+		if crossShadow && cur.Type == DocumentNode {
 			if host := hostOf(cur); host != nil {
 				cur = host
 				continue
@@ -276,8 +299,8 @@ func (n *Node) IsVisible() bool {
 }
 
 // hostOf returns the shadow host of a shadow fragment root, or nil for
-// any other node. AttachShadow and cloneInto set the fragment's
-// shadowHost back pointer, so the lookup is O(1).
+// any other node. AttachShadow sets the fragment's shadowHost back
+// pointer, so the lookup is O(1).
 func hostOf(fragment *Node) *Node { return fragment.shadowHost }
 
 // IsOverlay reports whether the element looks like a page overlay:

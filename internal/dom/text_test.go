@@ -167,6 +167,14 @@ func TestIsVisibleClimbsOutOfShadow(t *testing.T) {
 	if sp.IsVisible() {
 		t.Fatal("shadow content of hidden host must be invisible")
 	}
+	// Bounded at the fragment root, the host's style is out of sight.
+	if !sp.IsVisibleInTree() {
+		t.Fatal("IsVisibleInTree must stop at the shadow fragment root")
+	}
+	doc = Parse(`<div id="host"><template shadowrootmode="open"><div hidden><p id="sp">x</p></div></template></div>`)
+	if sp = doc.ByID("host").Shadow.Root.ByID("sp"); sp.IsVisibleInTree() {
+		t.Fatal("IsVisibleInTree must see a hidden ancestor inside the fragment")
+	}
 }
 
 func TestIsOverlay(t *testing.T) {
@@ -195,7 +203,9 @@ func TestFrameDocsIncludesShadowHostedFrames(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><iframe id="f"></iframe></template></div>`)
 	f := doc.ByID("host").Shadow.Root.ByID("f")
 	f.FrameDoc = Parse(`<p>frame content</p>`)
-	if n := len(doc.Root().FrameDocs()); n != 1 {
-		t.Fatalf("FrameDocs = %d", n)
+	var docs []*Node
+	doc.Root().EachFrameDoc(func(fd *Node) { docs = append(docs, fd) })
+	if len(docs) != 1 || docs[0] != f.FrameDoc {
+		t.Fatalf("EachFrameDoc visits %d documents", len(docs))
 	}
 }

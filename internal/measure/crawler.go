@@ -215,10 +215,11 @@ func (s session) release() {
 	s.aff.Put(s.worker)
 }
 
-// detect runs the full banner detector on doc with the worker's
-// detector.
-func (s session) detect(doc *dom.Node) core.Banner {
-	return s.det.DetectWith(doc, core.Options{})
+// locate finds the banner on doc with the worker's detector: its kind
+// and buttons, all that a report visit reads. The description the
+// landscape reads (corpus words, prices) is left out.
+func (s session) locate(doc *dom.Node) core.Banner {
+	return s.det.Locate(doc, core.Options{})
 }
 
 // Observation is the per-site outcome of one measurement visit.
@@ -364,7 +365,8 @@ func (o *Observation) setAnalysis(a core.Analysis) {
 // the vantage point, visit label or worker), the invariant that makes
 // its result safe to memoize by content fingerprint.
 func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
-	det := d.DetectWith(page.Doc, core.Options{})
+	det := d.Locate(page.Doc, core.Options{})
+	d.Describe(&det)
 	a := core.Analysis{
 		Kind:       det.Kind,
 		Source:     det.Source,
@@ -375,7 +377,7 @@ func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
 		// Exact length and referenced by nothing else (core.Banner's
 		// contract), so the memo entry owns it, frozen, as it is.
 		MatchedWords: det.MatchedWords,
-		PriceCount:   len(det.Prices),
+		PriceCount:   det.PriceCount,
 		MonthlyEUR:   det.MonthlyEUR,
 		AdblockPlea:  page.AdblockPlea,
 		ScrollLocked: page.ScrollLocked,
@@ -514,7 +516,7 @@ func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain string,
 	if err != nil {
 		return cookies.Tally{}, err
 	}
-	det := b.detect(page.Doc)
+	det := b.locate(page.Doc)
 	switch mode {
 	case ModeAccept:
 		if det.AcceptButton != nil {

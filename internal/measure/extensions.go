@@ -21,7 +21,7 @@ import (
 type Ablation struct {
 	// Full is the verified cookiewall count with the complete pipeline.
 	Full int
-	// NoShadow: without the shadow-DOM clone workaround.
+	// NoShadow: without the shadow-DOM search (the paper's workaround).
 	NoShadow int
 	// NoFrames: without iframe traversal.
 	NoFrames int
@@ -47,7 +47,7 @@ func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []
 				return ablationCounts{}, nil
 			}
 			wall := func(opts core.Options) bool {
-				return b.det.DetectWith(page.Doc, opts).Kind == core.KindCookiewall
+				return b.det.Locate(page.Doc, opts).Kind == core.KindCookiewall
 			}
 			return ablationCounts{
 				full:     wall(core.Options{}),
@@ -114,7 +114,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return outFailed, nil
 			}
-			det := b.detect(page.Doc)
+			det := b.locate(page.Doc)
 			if det.Kind == core.KindNone {
 				return outNoBanner, nil
 			}
@@ -125,7 +125,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return outFailed, nil
 			}
-			if b.detect(after.Doc).Kind != core.KindNone {
+			if b.locate(after.Doc).Kind != core.KindNone {
 				return outFailed, nil // banner survived the reject click
 			}
 			return outRejected, nil
@@ -180,7 +180,7 @@ func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []stri
 				if err != nil {
 					return false
 				}
-				return b.detect(page.Doc).Kind != core.KindNone
+				return b.locate(page.Doc).Kind != core.KindNone
 			}
 			return botPair{
 				mitigated: showsBanner(browser.DefaultUserAgent),
@@ -238,7 +238,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			det := b.detect(page.Doc)
+			det := b.locate(page.Doc)
 			if det.Kind != core.KindCookiewall || det.AcceptButton == nil {
 				return revOutcome{}, nil
 			}
@@ -247,7 +247,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if b.detect(after.Doc).Kind == core.KindNone {
+			if b.locate(after.Doc).Kind == core.KindNone {
 				out.gone = true
 			}
 			// Later visit with cookies kept: still no banner.
@@ -255,7 +255,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if b.detect(again.Doc).Kind == core.KindNone {
+			if b.locate(again.Doc).Kind == core.KindNone {
 				out.persisted = true
 			}
 			// The §5 recipe: delete cookies (and local storage), revisit.
@@ -264,7 +264,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			if err != nil {
 				return revOutcome{}, err
 			}
-			if b.detect(fresh.Doc).Kind == core.KindCookiewall {
+			if b.locate(fresh.Doc).Kind == core.KindCookiewall {
 				out.back = true
 			}
 			return out, nil

@@ -373,7 +373,7 @@ func (f *Farm) serveSite(r *http.Request, s *synthweb.Site) reply {
 	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/consent":
-		if err := r.ParseForm(); err == nil && r.PostForm.Get("choice") == "reject" {
+		if choice, ok := formValue(r, "choice"); ok && string(choice) == "reject" {
 			return consentRejected
 		}
 		return consentAccepted
@@ -397,10 +397,11 @@ func (f *Farm) smpLogin(r *http.Request, s *synthweb.Site) reply {
 		// we model that as an unimplemented flow.
 		return errorReply(http.StatusNotFound, "no subscription platform")
 	}
-	if err := r.ParseForm(); err != nil {
+	value, ok := formValue(r, "token")
+	if !ok {
 		return errorReply(http.StatusBadRequest, "bad form")
 	}
-	token := r.PostForm.Get("token")
+	token := string(value)
 	if !f.reg.SMP.ValidateToken(platform.Name, token) {
 		return errorReply(http.StatusForbidden, "invalid subscription token")
 	}

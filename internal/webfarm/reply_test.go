@@ -32,6 +32,15 @@ func seamPost(rawurl string, form url.Values) func() *http.Request {
 	}
 }
 
+// seamPostBody builds a POST with a raw body and Content-Type.
+func seamPostBody(rawurl, ctype, body string) func() *http.Request {
+	return func() *http.Request {
+		req := httptest.NewRequest(http.MethodPost, rawurl, strings.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		return req
+	}
+}
+
 // TestSeamsAgree drives one request per reply kind through both
 // transport seams: RoundTripBody's reply fields and RoundTrip's
 // ServeHTTP-over-httptest response must carry the same status, body and
@@ -65,8 +74,14 @@ func TestSeamsAgree(t *testing.T) {
 		{"page", 200, seamGet(http.MethodGet, site+"/")},
 		{"consent accept", 303, seamPost(site+"/consent", url.Values{"choice": {"accept"}})},
 		{"consent reject", 303, seamPost(site+"/consent", url.Values{"choice": {"reject"}})},
+		// The form reads that formValue hands to ParseForm, and a form
+		// ParseForm rejects.
+		{"consent reject, charset", 303, seamPostBody(site+"/consent", "application/x-www-form-urlencoded; charset=utf-8", "choice=reject")},
+		{"consent reject, long body", 303, seamPostBody(site+"/consent", "application/x-www-form-urlencoded", strings.Repeat("x", formPeek)+"&choice=reject")},
+		{"consent bad escape", 303, seamPostBody(site+"/consent", "application/x-www-form-urlencoded", "choice=re%jject")},
 		{"smp-login valid", 303, seamPost(site+"/smp-login", url.Values{"token": {acct.Token}})},
 		{"smp-login invalid token", 403, seamPost(site+"/smp-login", url.Values{"token": {"forged"}})},
+		{"smp-login bad form", 400, seamPostBody(site+"/smp-login", "application/x-www-form-urlencoded", "token="+acct.Token+";")},
 		{"smp-login no platform", 404, seamPost("https://"+local.Domain+"/smp-login", url.Values{"token": {acct.Token}})},
 		{"cw-frame.html", 200, seamGet(http.MethodGet, site+"/cw-frame.html")},
 		{"provider cw.js", 200, seamGet(http.MethodGet, cdn+"/cw.js?site="+wall.Domain)},
@@ -159,6 +174,25 @@ func TestReplyAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { tr.RoundTripBody(px) }); got != 0 {
 			t.Errorf("repeated pixel round trip to %s allocates %.1f, want 0", host, got)
+		}
+	}
+
+	// A consent click: the form read (one bounded buffer) and the
+	// prebuilt redirect reply.
+	body := strings.NewReader("")
+	click := seamPost("https://"+s.Domain+"/consent", url.Values{"choice": {"reject"}})()
+	click.Body = io.NopCloser(body)
+	for _, form := range []string{"choice=accept", "choice=reject"} {
+		const consentPostBudget = 1
+		got := testing.AllocsPerRun(100, func() {
+			body.Reset(form)
+			if status, _, _, _, err := tr.RoundTripBody(click); err != nil || status != http.StatusSeeOther {
+				t.Fatalf("consent POST %s: %d, %v", form, status, err)
+			}
+		})
+		t.Logf("consent POST %s: %.1f allocs", form, got)
+		if got > consentPostBudget {
+			t.Errorf("consent POST %s allocates %.1f, budget %d", form, got, consentPostBudget)
 		}
 	}
 
