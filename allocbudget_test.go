@@ -37,12 +37,16 @@ import (
 //     buffer; 62 / 56 before the single-allocation Node.Text and the
 //     in-place eTLD+1).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 121
-//     allocs on the first cookiewall domain with detection that only
+//     click, reload with every tracker, tally the jar. Measured 122
+//     allocs on the first cookiewall domain. One of them is the call's
+//     visit-label slice and one its label: MeasureCookies builds its
+//     reps labels once per call, so a campaign no longer formats one per
+//     visit, but this one-site, one-rep call pays for the slice (121
+//     with a label per visit). Earlier steps: detection that only
 //     locates the banner (no banner text, corpus slice or price list),
 //     subresources found by walking the trees without collecting them
-//     and the consent form read without ParseForm (145 before them).
-//     Earlier steps: tracker replies from the farm's render cache,
+//     and the consent form read without ParseForm (145 before them);
+//     tracker replies from the farm's render cache,
 //     absolute subresource URLs parsed once and never stringified,
 //     entity decoding that leaves non-decoding '&' uncopied and
 //     pre-encoded consent bodies (390 before them); the zero-alloc

@@ -157,22 +157,6 @@ func BenchmarkAutoReject(b *testing.B) { benchReport(b, cookiewalk.ExpAutoReject
 // (accept → revisit → delete cookies → revisit, 280 sites).
 func BenchmarkRevocation(b *testing.B) { benchReport(b, cookiewalk.ExpRevocation) }
 
-var (
-	smallOnce  sync.Once
-	smallStudy *cookiewalk.Study
-)
-
-// smallScale returns a shared small study for focused hot-path
-// benchmarks: cheap setup (CI runs these with -benchtime 1x as a
-// bit-rot smoke test), identical per-visit work.
-func smallScale(b *testing.B) *cookiewalk.Study {
-	b.Helper()
-	smallOnce.Do(func() {
-		smallStudy = cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
-	})
-	return smallStudy
-}
-
 // BenchmarkVisit measures the campaign's per-visit unit of work on the
 // crawl hot path, in both memo states:
 //
@@ -184,9 +168,11 @@ func smallScale(b *testing.B) *cookiewalk.Study {
 //     identical render (fetch + fingerprint lookup, no parse).
 //
 // Visits run under campaign.WithAffinity, reusing one browser session
-// the way a campaign worker does.
+// the way a campaign worker does. They visit the shared golden-config
+// study: cheap setup (CI runs these with -benchtime 1x as a bit-rot
+// smoke test), the same per-visit work as full scale.
 func BenchmarkVisit(b *testing.B) {
-	s := smallScale(b)
+	s := cookiewalk.GoldenStudy()
 	vp, _ := vantage.ByName("Germany")
 	noMemo := measure.New(s.Crawler().Reg, s.Transport())
 	noMemo.NoAnalysisCache = true
@@ -235,9 +221,9 @@ func regularDomain(b *testing.B, s *cookiewalk.Study) string {
 // concurrent one (one slot per core, campaigns sharing the worker
 // budget). Each iteration builds a fresh study: artefacts are memoized
 // per Study, so reusing one would only measure the cache. Outputs are
-// byte-identical across sub-benchmarks (pinned by
-// TestSchedulerDeterminismAcrossParallelism); only wall clock may
-// differ, and only on multi-core runs.
+// byte-identical across sub-benchmarks (pinned by TestGoldenMatrix's
+// parallelism rows); only wall clock may differ, and only on
+// multi-core runs.
 func BenchmarkReportAll(b *testing.B) {
 	for _, bc := range []struct {
 		name string

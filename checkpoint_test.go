@@ -3,9 +3,7 @@ package cookiewalk_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -56,75 +54,17 @@ func resumedReport(t *testing.T, cfg cookiewalk.Config, exp cookiewalk.Experimen
 	if err != nil {
 		t.Fatalf("resumed report: %v", err)
 	}
+	return got, landscapeReplayed(study)
+}
+
+// landscapeReplayed counts the landscape visits study replayed from its
+// checkpoint journals.
+func landscapeReplayed(study *cookiewalk.Study) int64 {
 	replayed := int64(0)
 	for _, res := range study.CachedLandscape().PerVP {
 		replayed += res.Stats.Replayed
 	}
-	return got, replayed
-}
-
-// firstDiff fails the test at the first divergent line of two reports.
-func firstDiff(t *testing.T, label, got, want string) {
-	t.Helper()
-	if got == want {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("%s: output diverges at line %d:\n got: %q\nwant: %q", label, i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("%s: output length changed: got %d lines, want %d", label, len(gotLines), len(wantLines))
-}
-
-// TestResumeGoldenAfterKill is the tentpole acceptance test: a
-// checkpointed crawl killed at an arbitrary point and resumed produces
-// the COMPLETE experiment report byte-identical to the checked-in
-// golden snapshot of an uninterrupted run. Kill points cover a shard
-// boundary, a mid-shard record, the very first deliveries of the first
-// campaign, and a later vantage point's campaign (so fully journaled
-// VPs replay end to end while later ones crawl fresh).
-func TestResumeGoldenAfterKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full scale-0.02 experiment per kill point")
-	}
-	want, err := os.ReadFile("testdata/golden_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2}
-	n := int64(len(cookiewalk.New(base).Targets()))
-	const shards = 4
-	kills := []struct {
-		name  string
-		label string
-		after int64
-	}{
-		{"first-deliveries", "landscape US East", 2},
-		{"shard-boundary", "landscape US East", n / shards},
-		{"mid-shard", "landscape US East", n/shards + n/(2*shards)},
-		{"later-vp", "landscape Germany", n / 2},
-	}
-	for _, k := range kills {
-		t.Run(k.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "ckpt")
-			cfg := base
-			cfg.CheckpointDir = dir
-			cfg.Shards = shards
-			cfg.Workers = 3
-			interruptCrawl(t, cfg, k.label, k.after)
-
-			// Resume under a DIFFERENT worker/shard geometry.
-			cfg.Workers = 2
-			cfg.Shards = 3
-			got, replayed := resumedReport(t, cfg, cookiewalk.ExpAll)
-			firstDiff(t, k.name, got, string(want))
-			if replayed == 0 {
-				t.Fatal("resume replayed nothing — the journal was ignored")
-			}
-		})
-	}
+	return replayed
 }
 
 // TestResumeDeterminismRandomKill is the CI resume-determinism gate:
@@ -191,10 +131,7 @@ func TestResumeNonLandscapeExperimentJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full scale-0.02 experiment twice")
 	}
-	want, err := os.ReadFile("testdata/golden_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenAll(t)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	cfg := cookiewalk.Config{
 		Seed: 42, Scale: 0.02, Reps: 2,
@@ -232,7 +169,7 @@ func TestResumeNonLandscapeExperimentJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed report: %v", err)
 	}
-	firstDiff(t, "resumed ExpAll", got, string(want))
+	firstDiff(t, "resumed ExpAll", got, want)
 	mu.Lock()
 	defer mu.Unlock()
 	for _, label := range []string{"landscape US East", "landscape Germany", "fig4 regular", "fig4 cookiewall"} {

@@ -59,17 +59,8 @@ import (
 	"time"
 
 	"cookiewalk"
+	"cookiewalk/internal/httpsrv"
 	"cookiewalk/internal/profiling"
-)
-
-// Coordinator connection bounds: a client that stalls before finishing
-// its request headers, or an idle keep-alive connection, is dropped
-// instead of holding a goroutine and a descriptor for ever. Request
-// bodies are not time-bounded, because a worker's journal upload may
-// legitimately be slow.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -333,7 +324,10 @@ func serveFleet(study *cookiewalk.Study, addr, certFile, keyFile string) (stop f
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: fc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := httpsrv.New("", fc.Handler())
+	// No ReadTimeout: the coordinator accepts journal PUTs, and a
+	// worker's upload may legitimately be slow.
+	srv.ReadTimeout = 0
 	scheme := "http"
 	serve := srv.Serve
 	if certFile != "" {

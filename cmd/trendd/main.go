@@ -47,19 +47,10 @@ import (
 
 	"cookiewalk"
 	"cookiewalk/internal/campaign"
+	"cookiewalk/internal/httpsrv"
 	"cookiewalk/internal/measure"
 	"cookiewalk/internal/profiling"
 	"cookiewalk/internal/trend"
-)
-
-// Query-API connection bounds: a client that stalls before finishing
-// its request headers, or an idle keep-alive connection, is dropped
-// instead of holding a goroutine and a descriptor for ever. The API
-// serves GET routes only, so the whole request read is bounded too.
-const (
-	readHeaderTimeout = 10 * time.Second
-	readTimeout       = 30 * time.Second
-	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -185,8 +176,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(1)
 		}
-		srv = &http.Server{Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout,
-			ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
+		// The API serves GET routes only, so the whole request read
+		// is bounded too.
+		srv = httpsrv.New("", server.Handler())
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "trend serve:", err)

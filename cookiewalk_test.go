@@ -6,21 +6,20 @@ import (
 	"testing"
 )
 
-var (
-	studyOnce sync.Once
-	study     *Study
-)
+// GoldenConfig is the study configuration testdata/golden_all.txt
+// pins: seed 42, scale 0.02, reps 2.
+func GoldenConfig() Config { return Config{Seed: 42, Scale: 0.02, Reps: 2} }
 
-func testStudy(t *testing.T) *Study {
-	t.Helper()
-	studyOnce.Do(func() {
-		study = New(Config{Seed: 42, Scale: 0.02, Reps: 2})
-	})
-	return study
-}
+// GoldenStudy is the one study at GoldenConfig that a test binary
+// shares, built on first use. Tests and benchmarks that read from it
+// (targets, single visits, single report sections) share it; a test
+// that pins a whole Report, or needs a config of its own, builds its
+// own Study. It lives in a test file of package cookiewalk, so it
+// exists only in test binaries, and cookiewalk_test reaches it too.
+var GoldenStudy = sync.OnceValue(func() *Study { return New(GoldenConfig()) })
 
 func TestAnalyzeCookiewall(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	walls := s.CookiewallDomains()
 	if len(walls) == 0 {
 		t.Fatal("no cookiewall domains")
@@ -41,14 +40,14 @@ func TestAnalyzeCookiewall(t *testing.T) {
 }
 
 func TestAnalyzeUnknownVP(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	if _, err := s.Analyze("Mars", "example.de"); err == nil {
 		t.Fatal("expected error for unknown VP")
 	}
 }
 
 func TestAnalyzeWithBlocker(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	// Find an SMP site (blockable).
 	var blockable string
 	for _, d := range s.CookiewallDomains() {
@@ -67,7 +66,7 @@ func TestAnalyzeWithBlocker(t *testing.T) {
 }
 
 func TestVantagePoints(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	vps := s.VantagePoints()
 	if len(vps) != 8 || vps[3] != "Germany" {
 		t.Fatalf("vps = %v", vps)
@@ -87,7 +86,7 @@ func TestDetectInHTML(t *testing.T) {
 }
 
 func TestReportTable1(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	text, err := s.Report(ExpTable1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestReportTable1(t *testing.T) {
 }
 
 func TestReportAccuracy(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	text, err := s.Report(ExpAccuracy)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestReportAccuracy(t *testing.T) {
 }
 
 func TestReportUnknown(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	if _, err := s.Report(Experiment("nonsense")); err == nil {
 		t.Fatal("expected error")
 	}
@@ -132,7 +131,7 @@ func TestExperimentsList(t *testing.T) {
 }
 
 func TestNewBrowser(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	b, err := s.NewBrowser("Sweden")
 	if err != nil {
 		t.Fatal(err)
@@ -147,14 +146,14 @@ func TestNewBrowser(t *testing.T) {
 }
 
 func TestHandlerServesPortal(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	if s.Handler() == nil || s.Transport() == nil || s.Crawler() == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
 
 func TestScreenshot(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	box, err := s.Screenshot("Germany", s.CookiewallDomains()[0])
 	if err != nil {
 		t.Fatal(err)

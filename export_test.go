@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuildDataset(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	ds, err := s.BuildDataset()
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestExportJSONRoundTrip(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	var buf bytes.Buffer
 	if err := s.ExportJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 }
 
 func TestExportWallsCSV(t *testing.T) {
-	s := testStudy(t)
+	s := GoldenStudy()
 	var buf bytes.Buffer
 	if err := s.ExportWallsCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestExportDeterminism(t *testing.T) {
 		}
 		return j.String(), c.String()
 	}
-	s1 := testStudy(t)
+	s1 := GoldenStudy()
 	json1, csv1 := export(s1)
 	json1b, csv1b := export(s1)
 	if json1 != json1b || csv1 != csv1b {

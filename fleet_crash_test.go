@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -34,10 +33,7 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 		t.Skip("runs the scale-0.02 landscape across a crash-recovered fleet")
 	}
 	seed := fault.Seeds(t, 1)[0]
-	want, err := os.ReadFile("testdata/golden_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenAll(t)
 
 	dir := filepath.Join(t.TempDir(), "fleet")
 	t.Cleanup(func() {
@@ -189,9 +185,7 @@ func TestFleetGoldenCoordinatorCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-recovery report: %v", err)
 	}
-	if got != string(want) {
-	}
-	firstDiff(t, "crash-recovered fleet report", got, string(want))
+	firstDiff(t, "crash-recovered fleet report", got, want)
 
 	// The landscape must have replayed from the merged journals, not
 	// re-crawled.

@@ -3,7 +3,6 @@ package cookiewalk_test
 import (
 	"context"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -25,10 +24,7 @@ func TestFleetGoldenWithKilledWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scale-0.02 landscape across a worker fleet")
 	}
-	want, err := os.ReadFile("testdata/golden_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenAll(t)
 
 	dir := filepath.Join(t.TempDir(), "fleet")
 	coordCfg := cookiewalk.Config{
@@ -98,7 +94,7 @@ func TestFleetGoldenWithKilledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-merge report: %v", err)
 	}
-	firstDiff(t, "fleet report", got, string(want))
+	firstDiff(t, "fleet report", got, want)
 
 	// The landscape must have replayed from the shipped journals, not
 	// re-crawled.

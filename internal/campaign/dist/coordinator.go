@@ -2,8 +2,6 @@ package dist
 
 import (
 	"context"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,12 +9,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/framelog"
+	"cookiewalk/internal/httpsrv"
 )
 
 // CoordinatorConfig configures a fleet coordinator.
@@ -365,21 +363,7 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/heartbeat", co.handleHeartbeat)
 	mux.HandleFunc("PUT /v1/journal", co.handleJournal)
 	mux.HandleFunc("GET /v1/status", co.handleStatus)
-	if co.cfg.Token == "" {
-		return mux
-	}
-	want := sha256.Sum256([]byte(co.cfg.Token))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		// Compare digests, not tokens: constant-time regardless of
-		// attacker-controlled length.
-		got := sha256.Sum256([]byte(tok))
-		if !ok || subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
-			http.Error(w, "missing or invalid fleet token", http.StatusUnauthorized)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return httpsrv.RequireBearer(co.cfg.Token, mux)
 }
 
 // closedLocked answers state-changing requests during graceful

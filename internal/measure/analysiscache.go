@@ -1,10 +1,13 @@
 package measure
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"cookiewalk/internal/core"
+	"cookiewalk/internal/synthweb"
+	"cookiewalk/internal/xrand"
 )
 
 // analysisCache memoizes page-analysis results (core.Analysis) by
@@ -14,10 +17,14 @@ import (
 // crawl loads at most two distinct renders per site (banner shown or
 // not), so up to eight visits collapse onto one analysis.
 //
-// The cache is process-global: fingerprints are content hashes, so
-// entries from different studies can only collide the way any 64-bit
-// content hash can, and byte-identical pages genuinely share their
-// analysis.
+// The cache is process-global and keyed by memoKey: the page
+// fingerprint mixed with the identity of the universe it was fetched
+// from. A fingerprint alone covers the top-level document only; the
+// frames, injected scripts and subresources that Compose fetches come
+// from the universe, so one top page can compose differently in two
+// universes (a seed-42 and a seed-7 site share a domain and a page
+// shell whose injected banner differs). Studies of the same universe
+// share entries, as the rounds of a trend run rely on.
 //
 // Concurrency: shards keep worker contention negligible, and each
 // entry is a singleflight slot — the first goroutine to claim a
@@ -168,3 +175,14 @@ func (c *analysisCache) seed(fp uint64, a core.Analysis) {
 // analyses is the process-wide analysis memo shared by all crawlers;
 // Crawler.NoAnalysisCache bypasses it for debugging.
 var analyses analysisCache
+
+// memoKey is the analyses key of page fingerprint fp fetched from
+// reg's universe: fp mixed with the generator config, which fixes
+// every byte the universe serves. A nil reg keys by fp alone.
+func memoKey(reg *synthweb.Registry, fp uint64) uint64 {
+	if reg == nil {
+		return fp
+	}
+	cfg := reg.Config()
+	return xrand.Mix64(xrand.Mix64(fp, cfg.Seed), math.Float64bits(cfg.FillerScale))
+}

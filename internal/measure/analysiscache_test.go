@@ -234,3 +234,53 @@ func TestAnalyzeOneUsesCampaignEngine(t *testing.T) {
 		t.Fatalf("AnalyzeOne %+v != Visit %+v", viaEngine, direct)
 	}
 }
+
+// TestAnalysisMemoSeparatesUniverses: the memo is process-wide, yet a
+// page shell that two universes serve byte for byte must be analyzed
+// per universe, because what Compose fetches into it (frames, injected
+// scripts) comes from the universe. Seeds 42 and 7 share cookiewall
+// domains whose top-level documents fingerprint equal while their
+// banners differ; a cached visit in one universe must not hand its
+// analysis to the other.
+func TestAnalysisMemoSeparatesUniverses(t *testing.T) {
+	ctx := context.Background()
+	vp, _ := vantage.ByName("Germany")
+	crawler := func(seed uint64) *Crawler {
+		reg := synthweb.Generate(synthweb.Config{Seed: seed, FillerScale: 0.02})
+		return New(reg, webfarm.New(reg).Transport())
+	}
+	a, b := crawler(42), crawler(7)
+	direct := func(c *Crawler, domain string) Observation {
+		plain := New(c.Reg, c.Transport)
+		plain.NoAnalysisCache = true
+		return plain.Visit(ctx, vp, domain, VisitOpts{})
+	}
+	shared := 0
+	for _, s := range a.Reg.CookiewallSites() {
+		if _, ok := b.Reg.Site(s.Domain); !ok {
+			continue
+		}
+		wantA, wantB := direct(a, s.Domain), direct(b, s.Domain)
+		if wantA.Err != "" || wantA.Fingerprint != wantB.Fingerprint || reflect.DeepEqual(wantA, wantB) {
+			continue
+		}
+		shared++
+		// Either universe may claim the fingerprint first.
+		for _, order := range [][2]*Crawler{{b, a}, {a, b}} {
+			for _, c := range order {
+				want := wantA
+				if c == b {
+					want = wantB
+				}
+				if got := c.Visit(ctx, vp, s.Domain, VisitOpts{}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s in seed %d: cached observation %+v != uncached %+v",
+						s.Domain, c.Reg.Config().Seed, got, want)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no domain serves an equal page shell with different banners at seeds 42 and 7; the test checks nothing")
+	}
+	t.Logf("%d shared page shells analyzed per universe", shared)
+}

@@ -89,7 +89,7 @@ func BenchmarkCookieVisit(b *testing.B) {
 		b.Fatal("no reachable cookiewall site")
 	}
 	ctx := campaign.WithAffinity(context.Background())
-	want, err := c.cookieVisit(ctx, germanyVP(), domain, 0, ModeAccept, "")
+	want, err := c.cookieVisit(ctx, germanyVP(), domain, "Germany|0|accept", ModeAccept, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func BenchmarkCookieVisit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := c.cookieVisit(ctx, germanyVP(), domain, 0, ModeAccept, "")
+		got, err := c.cookieVisit(ctx, germanyVP(), domain, "Germany|0|accept", ModeAccept, "")
 		if err != nil || got != want {
 			b.Fatalf("visit %d: %+v, %v; first visit %+v", i, got, err, want)
 		}

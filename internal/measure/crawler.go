@@ -17,9 +17,9 @@
 // vantage-point visit ORDER, or which sibling campaigns are in
 // flight. The analysis memo sharpens this to VP-independence —
 // everything analyzePage computes must depend only on page CONTENT
-// (equal fingerprints imply equal analyses), so any VP-dependent
-// value has to be captured at fetch time and stamped on after memo
-// lookup, and the memo is only ever seeded from a complete,
+// (equal fingerprints of one universe imply equal analyses), so any
+// VP-dependent value has to be captured at fetch time and stamped on
+// after memo lookup, and the memo is only ever seeded from a complete,
 // successful fetch. Results are therefore byte-identical with the
 // memo on or off, across kill/resume, distributed fleets, and
 // injected transport faults; errors use stable text so journaled
@@ -230,8 +230,9 @@ type Observation struct {
 	Err string
 
 	// Fingerprint is the visited page's content token
-	// (browser.Page.Fingerprint; zero for failed fetches). It keys the
-	// process-wide analysis memo, and the checkpoint codec persists it
+	// (browser.Page.Fingerprint; zero for failed fetches). With the
+	// universe it keys the process-wide analysis memo (memoKey), and
+	// the checkpoint codec persists it
 	// so a resumed campaign re-seeds the memo from replayed
 	// observations — fresh visits after a resume hit the memo exactly
 	// as they would have in the uninterrupted run.
@@ -323,7 +324,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 		}
 	} else {
 		var aerr error
-		a, aerr = analyses.getChecked(fr.Fingerprint, func() (core.Analysis, error) {
+		a, aerr = analyses.getChecked(memoKey(c.Reg, fr.Fingerprint), func() (core.Analysis, error) {
 			page := b.Compose(fr)
 			if cerr := b.ComposeErr(); cerr != nil {
 				return core.Analysis{}, cerr
@@ -473,13 +474,19 @@ const (
 // set for medians and correlations).
 func (c *Crawler) MeasureCookies(ctx context.Context, vp vantage.VP, label string, domains []string, reps int, mode InteractionMode, smpToken string) ([]SiteCookies, error) {
 	out := make([]SiteCookies, 0, len(domains))
+	// The browser's per-visit label depends only on (vp, rep, mode), so
+	// the campaign builds its reps labels once instead of once a visit.
+	visits := make([]string, reps)
+	for rep := range visits {
+		visits[rep] = fmt.Sprintf("%s|%d|%s", vp.Name, rep, modeLabel(mode))
+	}
 	_, err := runExperimentCampaign(ctx, c, label, SiteCookiesCodec{}, domains,
 		func(ctx context.Context, domain string) (SiteCookies, error) {
 			var sum CookieTally
 			ok := 0
 			var lastErr string
 			for rep := 0; rep < reps; rep++ {
-				tally, err := c.cookieVisit(ctx, vp, domain, rep, mode, smpToken)
+				tally, err := c.cookieVisit(ctx, vp, domain, visits[rep], mode, smpToken)
 				if err != nil {
 					lastErr = err.Error()
 					continue
@@ -507,10 +514,12 @@ func (c *Crawler) MeasureCookies(ctx context.Context, vp vantage.VP, label strin
 	return out, err
 }
 
-func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain string, rep int, mode InteractionMode, smpToken string) (cookies.Tally, error) {
+// cookieVisit runs one repetition; visit is its browser label,
+// "vp|rep|mode".
+func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain, visit string, mode InteractionMode, smpToken string) (cookies.Tally, error) {
 	b := c.session(ctx, vp)
 	defer b.release()
-	b.Visit = fmt.Sprintf("%s|%d|%s", vp.Name, rep, modeLabel(mode))
+	b.Visit = visit
 	b.SMPToken = smpToken
 	page, err := b.Open("https://" + domain + "/")
 	if err != nil {

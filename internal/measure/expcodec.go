@@ -81,13 +81,16 @@ func typeError(codec string, v any) error {
 // flagsCodec is the shared shape of the small verdict codecs: a tag
 // byte plus one flags byte, plus a domain for the campaigns whose sinks
 // report per-domain lists. pack and unpack convert between a verdict R
-// and its (flags, domain) pair; unpack may refuse flags outside R's
-// range.
+// and its (flags, domain) pair. DecodeInto refuses flags above max and
+// a domain the codec does not carry, so every record it accepts is one
+// Append could have written: it re-encodes to the same bytes.
 type flagsCodec[R any] struct {
 	name   string
 	tag    byte
+	max    byte // the largest flags value R defines
+	domain bool // whether R carries a domain
 	pack   func(*R) (flags byte, domain string)
-	unpack func(flags byte, domain string) (R, error)
+	unpack func(flags byte, domain string) R
 }
 
 // Append implements campaign.Codec; v is a *R.
@@ -119,11 +122,13 @@ func (c flagsCodec[R]) DecodeInto(data []byte, v any) error {
 	if len(d.data) != 0 {
 		return fmt.Errorf("measure: %s: %d trailing bytes", c.name, len(d.data))
 	}
-	r, err := c.unpack(flags, domain)
-	if err != nil {
-		return err
+	if flags > c.max {
+		return fmt.Errorf("measure: %s: flags %#x above %#x", c.name, flags, c.max)
 	}
-	*out = r
+	if domain != "" && !c.domain {
+		return fmt.Errorf("measure: %s: unexpected domain %q", c.name, domain)
+	}
+	*out = c.unpack(flags, domain)
 	return nil
 }
 
@@ -140,12 +145,12 @@ func packBools(bs ...bool) byte {
 // bypassCodec journals the §4.5 per-domain verdict (wall survived the
 // blocker across repetitions, plus the two quirk flags).
 func bypassCodec() flagsCodec[bypassOutcome] {
-	return flagsCodec[bypassOutcome]{name: "bypassCodec", tag: bypassTag,
+	return flagsCodec[bypassOutcome]{name: "bypassCodec", tag: bypassTag, max: 7, domain: true,
 		pack: func(o *bypassOutcome) (byte, string) {
 			return packBools(o.Wall, o.AdblockPlea, o.ScrollLocked), o.Domain
 		},
-		unpack: func(f byte, domain string) (bypassOutcome, error) {
-			return bypassOutcome{Domain: domain, Wall: f&1 != 0, AdblockPlea: f&2 != 0, ScrollLocked: f&4 != 0}, nil
+		unpack: func(f byte, domain string) bypassOutcome {
+			return bypassOutcome{Domain: domain, Wall: f&1 != 0, AdblockPlea: f&2 != 0, ScrollLocked: f&4 != 0}
 		},
 	}
 }
@@ -153,36 +158,31 @@ func bypassCodec() flagsCodec[bypassOutcome] {
 // ablationCodec journals the four detector-configuration verdicts of
 // one ablation visit.
 func ablationCodec() flagsCodec[ablationCounts] {
-	return flagsCodec[ablationCounts]{name: "ablationCodec", tag: ablationTag,
+	return flagsCodec[ablationCounts]{name: "ablationCodec", tag: ablationTag, max: 15,
 		pack: func(c *ablationCounts) (byte, string) {
 			return packBools(c.full, c.noShadow, c.noFrames, c.mainOnly), ""
 		},
-		unpack: func(f byte, _ string) (ablationCounts, error) {
-			return ablationCounts{full: f&1 != 0, noShadow: f&2 != 0, noFrames: f&4 != 0, mainOnly: f&8 != 0}, nil
+		unpack: func(f byte, _ string) ablationCounts {
+			return ablationCounts{full: f&1 != 0, noShadow: f&2 != 0, noFrames: f&4 != 0, mainOnly: f&8 != 0}
 		},
 	}
 }
 
 // autoRejectCodec journals one auto-reject attempt's outcome.
 func autoRejectCodec() flagsCodec[rejectOutcome] {
-	return flagsCodec[rejectOutcome]{name: "autoRejectCodec", tag: autoRejectTag,
-		pack: func(o *rejectOutcome) (byte, string) { return byte(*o), "" },
-		unpack: func(f byte, _ string) (rejectOutcome, error) {
-			if f > byte(outFailed) {
-				return 0, fmt.Errorf("measure: autoRejectCodec: outcome %d out of range", f)
-			}
-			return rejectOutcome(f), nil
-		},
+	return flagsCodec[rejectOutcome]{name: "autoRejectCodec", tag: autoRejectTag, max: byte(outFailed),
+		pack:   func(o *rejectOutcome) (byte, string) { return byte(*o), "" },
+		unpack: func(f byte, _ string) rejectOutcome { return rejectOutcome(f) },
 	}
 }
 
 // botCheckCodec journals one domain's banner visibility under the two
 // crawler identities.
 func botCheckCodec() flagsCodec[botPair] {
-	return flagsCodec[botPair]{name: "botCheckCodec", tag: botCheckTag,
+	return flagsCodec[botPair]{name: "botCheckCodec", tag: botCheckTag, max: 3,
 		pack: func(p *botPair) (byte, string) { return packBools(p.mitigated, p.naive), "" },
-		unpack: func(f byte, _ string) (botPair, error) {
-			return botPair{mitigated: f&1 != 0, naive: f&2 != 0}, nil
+		unpack: func(f byte, _ string) botPair {
+			return botPair{mitigated: f&1 != 0, naive: f&2 != 0}
 		},
 	}
 }
@@ -190,12 +190,12 @@ func botCheckCodec() flagsCodec[botPair] {
 // revocationCodec journals one domain's accept/revisit/delete/revisit
 // outcome.
 func revocationCodec() flagsCodec[revOutcome] {
-	return flagsCodec[revOutcome]{name: "revocationCodec", tag: revocationTag,
+	return flagsCodec[revOutcome]{name: "revocationCodec", tag: revocationTag, max: 15,
 		pack: func(o *revOutcome) (byte, string) {
 			return packBools(o.tested, o.gone, o.persisted, o.back), ""
 		},
-		unpack: func(f byte, _ string) (revOutcome, error) {
-			return revOutcome{tested: f&1 != 0, gone: f&2 != 0, persisted: f&4 != 0, back: f&8 != 0}, nil
+		unpack: func(f byte, _ string) revOutcome {
+			return revOutcome{tested: f&1 != 0, gone: f&2 != 0, persisted: f&4 != 0, back: f&8 != 0}
 		},
 	}
 }

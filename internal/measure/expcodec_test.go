@@ -132,3 +132,67 @@ func TestExperimentCodecsRejectCrossWiring(t *testing.T) {
 		t.Fatal("decoded a record with trailing bytes")
 	}
 }
+
+// FuzzExperimentCodecs: arbitrary bytes never panic an experiment
+// journal codec's DecodeInto, and every record a codec accepts
+// re-encodes to exactly its own bytes — a replayed journal holds
+// nothing its encoder could not have written. The seeds include the
+// shapes the decoders must refuse: flag bits a verdict does not define,
+// a domain on a codec that carries none and a length prefix in a
+// longer varint form than Append writes.
+func FuzzExperimentCodecs(f *testing.F) {
+	codecs := []struct {
+		codec campaign.Codec
+		dst   func() any
+	}{
+		{SiteCookiesCodec{}, func() any { return new(SiteCookies) }},
+		{bypassCodec(), func() any { return new(bypassOutcome) }},
+		{ablationCodec(), func() any { return new(ablationCounts) }},
+		{autoRejectCodec(), func() any { return new(rejectOutcome) }},
+		{botCheckCodec(), func() any { return new(botPair) }},
+		{revocationCodec(), func() any { return new(revOutcome) }},
+	}
+	for _, v := range []struct {
+		codec campaign.Codec
+		val   any
+	}{
+		{SiteCookiesCodec{}, &SiteCookies{Domain: "a.example", Tally: CookieTally{FirstParty: 1.5, Tracking: 42}}},
+		{SiteCookiesCodec{}, &SiteCookies{Domain: "b.example", Err: "webfarm: host not found"}},
+		{bypassCodec(), &bypassOutcome{Domain: "wall.example", Wall: true, ScrollLocked: true}},
+		{ablationCodec(), &ablationCounts{full: true, mainOnly: true}},
+		{autoRejectCodec(), ptr(outFailed)},
+		{botCheckCodec(), &botPair{naive: true}},
+		{revocationCodec(), &revOutcome{tested: true, back: true}},
+	} {
+		enc, err := v.codec.Append(nil, v.val)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	for _, tag := range []byte{bypassTag, ablationTag, autoRejectTag, botCheckTag, revocationTag} {
+		f.Add([]byte{tag, 0xF0, 0})         // undefined flag bits
+		f.Add([]byte{tag, 1, 1, 'x'})       // a domain
+		f.Add([]byte{tag, 1, 0x81, 0, 'x'}) // a two-byte length of 1
+		f.Add([]byte{tag, 1, 0x80, 0x00})   // a two-byte length of 0
+	}
+	// An empty SiteCookies record with a two-byte domain length of 0.
+	f.Add(append([]byte{siteCookiesTag, 0x80, 0x00, 0}, make([]byte, 24)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			dst := c.dst()
+			if c.codec.DecodeInto(data, dst) != nil {
+				continue
+			}
+			enc, err := c.codec.Append(nil, dst)
+			if err != nil {
+				t.Fatalf("%T: re-encoding accepted record %x: %v", c.codec, data, err)
+			}
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("%T accepted %x, which re-encodes to %x", c.codec, data, enc)
+			}
+		}
+	})
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -147,7 +147,7 @@ func (c ObservationCodec) decode(data []byte, o *Observation) error {
 	// resumed campaign's FRESH visits reuse it (the whole point of
 	// journaling the fingerprint alongside the analysis).
 	if o.Err == "" && o.Fingerprint != 0 {
-		analyses.seed(o.Fingerprint, analysisOf(o))
+		analyses.seed(memoKey(c.Reg, o.Fingerprint), analysisOf(o))
 	}
 	return nil
 }
@@ -252,9 +252,12 @@ func (d *obsDecoder) u64() uint64 {
 	return v
 }
 
+// uvarint reads a minimally encoded uvarint, the only form
+// binary.AppendUvarint writes: a longer form of the same value (one
+// that ends in a zero byte) is malformed.
 func (d *obsDecoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.data[n-1] == 0 {
 		d.fail()
 		return 0
 	}

@@ -22,8 +22,8 @@ import (
 // Determinism invariant: every node's artefact is a pure function of
 // its declared inputs and the study seed — never of scheduling — so
 // the assembled report is byte-identical for any parallelism level
-// (pinned by TestSchedulerDeterminismAcrossParallelism against the
-// golden snapshot).
+// (pinned against the golden snapshot by TestGoldenMatrix's
+// parallelism rows).
 
 // Artefact node ids (experiment nodes use their Experiment id).
 const (

@@ -3,8 +3,6 @@ package cookiewalk_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,38 +10,7 @@ import (
 	"time"
 
 	"cookiewalk"
-	"cookiewalk/internal/fault"
 )
-
-// TestSchedulerDeterminismAcrossParallelism pins the DAG scheduler's
-// central promise: the COMPLETE experiment output is byte-identical to
-// the golden snapshot for any ExperimentParallelism — serial, a small
-// pool, or one slot per core. Scheduling (and the shared worker
-// budget) must never leak into results. Without COOKIEWALK_SEED all
-// three levels run; CI runs one level per matrix leg, seed 1, 2 or 3
-// selecting parallelism 1, 4 or GOMAXPROCS.
-func TestSchedulerDeterminismAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full scale-0.02 experiment per parallelism level")
-	}
-	want, err := os.ReadFile("testdata/golden_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, seed := range fault.Seeds(t, 1, 2, 3) {
-		par := levels[(seed-1)%uint64(len(levels))]
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
-			got, err := cookiewalk.New(cookiewalk.Config{
-				Seed: 42, Scale: 0.02, Reps: 2, ExperimentParallelism: par,
-			}).Report(cookiewalk.ExpAll)
-			if err != nil {
-				t.Fatal(err)
-			}
-			firstDiff(t, fmt.Sprintf("parallelism %d", par), got, string(want))
-		})
-	}
-}
 
 // TestReportContextCancellation cancels a concurrent ExpAll
 // mid-campaign and asserts the report aborts promptly with the

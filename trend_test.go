@@ -53,8 +53,7 @@ func trendConfig(storeDir string, round int) cookiewalk.Config {
 // openTrendStore opens the round store exactly as cmd/trendd would.
 func openTrendStore(t *testing.T, dir string) *trend.Store {
 	t.Helper()
-	probe := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
-	targets := probe.Targets()
+	targets := cookiewalk.GoldenStudy().Targets()
 	store, err := trend.Open(dir, trend.Manifest{
 		Seed: 42, Scale: 0.02, Reps: 2,
 		Targets:     len(targets),
