@@ -24,7 +24,7 @@ func main() {
 		walls      = flag.Bool("walls", false, "list cookiewall domains and exit")
 		screenshot = flag.Bool("screenshot", false, "render the banner as an ASCII box (Appendix B style)")
 		progress   = flag.Bool("progress", false, "stream campaign progress counters to stderr")
-		workers    = flag.Int("workers", 0, "per-shard worker pool size (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker pool size of each campaign run, shared by all its shards (0 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "campaign shard count (0 = derived from target count)")
 	)
 	flag.Parse()

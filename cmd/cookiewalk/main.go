@@ -73,7 +73,7 @@ func main() {
 		out        = flag.String("out", "", "also write the report to this file")
 		jsonOut    = flag.String("json", "", "write the machine-readable dataset (JSON) to this file")
 		csvOut     = flag.String("csv", "", "write per-cookiewall records (CSV) to this file")
-		workers    = flag.Int("workers", 0, "per-shard worker pool size (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker pool size of each campaign run, shared by all its shards (0 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "campaign shard count (0 = derived from target count)")
 		jobs       = flag.Int("j", 1, "experiment-level parallelism: independent experiment campaigns running concurrently on one shared worker budget")
 		progress   = flag.Bool("progress", false, "stream campaign progress and per-shard error accounting to stderr")

@@ -58,7 +58,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "universe seed (must stay fixed for the lifetime of a store)")
 		scale    = flag.Float64("scale", 1, "filler-web scale (1 = paper size; must stay fixed per store)")
 		reps     = flag.Int("reps", 5, "repetitions for cookie measurements")
-		workers  = flag.Int("workers", 0, "per-shard worker pool size (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "worker pool size of each campaign run, shared by all its shards (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "campaign shard count (0 = derived from target count)")
 		jobs     = flag.Int("j", 1, "experiment-level parallelism within a round")
 		storeDir = flag.String("store", "", "trend store directory: the round journal (rounds.cwt), its manifest, and per-round crawl checkpoints live here (required)")

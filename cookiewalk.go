@@ -17,12 +17,13 @@
 //     detection accuracy (§3) and the ad-blocker bypass study (§4.5).
 //
 // Every crawl runs on the streaming campaign engine
-// (internal/campaign): the target list is partitioned into shards, each
-// shard visits sites on its own worker pool, and observations stream —
-// in input order — into incrementally updated tallies. Nothing ever
-// materializes the full per-visit result set, outputs are byte-for-byte
-// identical for a fixed seed regardless of Workers or Shards, and
-// long campaigns report progress and per-shard error counts as they go.
+// (internal/campaign): the target list is partitioned into shards, one
+// worker pool per campaign run visits the sites of every shard, and
+// observations stream — in input order — into incrementally updated
+// tallies. Nothing ever materializes the full per-visit result set,
+// outputs are byte-for-byte identical for a fixed seed regardless of
+// Workers or Shards, and long campaigns report progress and per-shard
+// error counts as they go.
 //
 // Above the engine, the study layer schedules experiments as a
 // dependency DAG (see schedule.go): artefacts are memoized study-wide,
@@ -94,7 +95,8 @@ type Config struct {
 	// Reps is the repetition count for cookie measurements (default 5,
 	// as in the paper).
 	Reps int
-	// Workers bounds per-shard crawl parallelism (default GOMAXPROCS).
+	// Workers bounds each crawl's parallelism: the size of the one worker
+	// pool a campaign run starts for all its shards (default GOMAXPROCS).
 	Workers int
 	// Shards overrides the campaign shard count (default: derived from
 	// the target-list size). Purely a throughput/accounting knob —

@@ -64,8 +64,9 @@ type HostGate interface {
 	Abandon(host string)
 }
 
-// Meter receives resilience events. Implementations must be safe for
-// concurrent use (one Meter is shared across a campaign's workers).
+// Meter receives resilience events. Calls come from the goroutine
+// running the request; a campaign gives each of its workers its own
+// Meter, so one Meter sees one visit at a time.
 type Meter interface {
 	// VisitRetry counts one retried request attempt.
 	VisitRetry()

@@ -4,25 +4,29 @@
 // byte-for-byte deterministic regardless of worker count, shard count
 // or scheduling.
 //
-// A campaign partitions its target list into contiguous shards. Shards
-// run one after another, each with its own worker pool; inside a shard,
-// visits run concurrently but their results are re-sequenced through a
-// bounded in-flight window before reaching the sink. The window gives
-// backpressure and the re-sequencing gives determinism: the sink
-// observes results exactly as if the targets had been visited one by
-// one, left to right. Workers hand results over in recycled batches
-// (see runShard), and batch boundaries never show in sink order,
-// journal bytes or counters.
+// A campaign partitions its target list into contiguous shards. A run
+// starts one worker pool and one delivery loop for all of its shards:
+// workers claim target indices in order, visit them concurrently, and
+// their results are re-sequenced through a bounded in-flight window
+// before reaching the sink. The window gives backpressure and the
+// re-sequencing gives determinism: the sink observes results exactly
+// as if the targets had been visited one by one, left to right.
+// Workers hand results over in recycled batches, and batch boundaries
+// never show in sink order, journal bytes or counters. Shards are
+// boundaries of delivery only — a journal file, a ShardStats account
+// and a progress snapshot each — so workers run ahead into the next
+// shard while the delivery loop finishes the current one.
 //
-// Cancellation is first-class: cancel the context and the engine stops
-// dispatching, lets in-flight visits finish, accounts every undone
-// target as canceled, and returns context.Cause promptly with no
-// goroutine left behind.
+// Cancellation is first-class: cancel the context and the workers stop
+// claiming targets and let in-flight visits finish; delivery stops at
+// the first target not visited, accounts it and every later one as
+// canceled, and Run returns context.Cause promptly with no goroutine
+// left behind.
 //
 // Run, Resume and RunRange are one engine over a span of shards: Run
 // and Resume run every shard, RunRange the one shard a fleet worker
 // leased (see range.go). All three open the checkpoint in one place,
-// run shards through one loop and account them with one counter set,
+// run through one pool and account shards with one counter set,
 // Counts, which ShardStats, Stats and Progress embed. A shard run alone
 // gets the same account and journal bytes as inside a full Run.
 //
@@ -56,12 +60,13 @@ type Config struct {
 	// Label names the campaign in progress callbacks
 	// ("landscape Germany", "cookies accept", ...).
 	Label string
-	// Workers is the per-shard worker pool size (default GOMAXPROCS).
+	// Workers is the size of the run's one worker pool, which serves
+	// every shard of the run (default GOMAXPROCS).
 	Workers int
 	// Shards is the number of contiguous target partitions. Zero picks
-	// DefaultShards(len(targets)). Sharding never changes results — it
-	// bounds the re-sequencing scope and structures progress/error
-	// accounting into reportable units.
+	// DefaultShards(len(targets)). Sharding never changes results — a
+	// shard is a journal file and a unit of progress and error
+	// accounting, not a pool lifetime.
 	Shards int
 	// Window bounds in-flight results awaiting in-order delivery
 	// (default 4×Workers, minimum 16). Larger windows absorb more
@@ -160,7 +165,8 @@ func (c Config) shards(n int) int {
 
 // DefaultShards derives a shard count from the target-list size: one
 // shard per 4096 targets, at least 1, at most 64. The paper-scale
-// 45 222-target list lands at 12 shards.
+// 45 222-target list lands at 12 shards. A shard costs a journal file
+// and an account, never a worker pool: one pool serves the whole run.
 func DefaultShards(n int) int {
 	s := (n + 4095) / 4096
 	if s < 1 {
@@ -184,14 +190,15 @@ type Counts struct {
 	// errors included — a resumed run's ledger matches the
 	// uninterrupted one's).
 	Errors int64
-	// Canceled counts targets never visited because the campaign was
-	// canceled first.
+	// Canceled counts targets never delivered because the campaign was
+	// canceled first: delivery stops at the first target left unvisited,
+	// so a result visited past it is discarded and counted here too.
 	Canceled int64
 	// Replayed counts deliveries served from the checkpoint journal
 	// instead of a fresh visit (always ≤ Done; zero outside Resume).
 	Replayed int64
 	// Retries, BreakerTrips and BreakerDenials count the resilience
-	// events visits reported to the campaign Meter: retried request
+	// events visits reported to their worker's Meter: retried request
 	// attempts, circuit breakers tripped open, and requests refused by
 	// an open breaker. All three stay zero when the visit layer runs
 	// without retries or breakers.
@@ -230,53 +237,51 @@ func (c Config) progress(shard, shards int, total int64, counts Counts) {
 	}
 }
 
-// Meter accumulates resilience events — retries, breaker trips,
-// breaker denials — from a campaign's visit functions. The engine
-// creates one per campaign and injects it into every visit's context;
-// visits (or the browser layer beneath them) retrieve it with
-// MeterFrom and report events. All methods are safe for concurrent
-// use and on a nil receiver, so visit code never needs a guard.
+// Meter counts resilience events — retries, breaker trips, breaker
+// denials — from a campaign worker's visits. The engine gives every
+// worker its own Meter for the whole run and injects it into the
+// worker's visit context; visits (or the browser layer beneath them)
+// retrieve it with MeterFrom and report events. After each visit the
+// worker moves the count onto the visit's result, so every event lands
+// in the account of the shard the visit belongs to, however far the
+// workers run ahead of delivery. A worker runs its visits strictly one
+// after another, so a Meter needs no locking. All methods are safe on
+// a nil receiver, so visit code never needs a guard.
 type Meter struct {
-	retries        atomic.Int64
-	breakerTrips   atomic.Int64
-	breakerDenials atomic.Int64
+	retries, breakerTrips, breakerDenials int64
 }
 
 // VisitRetry counts one retried request attempt.
 func (m *Meter) VisitRetry() {
 	if m != nil {
-		m.retries.Add(1)
+		m.retries++
 	}
 }
 
 // BreakerTrip counts one circuit breaker opening.
 func (m *Meter) BreakerTrip() {
 	if m != nil {
-		m.breakerTrips.Add(1)
+		m.breakerTrips++
 	}
 }
 
 // BreakerDenial counts one request refused by an open breaker.
 func (m *Meter) BreakerDenial() {
 	if m != nil {
-		m.breakerDenials.Add(1)
+		m.breakerDenials++
 	}
 }
 
-// take returns the events counted since its last call and restarts the
-// count from zero. The engine takes them into the shard in flight, so
-// no event is counted twice or lost.
-func (m *Meter) take() Counts {
-	return Counts{
-		Retries:        m.retries.Swap(0),
-		BreakerTrips:   m.breakerTrips.Swap(0),
-		BreakerDenials: m.breakerDenials.Swap(0),
-	}
+// addTo adds the counted events to c.
+func (m *Meter) addTo(c *Counts) {
+	c.Retries += m.retries
+	c.BreakerTrips += m.breakerTrips
+	c.BreakerDenials += m.breakerDenials
 }
 
 type meterKey struct{}
 
-// MeterFrom returns the campaign's Meter from a visit context, or nil
+// MeterFrom returns the worker's Meter from a visit context, or nil
 // when the visit is not running under a campaign engine (direct
 // Visit calls, tests). The nil Meter is fully usable.
 func MeterFrom(ctx context.Context) *Meter {
@@ -289,10 +294,11 @@ func withMeter(ctx context.Context, m *Meter) context.Context {
 }
 
 // Affinity is a worker-affine scratch slot. Every worker goroutine of a
-// campaign carries its own Affinity in the visit context, so the visit
-// layer can keep expensive per-session state (a browser, its parser
-// arenas, its cookie-jar map) pinned to one worker instead of
-// allocating it on every visit. A worker runs its visits strictly
+// campaign run carries its own Affinity in the visit context, one slot
+// for the worker's whole run across every shard, so the visit layer can
+// keep expensive per-session state (a browser, its parser arenas, its
+// cookie-jar map) pinned to one worker instead of allocating it on
+// every visit: one session per worker per run. A worker runs its visits strictly
 // sequentially, so the slot needs no locking; it must never be shared
 // outside the visit that read it from its context.
 //
@@ -395,9 +401,12 @@ func Run[T, R any](ctx context.Context, cfg Config, targets []T,
 }
 
 // run is the one engine behind Run, Resume and RunRange. It runs shards
-// [first, last) of the nShards-way partition of targets, one after
-// another, and accounts only that span. With a checkpoint, resume
-// replays its journals; otherwise the run starts fresh ones.
+// [first, last) of the nShards-way partition of targets through one
+// worker pool and one delivery loop, and accounts only that span. With
+// a checkpoint, indices present in replay are decoded from the journal
+// instead of visited, and fresh results are journaled at delivery time
+// — in index order, so every journal is a prefix-consistent log;
+// resume replays the journals, otherwise the run starts fresh ones.
 func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
 	first, last, nShards int, resume bool) (Stats, error) {
@@ -409,111 +418,44 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	lo, _ := ShardRange(len(targets), nShards, first)
 	_, hi := ShardRange(len(targets), nShards, last-1)
 	stats := Stats{Targets: hi - lo}
-	// One Meter per campaign: visits report resilience events into it
-	// through their context, and the delivery loop takes them into the
-	// shard in flight (shards run strictly one after another).
-	meter := &Meter{}
-	for shard := first; shard < last; shard++ {
-		lo, hi := ShardRange(len(targets), nShards, shard)
-		if ctx.Err() != nil {
-			// Campaign cut short: account the remaining shards without
-			// spinning up their pools. Progress consumers still see each
-			// skipped shard so the final snapshot reaches Shards/Shards.
-			stats.addShard(ShardStats{Shard: shard, Targets: hi - lo, Counts: Counts{Canceled: int64(hi - lo)}})
-		} else {
-			stats.addShard(runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, meter, ck, replay))
-		}
-		cfg.progress(shard, nShards, int64(stats.Targets), stats.Counts)
-	}
-	if stats.Canceled > 0 || ctx.Err() != nil {
-		if err := context.Cause(ctx); err != nil {
-			return stats, err
-		}
-	}
-	if ck != nil && ck.err != nil {
-		return stats, ck.err
-	}
-	return stats, nil
-}
-
-// shardResult pairs a Result with the engine-internal markers:
-// canceled targets never reach the sink but must be accounted and
-// re-sequenced like everything else; replayed results came from the
-// journal (never re-journaled, counted separately). Workers decode a
-// replayed value straight into res.Value of their batch slot, and the
-// delivery loop encodes a fresh one straight from its ring slot into
-// the journal, so no value is copied or boxed on its way to or from
-// the journal.
-type shardResult[R any] struct {
-	res      Result[R]
-	canceled bool
-	replayed bool
-}
-
-// runShard runs one contiguous target range [lo, hi) through a fresh
-// worker pool and delivers its results in order. With a checkpoint,
-// indices present in replay are decoded from the journal instead of
-// visited, and fresh results are journaled at delivery time — in index
-// order, so the journal is always a prefix-consistent log.
-func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
-	visit func(context.Context, T) (R, error), sink func(Result[R]),
-	shard, nShards, lo, hi int, sofar *Stats, meter *Meter, ck *checkpointState, replay []journalRecord) ShardStats {
-
-	var jw *journalWriter
-	if ck != nil && ck.err == nil {
-		var err error
-		if jw, err = openJournal(shardFile(ck.cp.Dir, shard), ck.cp.FlushEvery); err != nil {
-			ck.fail(err)
-			jw = nil
-		}
-	}
 
 	window := cfg.window()
-	workers := cfg.workers()
-	if workers > hi-lo {
-		// Never more goroutines than targets: single-visit campaigns
-		// (AnalyzeOne) and tiny tail shards get a right-sized pool.
-		workers = hi - lo
-	}
-	idxCh := make(chan int)
+	// Never more goroutines than targets: single-visit campaigns
+	// (AnalyzeOne) and tiny ranges get a right-sized pool.
+	workers := min(cfg.workers(), hi-lo)
 	// Workers hand results to the delivery loop in batches, amortizing
 	// the per-visit channel synchronization: a worker keeps appending to
-	// its private batch while more work is immediately available and
-	// flushes when the batch fills OR before it would block on idxCh —
-	// so under load batches run full, and when the pipeline drains (or
-	// the dispatcher stalls on the token window) every partial batch is
-	// flushed rather than held. Batch boundaries are therefore pure
+	// its private batch while the window has room and flushes when the
+	// batch fills OR before it would block on the window — so under load
+	// batches run full, and when the pipeline drains every partial batch
+	// is flushed rather than held. Batch boundaries are therefore pure
 	// scheduling: the re-sequencer below delivers the same results in
 	// the same order regardless of how they were grouped in transit.
-	batchCap := 1
-	if workers > 0 {
-		batchCap = window / workers
-	}
-	if batchCap < 1 {
-		batchCap = 1
-	}
-	if batchCap > 32 {
-		batchCap = 32
-	}
+	batchCap := min(max(window/max(workers, 1), 1), 32)
 	resCh := make(chan []shardResult[R], workers)
 	// freeCh recycles drained batch slices back to the workers. At most
 	// 2*workers+1 batches are ever out of it (one filling per worker,
 	// workers queued in resCh, one draining), so with that capacity a
-	// returned batch is never dropped and a shard allocates at most
-	// that many batches, however the workers are scheduled.
+	// returned batch is never dropped and a run allocates at most that
+	// many batches, however the workers are scheduled.
 	freeCh := make(chan []shardResult[R], 2*workers+1)
-	// tokens caps dispatched-but-undelivered visits at window, which
-	// bounds the re-sequencing buffer below.
+	// tokens caps claimed-but-undelivered indices at window, which
+	// bounds the re-sequencing buffer below. A worker takes a token
+	// before it claims the next index from claimed, so claims stay in
+	// index order and every claimed index holds a token until delivery.
 	tokens := make(chan struct{}, window)
+	var claimed atomic.Int64
+	claimed.Store(int64(lo))
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One context wrap per worker goroutine, not per visit: the
-			// meter and the worker-affine scratch slot ride to the visit
-			// layer as context values.
+			// One Meter and one Affinity per worker for the whole run, in
+			// one context wrap each: the visit layer keeps its session in
+			// the slot across every shard the worker visits.
+			meter := new(Meter)
 			vctx := WithAffinity(withMeter(ctx, meter))
 			var batch []shardResult[R]
 			flush := func() {
@@ -522,25 +464,30 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 					batch = nil
 				}
 			}
+			defer flush()
 			for {
-				var i int
-				var ok bool
-				if len(batch) == 0 {
-					i, ok = <-idxCh
-				} else {
+				select {
+				case tokens <- struct{}{}:
+				default:
+					// The window is full: flush the partial batch before
+					// blocking, so the delivery loop (and through it the
+					// window) can make progress on what this worker
+					// already finished.
+					flush()
 					select {
-					case i, ok = <-idxCh:
-					default:
-						// Nothing immediately dispatchable: flush the
-						// partial batch before blocking, so the delivery
-						// loop (and through it the token window) can make
-						// progress on what this worker already finished.
-						flush()
-						i, ok = <-idxCh
+					case tokens <- struct{}{}:
+					case <-ctx.Done():
+						return
 					}
 				}
-				if !ok {
-					break
+				i := int(claimed.Add(1)) - 1
+				if i >= hi || ctx.Err() != nil {
+					// No index left, or the run is canceled: hand the token
+					// back and stop. A canceled index is never delivered:
+					// the delivery loop stops at it and accounts it, and
+					// every index after it, as canceled.
+					<-tokens
+					return
 				}
 				if batch == nil {
 					select {
@@ -549,87 +496,94 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 						batch = make([]shardResult[R], 0, batchCap)
 					}
 				}
-				r := Result[R]{Index: i, Shard: shard}
-				if ctx.Err() != nil {
-					// Dispatched before cancellation won the race: report
-					// the target as unvisited rather than calling visit.
-					batch = append(batch, shardResult[R]{res: r, canceled: true})
-					if len(batch) == cap(batch) {
-						flush()
+				batch = append(batch, shardResult[R]{res: Result[R]{Index: i}})
+				q := &batch[len(batch)-1]
+				// An undecodable record (codec change, bit rot that slipped
+				// past the checksum) is not fatal: the target is visited
+				// fresh, and the visit overwrites the slot.
+				if replay != nil && replay[i].ok && ck.cp.Codec.DecodeInto(replay[i].value, &q.res.Value) == nil {
+					q.replayed = true
+					if replay[i].errStr != "" {
+						q.res.Err = errors.New(replay[i].errStr)
 					}
-					continue
-				}
-				if replay != nil && replay[i].ok {
-					rec := &replay[i]
-					batch = append(batch, shardResult[R]{res: r, replayed: true})
-					q := &batch[len(batch)-1]
-					if err := ck.cp.Codec.DecodeInto(rec.value, &q.res.Value); err == nil {
-						if rec.errStr != "" {
-							q.res.Err = errors.New(rec.errStr)
-						}
-						if len(batch) == cap(batch) {
-							flush()
-						}
-						continue
+				} else {
+					// A real visit holds one slot of the (possibly shared)
+					// worker budget.
+					if !cfg.Budget.acquire(ctx) {
+						batch = batch[:len(batch)-1]
+						return
 					}
-					// An undecodable record (codec change, bit rot that
-					// slipped past the checksum) is not fatal: reset the
-					// slot, fall through and re-visit the target fresh.
-					*q = shardResult[R]{}
-					batch = batch[:len(batch)-1]
+					q.res.Value, q.res.Err = visit(vctx, targets[i])
+					cfg.Budget.release()
+					// The visit's resilience events ride on its result into
+					// the account of its own shard.
+					q.events, *meter = *meter, Meter{}
 				}
-				// A real visit holds one slot of the (possibly shared)
-				// worker budget; cancellation while waiting accounts the
-				// target as canceled, exactly like the dispatch-race path
-				// above.
-				if !cfg.Budget.acquire(ctx) {
-					batch = append(batch, shardResult[R]{res: r, canceled: true})
-					if len(batch) == cap(batch) {
-						flush()
-					}
-					continue
-				}
-				r.Value, r.Err = visit(vctx, targets[i])
-				cfg.Budget.release()
-				batch = append(batch, shardResult[R]{res: r})
 				if len(batch) == cap(batch) {
 					flush()
 				}
 			}
-			flush()
 		}()
 	}
-	go func() { // dispatcher
-		defer close(idxCh)
-		for i := lo; i < hi; i++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case idxCh <- i:
-			case <-ctx.Done():
-				// The token for this index is never consumed; harmless,
-				// the channel is garbage-collected with the shard.
-				return
-			}
-		}
-	}()
 	go func() { wg.Wait(); close(resCh) }()
 
-	sh := ShardStats{Shard: shard, Targets: hi - lo}
 	progressEvery := int64(cfg.ProgressEvery)
 	if progressEvery <= 0 {
 		progressEvery = 1000
 	}
+	// The shard in flight: its index, end, account and journal. The
+	// delivery loop enters a shard when its first index is delivered and
+	// leaves it when its last one is, so the workers may already be
+	// visiting the next shards.
+	shard := first
+	_, shardHi := ShardRange(len(targets), nShards, shard)
+	sh := ShardStats{Shard: shard, Targets: shardHi - lo}
+	var jw *journalWriter
+	enter := func() {
+		if ck != nil && ck.err == nil {
+			var err error
+			if jw, err = openJournal(shardFile(ck.cp.Dir, shard), ck.cp.FlushEvery); err != nil {
+				ck.fail(err)
+			}
+		}
+	}
+	// leave closes the shard in flight: its journal made durable, its
+	// undelivered targets accounted as canceled, its account added, and
+	// a boundary snapshot sent.
+	leave := func() {
+		if jw != nil {
+			if err := jw.close(); err != nil {
+				ck.fail(err)
+			}
+			jw = nil
+		}
+		sh.Canceled = int64(sh.Targets) - sh.Done
+		stats.addShard(sh)
+		cfg.progress(shard, nShards, int64(stats.Targets), stats.Counts)
+		if shard++; shard < last {
+			slo, shi := ShardRange(len(targets), nShards, shard)
+			shardHi, sh = shi, ShardStats{Shard: shard, Targets: shi - slo}
+		}
+	}
 	next := lo
-	// Re-sequencing ring: the token window caps dispatched-but-
-	// undelivered indices at `window`, and delivery below frees a token
-	// only when `next` advances — so every in-flight index i satisfies
+	// advance leaves every shard whose targets have all been delivered.
+	// A shard without targets is entered and left where delivery reaches
+	// it, unless the run is canceled.
+	advance := func() {
+		for shard < last && next == shardHi {
+			if sh.Targets == 0 && ctx.Err() == nil {
+				enter()
+			}
+			leave()
+		}
+	}
+	advance()
+	// Re-sequencing ring: the token window caps claimed-but-undelivered
+	// indices at `window`, and delivery below frees a token only when
+	// `next` advances — so every in-flight index i satisfies
 	// next <= i < next+window, and i%window addresses a unique live
-	// slot. A fixed ring therefore replaces the old pending map: no
-	// per-result map assignment/deletion, no rehashing, same order.
+	// slot. A fixed ring therefore replaces a pending map: no per-result
+	// map assignment/deletion, no rehashing, same order.
 	ring := make([]shardResult[R], window)
 	ringSet := make([]bool, window)
 	for batch := range resCh {
@@ -656,11 +610,8 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			q := &ring[slot]
 			ringSet[slot] = false
 			<-tokens
-			next++
-			if q.canceled {
-				*q = shardResult[R]{}
-				sh.Canceled++
-				continue
+			if sh.Done == 0 {
+				enter()
 			}
 			sh.Done++
 			if q.replayed {
@@ -669,6 +620,8 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			if q.res.Err != nil {
 				sh.Errors++
 			}
+			q.events.addTo(&sh.Counts)
+			q.res.Shard = shard
 			if sink != nil {
 				sink(q.res)
 			}
@@ -685,26 +638,44 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 				}
 			}
 			*q = shardResult[R]{}
-			if cfg.OnProgress != nil && (sh.Done+sh.Canceled)%progressEvery == 0 {
-				sh.add(meter.take())
-				c := sofar.Counts
+			next++
+			if cfg.OnProgress != nil && sh.Done%progressEvery == 0 {
+				c := stats.Counts
 				c.add(sh.Counts)
-				cfg.progress(shard, nShards, int64(sofar.Targets), c)
+				cfg.progress(shard, nShards, int64(stats.Targets), c)
 			}
+			advance()
 		}
 	}
-	if jw != nil {
-		// Shard complete (or canceled): make its journal durable.
-		if err := jw.close(); err != nil {
-			ck.fail(err)
+	// Every worker has returned. Delivery stopped short only on
+	// cancellation: the shard in flight and every shard not yet entered
+	// account their undelivered targets as canceled, and a shard never
+	// entered opens no journal.
+	for shard < last {
+		leave()
+	}
+	if stats.Canceled > 0 || ctx.Err() != nil {
+		if err := context.Cause(ctx); err != nil {
+			return stats, err
 		}
 	}
-	// Every worker has returned, so the meter holds the rest of this
-	// shard's events.
-	sh.add(meter.take())
-	// Dispatch stopped early on cancellation: the never-dispatched tail.
-	sh.Canceled += int64(hi-lo) - sh.Done - sh.Canceled
-	return sh
+	if ck != nil && ck.err != nil {
+		return stats, ck.err
+	}
+	return stats, nil
+}
+
+// shardResult pairs a Result with the engine-internal markers: the
+// resilience events its visit reported, and whether it came from the
+// journal (never re-journaled, counted separately). Workers decode a
+// replayed value straight into res.Value of their batch slot, and the
+// delivery loop encodes a fresh one straight from its ring slot into
+// the journal, so no value is copied or boxed on its way to or from
+// the journal.
+type shardResult[R any] struct {
+	res      Result[R]
+	events   Meter
+	replayed bool
 }
 
 // errString renders a visit error for the journal ("" for success).

@@ -220,7 +220,7 @@ func TestCancellationCause(t *testing.T) {
 }
 
 // TestWorkerConcurrencyBound: never more simultaneous visits than the
-// per-shard pool size.
+// worker pool size.
 func TestWorkerConcurrencyBound(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32

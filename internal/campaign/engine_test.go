@@ -122,3 +122,46 @@ func TestResumeEmptyDirRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestAffinityLastsTheRun: a worker's Affinity slot lasts its whole
+// run, across every shard, so the visit layer opens one session per
+// worker per run: the one worker of a five-shard run Puts one value,
+// and every later visit Takes that same value back.
+func TestAffinityLastsTheRun(t *testing.T) {
+	var sessions []*int
+	_, err := Run(context.Background(), Config{Workers: 1, Shards: 5}, testTargets(40),
+		func(ctx context.Context, x int) (string, error) {
+			a := AffinityFrom(ctx)
+			s, _ := a.Take().(*int)
+			if s == nil {
+				s = new(int)
+				sessions = append(sessions, s)
+			}
+			*s++
+			a.Put(s)
+			return testVisit(ctx, x)
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != 1 || *sessions[0] != 40 {
+		t.Fatalf("%d sessions opened; want 1 session serving all 40 visits", len(sessions))
+	}
+}
+
+// BenchmarkRun times the engine alone — index claims, batch hand-off,
+// re-sequencing, shard accounting and delivery — on a no-op visit over
+// the paper's 45 222 targets at DefaultShards.
+func BenchmarkRun(b *testing.B) {
+	targets := testTargets(45222)
+	visit := func(_ context.Context, x int) (int, error) { return x, nil }
+	var sum int
+	sink := func(r Result[int]) { sum += r.Value }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), Config{}, targets, visit, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(targets)), "ns/result")
+}

@@ -7,8 +7,8 @@
 // Every crawl visits sites with a FRESH browser profile per visit
 // (cookie jar and all), matching OpenWPM's stateless mode. Crawls run
 // through the internal/campaign engine: targets are sharded, visits run
-// on per-shard worker pools, and results stream into order-stable
-// incremental aggregators — so outputs are byte-identical for a fixed
+// on one worker pool per campaign run, and results stream into
+// order-stable incremental aggregators — so outputs are byte-identical for a fixed
 // seed regardless of worker or shard count, and campaigns can be
 // canceled mid-flight with per-shard accounting of what ran.
 //
@@ -168,10 +168,10 @@ type worker struct {
 
 // session is one visit's fresh-profile browser, armed with the
 // crawler's resilience policy (visit deadline, retries, host gate, and
-// the campaign meter carried by ctx). The worker comes from the
-// campaign worker's Affinity slot, so each campaign worker keeps one
-// browser — cookie-jar map, request scratch, parser arenas — and one
-// detector pinned for its whole lifetime; outside a slot every visit
+// the campaign worker's meter carried by ctx). The worker comes from
+// the campaign worker's Affinity slot, so each campaign worker keeps
+// one browser — cookie-jar map, request scratch, parser arenas — and
+// one detector pinned for its whole run; outside a slot every visit
 // gets new ones. Reset makes reuse invisible to the measurement either
 // way. Call release when no page state is needed anymore.
 type session struct {

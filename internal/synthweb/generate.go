@@ -324,14 +324,6 @@ var enVisibility = map[string]func(i int) bool{
 	"South Africa": func(i int) bool { return i <= 8 },
 }
 
-func allVPNames() []string {
-	var out []string
-	for _, v := range vantage.All() {
-		out = append(out, v.Name)
-	}
-	return out
-}
-
 func nonEUVPNames() []string {
 	var out []string
 	for _, v := range vantage.All() {
