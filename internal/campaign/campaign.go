@@ -7,15 +7,15 @@
 // A campaign partitions its target list into contiguous shards. A run
 // starts one worker pool and one delivery loop for all of its shards:
 // workers claim target indices in order, visit them concurrently, and
-// their results are re-sequenced through a bounded in-flight window
-// before reaching the sink. The window gives backpressure and the
+// write each result straight into a ring of window slots, where slot
+// i%window belongs to index i alone until delivery has read and
+// cleared it (see shardResult). The ring is the only buffer between a
+// visit and the sink. The window gives backpressure and the ring's
 // re-sequencing gives determinism: the sink observes results exactly
-// as if the targets had been visited one by one, left to right.
-// Workers hand results over in recycled batches, and batch boundaries
-// never show in sink order, journal bytes or counters. Shards are
-// boundaries of delivery only — a journal file, a ShardStats account
-// and a progress snapshot each — so workers run ahead into the next
-// shard while the delivery loop finishes the current one.
+// as if the targets had been visited one by one, left to right. Shards
+// are boundaries of delivery only — a journal file, a ShardStats
+// account and a progress snapshot each — so workers run ahead into the
+// next shard while the delivery loop finishes the current one.
 //
 // Cancellation is first-class: cancel the context and the workers stop
 // claiming targets and let in-flight visits finish; delivery stops at
@@ -423,29 +423,18 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	// Never more goroutines than targets: single-visit campaigns
 	// (AnalyzeOne) and tiny ranges get a right-sized pool.
 	workers := min(cfg.workers(), hi-lo)
-	// Workers hand results to the delivery loop in batches, amortizing
-	// the per-visit channel synchronization: a worker keeps appending to
-	// its private batch while the window has room and flushes when the
-	// batch fills OR before it would block on the window — so under load
-	// batches run full, and when the pipeline drains every partial batch
-	// is flushed rather than held. Batch boundaries are therefore pure
-	// scheduling: the re-sequencer below delivers the same results in
-	// the same order regardless of how they were grouped in transit.
-	batchCap := min(max(window/max(workers, 1), 1), 32)
-	resCh := make(chan []shardResult[R], workers)
-	// freeCh recycles drained batch slices back to the workers. At most
-	// 2*workers+1 batches are ever out of it (one filling per worker,
-	// workers queued in resCh, one draining), so with that capacity a
-	// returned batch is never dropped and a run allocates at most that
-	// many batches, however the workers are scheduled.
-	freeCh := make(chan []shardResult[R], 2*workers+1)
-	// tokens caps claimed-but-undelivered indices at window, which
-	// bounds the re-sequencing buffer below. A worker takes a token
-	// before it claims the next index from claimed, so claims stay in
-	// index order and every claimed index holds a token until delivery.
+	// tokens caps claimed-but-undelivered indices at window. A worker
+	// takes a token before it claims the next index from claimed, so
+	// claims stay in index order and every in-flight index i satisfies
+	// next <= i < next+window: ring[i%window] is i's alone (shardResult
+	// says when a slot changes hands).
 	tokens := make(chan struct{}, window)
 	var claimed atomic.Int64
 	claimed.Store(int64(lo))
+	ring := make([]shardResult[R], window)
+	// wake tells the delivery loop that a slot became ready. It holds one
+	// signal, so wake-ups that arrive while delivery is busy coalesce.
+	wake := make(chan struct{}, 1)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -457,23 +446,12 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 			// the slot across every shard the worker visits.
 			meter := new(Meter)
 			vctx := WithAffinity(withMeter(ctx, meter))
-			var batch []shardResult[R]
-			flush := func() {
-				if len(batch) > 0 {
-					resCh <- batch
-					batch = nil
-				}
-			}
-			defer flush()
 			for {
+				// Room in the window takes the cheap one-case send; only a
+				// full window pays for the select that also watches ctx.
 				select {
 				case tokens <- struct{}{}:
 				default:
-					// The window is full: flush the partial batch before
-					// blocking, so the delivery loop (and through it the
-					// window) can make progress on what this worker
-					// already finished.
-					flush()
 					select {
 					case tokens <- struct{}{}:
 					case <-ctx.Done():
@@ -489,15 +467,8 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 					<-tokens
 					return
 				}
-				if batch == nil {
-					select {
-					case batch = <-freeCh:
-					default:
-						batch = make([]shardResult[R], 0, batchCap)
-					}
-				}
-				batch = append(batch, shardResult[R]{res: Result[R]{Index: i}})
-				q := &batch[len(batch)-1]
+				q := &ring[i%window]
+				q.res.Index = i
 				// An undecodable record (codec change, bit rot that slipped
 				// past the checksum) is not fatal: the target is visited
 				// fresh, and the visit overwrites the slot.
@@ -510,7 +481,8 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 					// A real visit holds one slot of the (possibly shared)
 					// worker budget.
 					if !cfg.Budget.acquire(ctx) {
-						batch = batch[:len(batch)-1]
+						// Canceled: the slot never becomes ready, so
+						// delivery stops at i.
 						return
 					}
 					q.res.Value, q.res.Err = visit(vctx, targets[i])
@@ -519,13 +491,16 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 					// the account of its own shard.
 					q.events, *meter = *meter, Meter{}
 				}
-				if len(batch) == cap(batch) {
-					flush()
+				q.ready.Store(true)
+				select {
+				case wake <- struct{}{}:
+				default:
 				}
 			}
 		}()
 	}
-	go func() { wg.Wait(); close(resCh) }()
+	workersDone := make(chan struct{})
+	go func() { wg.Wait(); close(workersDone) }()
 
 	progressEvery := int64(cfg.ProgressEvery)
 	if progressEvery <= 0 {
@@ -578,38 +553,22 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 		}
 	}
 	advance()
-	// Re-sequencing ring: the token window caps claimed-but-undelivered
-	// indices at `window`, and delivery below frees a token only when
-	// `next` advances — so every in-flight index i satisfies
-	// next <= i < next+window, and i%window addresses a unique live
-	// slot. A fixed ring therefore replaces a pending map: no per-result
-	// map assignment/deletion, no rehashing, same order.
-	ring := make([]shardResult[R], window)
-	ringSet := make([]bool, window)
-	for batch := range resCh {
-		for _, r := range batch {
-			slot := r.res.Index % window
-			ring[slot] = r
-			ringSet[slot] = true
-		}
-		// Recycle the drained batch slice (clearing it first so pooled
-		// slices don't pin delivered result values); freeCh has room for
-		// every batch, so the default branch is only a safety net.
-		clear(batch)
+	// Deliver every ready slot from next onwards, in index order, then
+	// wait for a wake-up. Once every worker has returned, one last pass
+	// delivers what they left behind.
+	for finished := false; !finished; {
 		select {
-		case freeCh <- batch[:0]:
-		default:
+		case <-wake:
+		case <-workersDone:
+			finished = true
 		}
 		for {
-			slot := next % window
-			if !ringSet[slot] {
+			// q points into the ring, so the journal encodes the value in
+			// place.
+			q := &ring[next%window]
+			if !q.ready.Load() {
 				break
 			}
-			// q points into the ring, so the journal encodes the value in
-			// place; the slot is cleared once the result is delivered.
-			q := &ring[slot]
-			ringSet[slot] = false
-			<-tokens
 			if sh.Done == 0 {
 				enter()
 			}
@@ -637,7 +596,11 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 					jw = nil
 				}
 			}
-			*q = shardResult[R]{}
+			// Only a cleared slot frees its token: the token lets a worker
+			// claim next+window, whose slot this is.
+			q.res, q.events, q.replayed = Result[R]{}, Meter{}, false
+			q.ready.Store(false)
+			<-tokens
 			next++
 			if cfg.OnProgress != nil && sh.Done%progressEvery == 0 {
 				c := stats.Counts
@@ -665,17 +628,23 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	return stats, nil
 }
 
-// shardResult pairs a Result with the engine-internal markers: the
-// resilience events its visit reported, and whether it came from the
-// journal (never re-journaled, counted separately). Workers decode a
-// replayed value straight into res.Value of their batch slot, and the
-// delivery loop encodes a fresh one straight from its ring slot into
-// the journal, so no value is copied or boxed on its way to or from
-// the journal.
+// shardResult is one slot of the delivery ring: a Result with the
+// engine-internal markers — the resilience events its visit reported,
+// and whether it came from the journal (never re-journaled, counted
+// separately). Slot i%window belongs to index i from the moment a
+// worker claims i: the worker decodes a replayed value or runs the
+// visit straight into the slot and then sets ready; the delivery loop
+// reads the slot only once ready is set, and clears it before it hands
+// back the token that lets a worker claim i+window. So no value is
+// copied or boxed between the visit, the sink and the journal. ready
+// lives in the slot, beside the data its worker writes anyway, rather
+// than in a separate []bool whose neighbouring flags every worker would
+// write in one cache line.
 type shardResult[R any] struct {
 	res      Result[R]
 	events   Meter
 	replayed bool
+	ready    atomic.Bool
 }
 
 // errString renders a visit error for the journal ("" for success).

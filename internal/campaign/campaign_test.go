@@ -23,8 +23,10 @@ func spin(x int) int {
 
 // TestRunDeliversInOrder pins the engine's core guarantee: the sink
 // sees every result exactly once, in input order, for ANY combination
-// of worker and shard counts — so a streaming aggregator's output can
-// never depend on scheduling.
+// of worker, shard and window sizes — so a streaming aggregator's
+// output can never depend on scheduling. Window 1 is the tightest case
+// of ring-slot ownership: every delivery hands its one slot straight
+// back to a worker.
 func TestRunDeliversInOrder(t *testing.T) {
 	targets := make([]int, 503)
 	for i := range targets {
@@ -35,34 +37,36 @@ func TestRunDeliversInOrder(t *testing.T) {
 		return fmt.Sprintf("v%d", x), nil
 	}
 	var reference []string
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, shards := range []int{1, 3, 7} {
-			var got []string
-			lastIdx := -1
-			stats, err := Run(context.Background(),
-				Config{Workers: workers, Shards: shards, Window: 8},
-				targets, visit, func(r Result[string]) {
-					if r.Index != lastIdx+1 {
-						t.Fatalf("w=%d s=%d: index %d delivered after %d", workers, shards, r.Index, lastIdx)
-					}
-					lastIdx = r.Index
-					got = append(got, r.Value)
-				})
-			if err != nil {
-				t.Fatalf("w=%d s=%d: %v", workers, shards, err)
-			}
-			if stats.Done != int64(len(targets)) || stats.Errors != 0 || stats.Canceled != 0 {
-				t.Fatalf("w=%d s=%d: stats = %+v", workers, shards, stats)
-			}
-			if len(stats.Shards) != shards {
-				t.Fatalf("w=%d s=%d: %d shard stats", workers, shards, len(stats.Shards))
-			}
-			if reference == nil {
-				reference = got
-				continue
-			}
-			if strings.Join(got, ",") != strings.Join(reference, ",") {
-				t.Fatalf("w=%d s=%d: delivery sequence differs", workers, shards)
+	for _, window := range []int{8, 1} {
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			for _, shards := range []int{1, 3, 7} {
+				var got []string
+				lastIdx := -1
+				stats, err := Run(context.Background(),
+					Config{Workers: workers, Shards: shards, Window: window},
+					targets, visit, func(r Result[string]) {
+						if r.Index != lastIdx+1 {
+							t.Fatalf("win=%d w=%d s=%d: index %d delivered after %d", window, workers, shards, r.Index, lastIdx)
+						}
+						lastIdx = r.Index
+						got = append(got, r.Value)
+					})
+				if err != nil {
+					t.Fatalf("win=%d w=%d s=%d: %v", window, workers, shards, err)
+				}
+				if stats.Done != int64(len(targets)) || stats.Errors != 0 || stats.Canceled != 0 {
+					t.Fatalf("win=%d w=%d s=%d: stats = %+v", window, workers, shards, stats)
+				}
+				if len(stats.Shards) != shards {
+					t.Fatalf("win=%d w=%d s=%d: %d shard stats", window, workers, shards, len(stats.Shards))
+				}
+				if reference == nil {
+					reference = got
+					continue
+				}
+				if strings.Join(got, ",") != strings.Join(reference, ",") {
+					t.Fatalf("win=%d w=%d s=%d: delivery sequence differs", window, workers, shards)
+				}
 			}
 		}
 	}
@@ -296,12 +300,12 @@ func TestEmptyTargets(t *testing.T) {
 	}
 }
 
-// TestBatchAllocationsIndependentOfTargets: the batch free list holds
-// every batch a shard can have in flight, so a shard's allocations do
-// not grow with its target count. A sink that stalls now and then lets
-// the workers run ahead, so drained batches come back in bursts: a free
-// list with room for fewer batches would drop some and make new ones.
-func TestBatchAllocationsIndependentOfTargets(t *testing.T) {
+// TestRunAllocationsIndependentOfTargets: workers write results
+// straight into the delivery ring, which the window sizes once per run,
+// so a run's allocations do not grow with its target count. A sink that
+// stalls now and then lets the workers fill the window, so any per-result
+// buffer outside the ring would show here.
+func TestRunAllocationsIndependentOfTargets(t *testing.T) {
 	visit := func(_ context.Context, x int) (int, error) { return x, nil }
 	sink := func(r Result[int]) {
 		if r.Index%50 == 0 {

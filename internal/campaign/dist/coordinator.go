@@ -385,20 +385,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // decodeRequest decodes r's JSON body, capped at maxRequestBytes, into
-// v. On failure it answers r itself, 413 for an oversized body and 400
-// for anything else, and returns false.
+// v. On failure it answers r itself (see refuseBody) and returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
 	if err == nil {
 		return true
 	}
+	refuseBody(w, what, err)
+	return false
+}
+
+// refuseBody answers a request whose capped body could not be read or
+// decoded: 413 when the body passed its cap, 400 for anything else.
+func refuseBody(w http.ResponseWriter, what string, err error) {
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	http.Error(w, what+": "+err.Error(), code)
-	return false
 }
 
 func (co *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -462,9 +467,11 @@ func (co *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing lease parameter", http.StatusBadRequest)
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	// An oversized journal is refused before any lease state is read, so
+	// its lease is left as it was.
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJournalBytes))
 	if err != nil {
-		http.Error(w, "read journal: "+err.Error(), http.StatusBadRequest)
+		refuseBody(w, "read journal", err)
 		return
 	}
 

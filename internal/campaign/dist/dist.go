@@ -220,6 +220,13 @@ const maxResponseBytes = 1 << 20
 // the coordinator buffer without bound.
 const maxRequestBytes = 64 << 10
 
+// maxJournalBytes caps the journal PUT body the coordinator reads. The
+// largest journal a paper-scale (scale 1) fleet ships is 326 707 bytes
+// at the default 12 shards and 3 895 996 bytes with one shard per
+// campaign, so 32 MiB only ever cuts off a broken or hostile peer,
+// which could otherwise make the coordinator buffer without bound.
+const maxJournalBytes = 32 << 20
+
 // do issues one request with bounded-backoff retries of transient
 // failures and returns the final response body and status code. A 401
 // is definitive and returned as ErrUnauthorized, and so is a response

@@ -149,9 +149,10 @@ func TestAffinityLastsTheRun(t *testing.T) {
 	}
 }
 
-// BenchmarkRun times the engine alone — index claims, batch hand-off,
-// re-sequencing, shard accounting and delivery — on a no-op visit over
-// the paper's 45 222 targets at DefaultShards.
+// BenchmarkRun times the engine alone — index claims, the hand-off
+// through the delivery ring, re-sequencing, shard accounting and
+// delivery — on a no-op visit over the paper's 45 222 targets at
+// DefaultShards.
 func BenchmarkRun(b *testing.B) {
 	targets := testTargets(45222)
 	visit := func(_ context.Context, x int) (int, error) { return x, nil }
