@@ -99,6 +99,13 @@ type Browser struct {
 	// text stringifies it at once), so reusing it across visits is
 	// invisible.
 	topURL url.URL
+	// subURL backs the plain absolute URLs that fetchBlockable and
+	// Click resolve (see parsePlainURL). It lives for one fetch, by the
+	// same argument as topURL: RoundTripBody may not keep the request,
+	// the plain-RoundTripper path sends a clone, redirects parse into
+	// fresh URLs, and every error stringifies it at once. Neither caller
+	// returns it, so the next fetch may overwrite it.
+	subURL url.URL
 }
 
 // DefaultUserAgent imitates OpenWPM's instrumented Firefox.
@@ -171,7 +178,12 @@ func (p *Page) Host() string { return p.URL.Hostname() }
 // exhausted their retry budget is an error — a degraded page must
 // never be analyzed or memoized as if it were the page.
 func (b *Browser) Open(rawurl string) (*Page, error) {
-	fr, err := b.FetchTop(rawurl)
+	return b.composeFetched(b.FetchTop(rawurl))
+}
+
+// composeFetched is the second half of Open: fr composed, with a failed
+// fetch or a degraded composition as the error.
+func (b *Browser) composeFetched(fr FetchResult, err error) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +491,7 @@ func isRedirect(code int) bool {
 // blocker and the page's Blocked list when a blocker is set, and for
 // the degraded-composition error.
 func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
-	abs, err := resolveSubresource(page.URL, rawurl)
+	abs, err := resolveSubresource(&b.subURL, page.URL, rawurl)
 	if err != nil {
 		return "", false
 	}
@@ -507,27 +519,69 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 	return resp.body, true
 }
 
-// resolveSubresource is base.Parse(ref) without the resolution step
-// where that step cannot change the result. For an absolute ref — a
-// scheme, no opaque part, no raw path, no "/." that could start a dot
-// segment — ResolveReference only copies the parsed ref and rewrites a
-// path that resolvePath leaves as it is, so the parsed ref is the
-// answer. The farm's subresource URLs are all of that form.
-// FuzzResolveSubresource pins the equivalence.
-func resolveSubresource(base *url.URL, ref string) (*url.URL, error) {
-	u, err := url.Parse(ref)
-	if err != nil {
-		return nil, err
+// resolveSubresource is base.Parse(ref), parsed into dst when ref is
+// plain enough for parsePlainURL: the farm's subresource URLs all are,
+// and then nothing is allocated and the result is dst itself. A ref
+// parsePlainURL accepts is absolute with no dot segment, so resolving
+// it against base would only copy it. FuzzResolveSubresource pins the
+// equivalence.
+func resolveSubresource(dst, base *url.URL, ref string) (*url.URL, error) {
+	if parsePlainURL(dst, ref) {
+		return dst, nil
 	}
-	if isPlainAbsolute(u) {
-		return u, nil
-	}
-	return base.ResolveReference(u), nil
+	return base.Parse(ref)
 }
 
-// isPlainAbsolute reports whether resolving u against any base yields u.
-func isPlainAbsolute(u *url.URL) bool {
-	return u.Scheme != "" && u.Opaque == "" && u.RawPath == "" && !strings.Contains(u.Path, "/.")
+// parsePlainURL sets *dst to *url.Parse(ref) and reports true when ref
+// is "http://" or "https://", a non-empty host, an optional path and an
+// optional non-empty query, spelled only with bytes url.Parse keeps as
+// they are: unreserved bytes (letters, digits, "-._~") in the host, those
+// and '/' in the path, those and '=' and '&' in the query. A path with
+// "/." is declined too. Any other ref is declined with dst untouched. The fields alias ref, so
+// nothing is allocated.
+func parsePlainURL(dst *url.URL, ref string) bool {
+	var scheme, rest string
+	switch {
+	case strings.HasPrefix(ref, "https://"):
+		scheme, rest = "https", ref[len("https://"):]
+	case strings.HasPrefix(ref, "http://"):
+		scheme, rest = "http", ref[len("http://"):]
+	default:
+		return false
+	}
+	i := 0
+	for i < len(rest) && unreserved(rest[i]) {
+		i++
+	}
+	host := rest[:i]
+	j := i
+	for j < len(rest) && (unreserved(rest[j]) || rest[j] == '/') {
+		j++
+	}
+	path := rest[i:j]
+	if host == "" || (path != "" && path[0] != '/') || strings.Contains(path, "/.") {
+		return false
+	}
+	var query string
+	if j < len(rest) {
+		if rest[j] != '?' || j+1 == len(rest) {
+			return false
+		}
+		query = rest[j+1:]
+		for k := 0; k < len(query); k++ {
+			if c := query[k]; !unreserved(c) && c != '=' && c != '&' {
+				return false
+			}
+		}
+	}
+	*dst = url.URL{Scheme: scheme, Host: host, Path: path, RawQuery: query}
+	return true
+}
+
+// unreserved reports whether c is an RFC 3986 unreserved byte.
+func unreserved(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '-' || c == '.' || c == '_' || c == '~'
 }
 
 // scriptInjectSel finds declarative banner-loader scripts.
@@ -759,7 +813,7 @@ func (b *Browser) Click(page *Page, button *dom.Node) (*Page, error) {
 	if target == "" {
 		target = "/consent"
 	}
-	abs, err := page.URL.Parse(target)
+	abs, err := resolveSubresource(&b.subURL, page.URL, target)
 	if err != nil {
 		return nil, fmt.Errorf("browser: bad target %q: %w", target, err)
 	}
@@ -787,5 +841,5 @@ func (b *Browser) Click(page *Page, button *dom.Node) (*Page, error) {
 		return nil, fmt.Errorf("browser: %s returned %d", action, resp.status)
 	}
 	// Reload the top-level page to observe the post-interaction state.
-	return b.Open(page.URL.String())
+	return b.composeFetched(b.fetchTop(page.URL))
 }

@@ -7,8 +7,11 @@ import (
 )
 
 // FuzzResolveSubresource pins resolveSubresource to base.Parse(ref): the
-// same error outcome for every input and, whenever the absolute-ref
-// shortcut fires, a URL equal field by field and in String().
+// same error outcome for every input and, for every accepted input, a
+// URL equal field by field and in String(). It also
+// pins parsePlainURL to url.Parse: a ref the splitter accepts parses
+// without error into a URL equal field by field and in String(), and a
+// declined ref leaves the destination untouched.
 func FuzzResolveSubresource(f *testing.F) {
 	for _, c := range [][2]string{
 		{"https://a.de/", "https://trackpix1.example/p.gif?site=a.de&n=3&o=6"},
@@ -42,6 +45,14 @@ func FuzzResolveSubresource(f *testing.F) {
 		{"https://a.de/x/y", ""},
 		{"https://a.de/x/y", "http://b.de/a b"},
 		{"https://a.de/x/y", "https://b.de/\x7f"},
+		{"https://a.de/x/y", "http://b.de/p?a=1&b=2"},
+		{"https://a.de/x/y", "https://b.de?q=1"},
+		{"https://a.de/x/y", "https://b.de/p?"},
+		{"https://a.de/x/y", "https://b.de/p?a=%41"},
+		{"https://a.de/x/y", "HTTPS://B.DE/P"},
+		{"https://a.de/x/y", "https://b.de:443/p"},
+		{"https://a.de/x/y", "https://b.de/p#f"},
+		{"https://a.de/x/y", "https://b_c.de~/p-q_r.s~t"},
 	} {
 		f.Add(c[0], c[1])
 	}
@@ -50,23 +61,37 @@ func FuzzResolveSubresource(f *testing.F) {
 		if err != nil {
 			return
 		}
+		sentinel := url.URL{Scheme: "sentinel"}
+		split := sentinel
+		if parsePlainURL(&split, ref) {
+			parsed, err := url.Parse(ref)
+			if err != nil {
+				t.Fatalf("ref %q: splitter accepts what url.Parse rejects: %v", ref, err)
+			}
+			if !reflect.DeepEqual(&split, parsed) {
+				t.Fatalf("ref %q: splitter %#v, url.Parse %#v", ref, split, parsed)
+			}
+			if split.String() != parsed.String() {
+				t.Fatalf("ref %q: splitter %q, url.Parse %q", ref, split.String(), parsed)
+			}
+		} else if split != sentinel {
+			t.Fatalf("ref %q: declined, but the destination changed to %#v", ref, split)
+		}
+
 		want, wantErr := base.Parse(ref)
-		got, gotErr := resolveSubresource(base, ref)
+		var scratch url.URL
+		got, gotErr := resolveSubresource(&scratch, base, ref)
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("base %q ref %q: error %v, base.Parse error %v", rawBase, ref, gotErr, wantErr)
 		}
 		if gotErr != nil {
 			return
 		}
-		parsed, _ := url.Parse(ref)
-		if !isPlainAbsolute(parsed) {
-			return
-		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("base %q ref %q: shortcut %#v, base.Parse %#v", rawBase, ref, got, want)
+			t.Fatalf("base %q ref %q: resolved %#v, base.Parse %#v", rawBase, ref, got, want)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("base %q ref %q: shortcut %q, base.Parse %q", rawBase, ref, got, want)
+			t.Fatalf("base %q ref %q: resolved %q, base.Parse %q", rawBase, ref, got, want)
 		}
 	})
 }

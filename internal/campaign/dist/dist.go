@@ -146,6 +146,11 @@ var ErrLeaseLost = errors.New("dist: lease lost (expired and re-leased)")
 // worker must exit rather than hammer a fleet it cannot join.
 var ErrUnauthorized = errors.New("dist: unauthorized (missing or invalid fleet token)")
 
+// errJournalTooLarge reports a journal PUT answered 413. Definitive:
+// every fresh upload is a copy of the same file, just as far over the
+// coordinator's cap.
+var errJournalTooLarge = errors.New("journal over the coordinator's cap")
+
 // TransientError marks a failure worth retrying at a higher level:
 // the client exhausted its bounded retries against network errors, 5xx
 // responses or torn response bodies — exactly what a coordinator
@@ -157,8 +162,8 @@ func (e *TransientError) Error() string { return e.Err.Error() }
 func (e *TransientError) Unwrap() error { return e.Err }
 
 // IsTransient reports whether err is a retryable fleet failure, as
-// opposed to a definitive refusal (ErrLeaseLost, ErrUnauthorized, a
-// validation reject, a malformed reply).
+// opposed to a definitive refusal (ErrLeaseLost, ErrUnauthorized, an
+// over-cap journal, a validation reject, a malformed reply).
 func IsTransient(err error) bool {
 	var te *TransientError
 	return errors.As(err, &te)
@@ -167,9 +172,9 @@ func IsTransient(err error) bool {
 // Client speaks the coordinator protocol, transparently retrying
 // transient failures (network errors, 5xx) with seeded-jitter bounded
 // exponential backoff. Definitive answers — a lease, a 401, a 410
-// fence, a validation reject — are never retried; exhausted transient
-// retries surface as a *TransientError so callers can keep waiting out
-// a coordinator restart.
+// fence, a 413, a validation reject — are never retried; exhausted
+// transient retries surface as a *TransientError so callers can keep
+// waiting out a coordinator restart.
 type Client struct {
 	// BaseURL locates the coordinator ("http://host:port").
 	BaseURL string
@@ -351,7 +356,8 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) error {
 
 // ShipJournal uploads a finished shard journal. ErrLeaseLost means the
 // range was re-leased (or already completed by its new holder) — the
-// upload was refused and the worker should move on.
+// upload was refused and the worker should move on. A 413 wraps
+// errJournalTooLarge.
 func (c *Client) ShipJournal(ctx context.Context, leaseID string, journal []byte) error {
 	data, code, err := c.do(ctx, http.MethodPut, "/v1/journal?lease="+leaseID, "application/octet-stream", journal)
 	if err != nil {
@@ -362,6 +368,9 @@ func (c *Client) ShipJournal(ctx context.Context, leaseID string, journal []byte
 		return nil
 	case http.StatusGone:
 		return fmt.Errorf("dist: ship journal %s: %w", leaseID, ErrLeaseLost)
+	case http.StatusRequestEntityTooLarge:
+		return fmt.Errorf("dist: ship journal %s: status 413: %s (%d bytes): %w",
+			leaseID, bytes.TrimSpace(data), len(journal), errJournalTooLarge)
 	}
 	return fmt.Errorf("dist: ship journal %s: status %d: %s", leaseID, code, bytes.TrimSpace(data))
 }

@@ -4,13 +4,16 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cookiewalk/internal/campaign"
+	"cookiewalk/internal/campaign/dist"
 )
 
 // TestOversizedRequestRefused pins the coordinator's request-body cap:
@@ -109,5 +112,42 @@ func TestOversizedJournalRefused(t *testing.T) {
 	}
 	if st := co.Status(); st.Done != 1 || st.Leased != 0 {
 		t.Fatalf("status after ship = %+v, want the range merged", st)
+	}
+}
+
+// TestWorkerStopsOnOversizedJournal: a journal PUT answered 413 is
+// final. Every fresh upload would be the same over-cap file, so the
+// worker ships it exactly once and exits with the refusal instead of
+// spending its ship retries on it.
+func TestWorkerStopsOnOversizedJournal(t *testing.T) {
+	targets := testTargets(20)
+	spec := dist.Spec{Label: "camp alpha", Targets: len(targets),
+		TargetsHash: campaign.HashTargets(targets), Shards: 1}
+	co := mustCoordinator(t, t.TempDir(), spec)
+	var puts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.URL.Path == "/v1/journal" {
+			puts.Add(1)
+			http.Error(w, "journal too large", http.StatusRequestEntityTooLarge)
+			return
+		}
+		co.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	client := &dist.Client{BaseURL: srv.URL, MaxRetries: 1, Backoff: time.Millisecond,
+		Sleep: func(time.Duration) {}}
+	runner := func(ctx context.Context, lease dist.Lease, scratch string) (string, error) {
+		path := filepath.Join(scratch, campaign.ShardFilename(lease.Shard))
+		return path, os.WriteFile(path, []byte("a journal the coordinator refuses"), 0o644)
+	}
+	w := &dist.Worker{Client: client, Name: "w-oversized", Runner: runner,
+		ShipRetries: 3, Poll: 5 * time.Millisecond, Logf: t.Logf}
+	err := w.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("worker Run = %v, want a fatal 413", err)
+	}
+	if got := puts.Load(); got != 1 {
+		t.Fatalf("the worker sent %d journal PUTs, want exactly 1", got)
 	}
 }

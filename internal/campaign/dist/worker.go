@@ -23,8 +23,8 @@ import (
 // finished journal whose every fresh upload dies on transport is
 // abandoned the same way (the lease expires after its TTL and the
 // range re-leases). Definitive refusals — a wrong token (401), a
-// journal the coordinator keeps rejecting, a Runner failure — are
-// fatal and logged as such.
+// journal over the coordinator's cap (413), a journal the coordinator
+// keeps rejecting, a Runner failure — are fatal and logged as such.
 type Worker struct {
 	// Client reaches the coordinator. Required.
 	Client *Client
@@ -196,7 +196,8 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) error {
 // or a coordinator validation reject — which is what a PUT body torn
 // in flight looks like from the merge side (the surviving prefix fails
 // CheckJournal's coverage check, never its checksum guarantee). A lost
-// lease or an auth refusal is definitive and returned as-is.
+// lease, an auth refusal or a journal over the coordinator's cap (413)
+// is definitive and returned as-is.
 func (w *Worker) shipWithRetry(ctx context.Context, lease Lease, journalPath string) error {
 	retries := w.ShipRetries
 	if retries <= 0 {
@@ -214,7 +215,8 @@ func (w *Worker) shipWithRetry(ctx context.Context, lease Lease, journalPath str
 		case err == nil:
 			w.logf("dist: worker %s: shipped %s shard %d (%d bytes)", w.Name, lease.Label, lease.Shard, len(data))
 			return nil
-		case errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrUnauthorized) || ctx.Err() != nil:
+		case errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrUnauthorized) ||
+			errors.Is(err, errJournalTooLarge) || ctx.Err() != nil:
 			return err
 		case attempt >= retries:
 			return fmt.Errorf("ship journal %s: giving up after %d fresh uploads: %w", lease.ID, attempt+1, err)

@@ -111,9 +111,10 @@ func Keyword(category string, i int) (kw string, ok bool) {
 	return ks[i%len(ks)], true
 }
 
-// Classify returns the best-matching category for page text, falling
-// back to "Others" when no keyword scores. Ties break alphabetically
-// for determinism.
+// Classify returns the best-matching category for page text, given as
+// a string or as the bytes of a caller's reusable text buffer; both
+// forms score alike and neither allocates. It falls back to "Others"
+// when no keyword scores. Ties break alphabetically for determinism.
 //
 // Scoring streams over the text in one pass: each token is lower-cased
 // into a reusable buffer and looked up once in a combined
@@ -121,7 +122,7 @@ func Keyword(category string, i int) (kw string, ok bool) {
 // text, no token slice, no per-page word-count map. A category's score
 // is the number of tokens belonging to its keyword list, exactly the
 // sum the per-category counting computed.
-func Classify(text string) string {
+func Classify[T string | []byte](text T) string {
 	var scores [16]int // indexed by sortedCats position
 	tokens := 0
 	var buf [64]byte // stack token buffer (no closure, so it never escapes)
@@ -142,7 +143,10 @@ func Classify(text string) string {
 			}
 			i++
 		} else {
-			r, size := utf8.DecodeRuneInString(text[i:])
+			// Decode from a stack copy of the at most UTFMax bytes a
+			// rune spans: the same rune either text form would give.
+			var rb [utf8.UTFMax]byte
+			r, size := utf8.DecodeRune(rb[:copy(rb[:], text[i:])])
 			i += size
 			if lr := unicode.ToLower(r); unicode.IsLetter(lr) || lr == '-' {
 				word = utf8.AppendRune(word, lr)

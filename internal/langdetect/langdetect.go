@@ -12,7 +12,6 @@ package langdetect
 
 import (
 	"sort"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -103,9 +102,28 @@ var diacriticHints = map[string][]rune{
 
 const diacriticBonus = 2.0
 
-// Detect identifies the language of text. Short or empty input returns
-// ("und", 0). Ties break deterministically in favour of the
-// alphabetically first language code.
+// latin1Set is a set of runes below U+0100. Every diacritic hint is a
+// non-ASCII Latin-1 rune (TestDiacriticHintsAreLatin1), and a hint
+// occurs in a text exactly when decoding the text rune by rune meets it: a
+// multi-byte encoding starts with a lead byte, which no valid sequence
+// contains and an invalid one skips only itself.
+type latin1Set [4]uint64
+
+// add puts r in the set, or ignores it when r is not Latin-1.
+func (s *latin1Set) add(r rune) {
+	if r < 0x100 {
+		s[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// has reports whether the Latin-1 rune r is in the set.
+func (s *latin1Set) has(r rune) bool { return s[r>>6]&(1<<(r&63)) != 0 }
+
+// Detect identifies the language of text, given as a string or as the
+// bytes of a caller's reusable text buffer; both forms score alike and
+// neither allocates. Short or empty input returns ("und", 0). Ties
+// break deterministically in favour of the alphabetically first
+// language code.
 //
 // Scoring streams over the text in a single pass: each token is
 // lower-cased into a small reusable buffer and looked up once in a
@@ -113,12 +131,14 @@ const diacriticBonus = 2.0
 // full lowered text, the token slice, and one map probe per language
 // per token. The scores are identical to the per-language counting by
 // construction (a token contributes 1 to exactly the languages whose
-// stopword set contains it).
-func Detect(text string) Result {
+// stopword set contains it). The same pass notes which diacritic hints
+// occur, so the hint bonus needs no second scan.
+func Detect[T string | []byte](text T) Result {
 	var scores [16]float64 // indexed by langCodes position
 	tokens := 0
 	var buf [64]byte // stack token buffer (no closure, so it never escapes)
 	word := buf[:0]
+	var hints latin1Set // the diacritic hint runes seen in text
 	for i := 0; i < len(text); {
 		// ASCII fast path: lower-case and classify bytewise; everything
 		// else goes through the same unicode calls as before. Lowering
@@ -135,8 +155,12 @@ func Detect(text string) Result {
 			}
 			i++
 		} else {
-			r, size := utf8.DecodeRuneInString(text[i:])
+			// Decode from a stack copy of the at most UTFMax bytes a
+			// rune spans: the same rune either text form would give.
+			var rb [utf8.UTFMax]byte
+			r, size := utf8.DecodeRune(rb[:copy(rb[:], text[i:])])
 			i += size
+			hints.add(r)
 			if lr := unicode.ToLower(r); unicode.IsLetter(lr) {
 				word = utf8.AppendRune(word, lr)
 				continue
@@ -157,7 +181,7 @@ func Detect(text string) Result {
 	}
 	for lang, runes := range diacriticHints {
 		for _, r := range runes {
-			if strings.ContainsRune(text, r) {
+			if hints.has(r) {
 				scores[langIndex[lang]] += diacriticBonus
 			}
 		}

@@ -1,6 +1,9 @@
 package langdetect
 
-import "testing"
+import (
+	"testing"
+	"unicode/utf8"
+)
 
 var samples = map[string]string{
 	"de": "Wir verwenden Cookies und ähnliche Technologien, um Ihnen die Inhalte auf unserer Website anzubieten. Sie können den Dienst ohne Werbung für 2,99 Euro im Monat nutzen oder der Verarbeitung Ihrer Daten zustimmen.",
@@ -71,5 +74,18 @@ func TestGermanVsDutchSeparation(t *testing.T) {
 	nl := Detect("De gebruikers kunnen zonder advertenties lezen, daarvoor betalen zij maandelijks een bedrag via onze website.")
 	if nl.Lang != "nl" {
 		t.Errorf("Dutch misdetected as %s", nl.Lang)
+	}
+}
+
+// TestDiacriticHintsAreLatin1: Detect records the hints it meets in a
+// latin1Set, which holds only runes below U+0100, and only on its
+// non-ASCII path, so a hint outside non-ASCII Latin-1 would never fire.
+func TestDiacriticHintsAreLatin1(t *testing.T) {
+	for lang, runes := range diacriticHints {
+		for _, r := range runes {
+			if r < utf8.RuneSelf || r >= 0x100 {
+				t.Errorf("%s: diacritic hint %q is outside non-ASCII Latin-1", lang, r)
+			}
+		}
 	}
 }

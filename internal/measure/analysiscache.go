@@ -29,7 +29,7 @@ import (
 // Concurrency: shards keep worker contention negligible, and each
 // entry is a singleflight slot — the first goroutine to claim a
 // fingerprint computes the analysis while concurrent claimants for the
-// same fingerprint block on the entry's done channel instead of
+// same fingerprint wait on the entry's WaitGroup instead of
 // duplicating in-flight work. Bounding mirrors the webfarm render
 // cache: a shard past analysisShardMax entries is reset (in-flight
 // entries survive through their pointers; the next visit repopulates),
@@ -64,13 +64,17 @@ type analysisShard struct {
 	_ [48]byte
 }
 
-// analysisEntry is one fingerprint's singleflight slot. a and failed
-// are written exactly once, before done is closed; readers wait on
-// done first, so the channel's happens-before edge publishes both
-// race-free.
+// analysisEntry is one fingerprint's singleflight slot, one allocation
+// in all. A claimed entry is published with its WaitGroup at one
+// (Add(1) before the shard map holds it); a and failed are written
+// exactly once, before Done. Readers Wait first, and Done
+// synchronizes before the return of every Wait, so the WaitGroup is
+// the edge that publishes both race-free. A seeded entry is complete
+// when published: its zero WaitGroup never blocks, and the shard lock
+// publishes its analysis.
 type analysisEntry struct {
-	done chan struct{}
-	a    core.Analysis
+	wg sync.WaitGroup
+	a  core.Analysis
 	// failed marks a claim whose compute errored (a composition
 	// degraded by transport faults) or died: the entry was already
 	// unpublished, and waiters must re-claim instead of consuming it —
@@ -98,14 +102,15 @@ func (c *analysisCache) getChecked(fp uint64, compute func() (core.Analysis, err
 		s.mu.Lock()
 		if e, ok := s.m[fp]; ok {
 			s.mu.Unlock()
-			<-e.done
+			e.wg.Wait()
 			if e.failed {
 				continue
 			}
 			c.hits.Add(1)
 			return e.a, nil
 		}
-		e := &analysisEntry{done: make(chan struct{})}
+		e := new(analysisEntry)
+		e.wg.Add(1)
 		if s.m == nil || len(s.m) >= analysisShardMax {
 			s.m = make(map[uint64]*analysisEntry, 64)
 		}
@@ -132,7 +137,7 @@ func (c *analysisCache) fill(s *analysisShard, fp uint64, e *analysisEntry, comp
 		}
 		s.mu.Unlock()
 		e.failed = true
-		close(e.done)
+		e.wg.Done()
 	}()
 	a, err := compute()
 	if err != nil {
@@ -140,18 +145,9 @@ func (c *analysisCache) fill(s *analysisShard, fp uint64, e *analysisEntry, comp
 	}
 	e.a = a
 	completed = true
-	close(e.done)
+	e.wg.Done()
 	return a, nil
 }
-
-// seededDone is the pre-closed channel shared by every seeded entry:
-// a seed is complete the moment it is published, so readers never
-// block on it.
-var seededDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // seed publishes an already-computed analysis for fp — the
 // checkpoint-resume path, where a replayed observation carries the
@@ -169,7 +165,7 @@ func (c *analysisCache) seed(fp uint64, a core.Analysis) {
 	if s.m == nil || len(s.m) >= analysisShardMax {
 		s.m = make(map[uint64]*analysisEntry, 64)
 	}
-	s.m[fp] = &analysisEntry{done: seededDone, a: a}
+	s.m[fp] = &analysisEntry{a: a}
 }
 
 // analyses is the process-wide analysis memo shared by all crawlers;

@@ -38,11 +38,12 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// One detector for every analysis, as a crawl worker keeps one.
-	var det core.Detector
+	// One worker for every analysis, as a crawl worker keeps its
+	// detector and text buffer.
+	var w worker
 	b.Run("hit", func(b *testing.B) {
 		var c analysisCache
-		c.get(page.Fingerprint, func() core.Analysis { return analyzePage(&det, page) })
+		c.get(page.Fingerprint, func() core.Analysis { return w.analyzePage(page) })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -62,7 +63,7 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Distinct fingerprint per iteration: every get is a first
 			// claim running the full pipeline.
-			a := c.get(uint64(i), func() core.Analysis { return analyzePage(&det, page) })
+			a := c.get(uint64(i), func() core.Analysis { return w.analyzePage(page) })
 			if a.Kind != core.KindCookiewall {
 				b.Fatal("wrong analysis")
 			}

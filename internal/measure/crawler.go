@@ -160,10 +160,13 @@ func runExperimentCampaign[R any](ctx context.Context, c *Crawler, label string,
 
 // worker is what a campaign worker's Affinity slot holds between
 // visits: the browser and the banner detector, whose text buffer and
-// candidate slice every detection on the worker reuses.
+// candidate slice every detection on the worker reuses, and the buffer
+// analyzePage extracts page text into for language and category
+// scoring.
 type worker struct {
 	browser.Browser
-	det core.Detector
+	det  core.Detector
+	text []byte
 }
 
 // session is one visit's fresh-profile browser, armed with the
@@ -317,7 +320,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 	}
 	var a core.Analysis
 	if c.NoAnalysisCache {
-		a = analyzePage(&b.det, b.Compose(fr))
+		a = b.analyzePage(b.Compose(fr))
 		if cerr := b.ComposeErr(); cerr != nil {
 			obs.Err = cerr.Error()
 			return obs
@@ -329,7 +332,7 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 			if cerr := b.ComposeErr(); cerr != nil {
 				return core.Analysis{}, cerr
 			}
-			return analyzePage(&b.det, page), nil
+			return b.analyzePage(page), nil
 		})
 		if aerr != nil {
 			obs.Err = aerr.Error()
@@ -362,12 +365,13 @@ func (o *Observation) setAnalysis(a core.Analysis) {
 
 // analyzePage runs the pure post-fetch pipeline — detection,
 // classification, language and category measurement — on a composed
-// page, detecting with d. It depends on page content only (never on
-// the vantage point, visit label or worker), the invariant that makes
-// its result safe to memoize by content fingerprint.
-func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
-	det := d.Locate(page.Doc, core.Options{})
-	d.Describe(&det)
+// page, detecting with w's detector and scoring text in w's buffer. It
+// depends on page content only (never on the vantage point, visit
+// label or worker), the invariant that makes its result safe to
+// memoize by content fingerprint.
+func (w *worker) analyzePage(page *browser.Page) core.Analysis {
+	det := w.det.Locate(page.Doc, core.Options{})
+	w.det.Describe(&det)
 	a := core.Analysis{
 		Kind:       det.Kind,
 		Source:     det.Source,
@@ -384,7 +388,8 @@ func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
 		ScrollLocked: page.ScrollLocked,
 	}
 	if body := page.Doc.Body(); body != nil {
-		a.Language = langdetect.Detect(body.Text()).Lang
+		w.text = body.AppendText(w.text[:0])
+		a.Language = langdetect.Detect(w.text).Lang
 		// Categorize from the content area only: headers repeat the
 		// site name (which FortiGuard would not score) and banners
 		// carry consent vocabulary, both of which pollute keyword
@@ -393,7 +398,8 @@ func analyzePage(d *core.Detector, page *browser.Page) core.Analysis {
 		if m := page.Doc.Query(mainSel); m != nil {
 			content = m
 		}
-		a.Category = categorize.Classify(content.Text())
+		w.text = content.AppendText(w.text[:0])
+		a.Category = categorize.Classify(w.text)
 	}
 	return a
 }

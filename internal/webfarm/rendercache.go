@@ -66,8 +66,11 @@ type render struct {
 	// header is the complete, SHARED response header of a page render
 	// (Content-Type plus the state's first-party Set-Cookie values) or a
 	// tracker reply (its n Set-Cookie values): like the body a pure
-	// function of the render key, built once and served read-only by
-	// every reply for the key. nil for other renders.
+	// function of the render key, and served read-only by every reply
+	// for the key. A tracker header is built once per entry. Page
+	// headers are interned per farm (pageHeaderTable): every page entry
+	// whose state sets the same first-party cookies holds the same
+	// header map. nil for other renders.
 	header http.Header
 }
 

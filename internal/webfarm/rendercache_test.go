@@ -2,6 +2,8 @@ package webfarm
 
 import (
 	"fmt"
+	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -147,22 +149,23 @@ func TestRenderCacheKeyCoversJitter(t *testing.T) {
 }
 
 // TestRenderCacheConcurrent hammers one farm's cache from many
-// goroutines across sites and states and checks every result against
-// an uncached reference render. Run with -race, this is the
-// cache-correctness gate for parallel campaigns.
+// goroutines across sites and states and checks every result, body and
+// interned header, against an uncached reference render. Run with
+// -race, this is the cache-correctness gate for parallel campaigns.
 func TestRenderCacheConcurrent(t *testing.T) {
 	farm := New(testReg)
 	ref := New(testReg) // renders references through its own cache-free path
 	sites := testSites(t)
 
 	type job struct {
-		st   pageState
-		want string
+		st         pageState
+		want       string
+		wantHeader http.Header
 	}
 	var jobs []job
 	for _, s := range sites {
 		for _, st := range cacheStates(s) {
-			jobs = append(jobs, job{st: st, want: ref.renderSitePageUncached(st)})
+			jobs = append(jobs, job{st: st, want: ref.renderSitePageUncached(st), wantHeader: ref.refPageHeader(st)})
 		}
 	}
 
@@ -177,7 +180,8 @@ func TestRenderCacheConcurrent(t *testing.T) {
 				for i, j := range jobs {
 					// Vary the order per worker so gets and puts interleave.
 					j = jobs[(i+w*7+rep)%len(jobs)]
-					if got := farm.renderSitePage(j.st); got.body != j.want || got.fp != bodyHash(j.want) {
+					got := farm.renderSitePage(j.st)
+					if got.body != j.want || got.fp != bodyHash(j.want) || !reflect.DeepEqual(got.header, j.wantHeader) {
 						select {
 						case errs <- fmt.Sprintf("worker %d: %s render diverged under concurrency", w, j.st.site.Domain):
 						default:

@@ -150,8 +150,10 @@ func TestSeamsAgree(t *testing.T) {
 
 // TestReplyAllocations pins the allocation cost of the reply path: a
 // cached page and a repeated cookie-setting tracker pixel served
-// through RoundTripBody allocate nothing, and a page render miss costs
-// its one exactly sized buffer plus at most a couple of small values.
+// through RoundTripBody allocate nothing, a page render miss costs its
+// one exactly sized buffer plus at most a couple of small values, and
+// the header of a render miss whose cookie shape the farm has seen
+// costs nothing.
 func TestReplyAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is exact; skip in -short/-race runs")
@@ -209,5 +211,33 @@ func TestReplyAllocations(t *testing.T) {
 			t.Errorf("render miss (consented %v, subscribed %v) allocates %.1f, budget %d",
 				st.consented, st.subscribed, got, renderMissBudget)
 		}
+		testFarm.pageHeader(st) // interns the state's header
+		if got := testing.AllocsPerRun(100, func() { testFarm.pageHeader(st) }); got != 0 {
+			t.Errorf("header of a render miss (consented %v, subscribed %v) with a seen cookie shape allocates %.1f, want 0",
+				st.consented, st.subscribed, got)
+		}
 	}
+
+	// Two sites that set the same first-party cookies before consent
+	// share one header map.
+	bySessionCookies := map[int]*synthweb.Site{}
+	for _, other := range testReg.Sites() {
+		pre := other.Cookies.PreConsentFP
+		first, ok := bySessionCookies[pre]
+		if !ok {
+			bySessionCookies[pre] = other
+			continue
+		}
+		if pre <= 0 {
+			continue
+		}
+		a := testFarm.pageHeader(pageState{site: first, vpName: "Germany"})
+		b := testFarm.pageHeader(pageState{site: other, vpName: "Germany"})
+		if len(a["Set-Cookie"]) != pre || reflect.ValueOf(a).UnsafePointer() != reflect.ValueOf(b).UnsafePointer() {
+			t.Errorf("%s and %s set %d session cookies each, but their headers are distinct maps %q and %q",
+				first.Domain, other.Domain, pre, a, b)
+		}
+		return
+	}
+	t.Fatal("no two sites set the same number of session cookies")
 }
