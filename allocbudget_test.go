@@ -38,13 +38,15 @@ import (
 //     buffer; 33 / 29 before that buffer; 62 / 56 before the
 //     single-allocation Node.Text and the in-place eTLD+1).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 81
+//     click, reload with every tracker, tally the jar. Measured 79
 //     allocs on the first cookiewall domain. One of them is the call's
 //     visit-label slice and one its label: MeasureCookies builds its
 //     reps labels once per call, so a campaign no longer formats one per
 //     visit, but this one-site, one-rep call pays for the slice. The
-//     last step parsed plain absolute subresource and click URLs into
-//     the session's scratch URL and reloaded through the page's own URL
+//     last step opened the page through the session's URL instead of
+//     concatenating and parsing its string (81 before it). The step
+//     before parsed plain absolute subresource and click URLs into the
+//     session's scratch URL and reloaded through the page's own URL
 //     instead of re-parsing its string: 111 before it, and 116 before
 //     interned page headers, page text in the worker's buffer and
 //     one-allocation memo entries (the comment then said 122, its
@@ -73,7 +75,7 @@ const (
 	resilientCachedAllocBudget    = 4
 	cookiewallUncachedAllocBudget = 5
 	regularUncachedAllocBudget    = 4
-	cookieVisitAllocBudget        = 95
+	cookieVisitAllocBudget        = 93
 )
 
 // TestVisitAllocBudget pins the allocation count of the single-visit

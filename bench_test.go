@@ -216,37 +216,20 @@ func regularDomain(b *testing.B, s *cookiewalk.Study) string {
 
 // BenchmarkReportAll measures the COMPLETE study — universe
 // generation, the eight-VP landscape and every follow-up experiment
-// campaign, rendered end to end — under the serial schedule
-// (ExperimentParallelism 1, the pre-DAG execution order) and the
-// concurrent one (one slot per core, campaigns sharing the worker
-// budget). Each iteration builds a fresh study: artefacts are memoized
-// per Study, so reusing one would only measure the cache. Outputs are
-// byte-identical across sub-benchmarks (pinned by TestGoldenMatrix's
-// parallelism rows); only wall clock may differ, and only on
-// multi-core runs.
+// campaign, rendered end to end. Each iteration builds a fresh study:
+// artefacts are memoized per Study, so reusing one would only measure
+// the cache.
 func BenchmarkReportAll(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := cookiewalk.New(cookiewalk.Config{
-					Seed: 42, Scale: 0.02, Reps: 2, ExperimentParallelism: bc.par,
-				})
-				out, err := s.Report(cookiewalk.ExpAll)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) == 0 {
-					b.Fatal("empty report")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
+		out, err := s.Report(cookiewalk.ExpAll)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) == 0 {
+			b.Fatal("empty report")
+		}
 	}
 }
 

@@ -123,10 +123,10 @@ func TestResumeDeterminismRandomKill(t *testing.T) {
 // just the landscape. A checkpointed ExpAll is killed mid-way through
 // the fig4 cookiewall campaign — i.e. AFTER the landscape and the fig4
 // regular campaign journaled completely — and resumed under a
-// DIFFERENT worker/shard geometry with the concurrent scheduler: the
-// resumed report must be byte-identical to the golden snapshot, the
-// killed campaign must replay its partial journal, and the fully
-// journaled campaigns must replay end to end.
+// DIFFERENT worker/shard geometry: the resumed report must be
+// byte-identical to the golden snapshot, the killed campaign must
+// replay its partial journal, and the fully journaled campaigns must
+// replay end to end.
 func TestResumeNonLandscapeExperimentJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full scale-0.02 experiment twice")
@@ -150,13 +150,13 @@ func TestResumeNonLandscapeExperimentJournal(t *testing.T) {
 		t.Fatal("ExpAll was not interrupted")
 	}
 
-	// Resume with the concurrent scheduler and a different geometry.
+	// Resume under a different geometry.
 	replayed := map[string]int64{}
 	var mu sync.Mutex
 	resumeCfg := cookiewalk.Config{
 		Seed: 42, Scale: 0.02, Reps: 2,
 		CheckpointDir: dir, Resume: true,
-		Workers: 2, Shards: 3, ExperimentParallelism: 4,
+		Workers: 2, Shards: 3,
 		Progress: func(p cookiewalk.Progress) {
 			mu.Lock()
 			if p.Replayed > replayed[p.Label] {

@@ -9,11 +9,6 @@
 //	cookiewalk -list                    # experiment ids + their artefact dependencies
 //	cookiewalk -exp all -out EXPERIMENTS.md
 //
-//	# Dependency-aware concurrent scheduling: run independent
-//	# experiment campaigns 4 at a time on one shared worker budget
-//	# (results are byte-identical to -j 1).
-//	cookiewalk -exp all -j 4 -progress
-//
 //	# Crash-safe crawling: journal EVERY experiment campaign, and
 //	# after a kill (OOM, preemption, ^C) resume the whole study —
 //	# journaled visits stream from disk, only the missing ones are
@@ -75,7 +70,6 @@ func main() {
 		csvOut     = flag.String("csv", "", "write per-cookiewall records (CSV) to this file")
 		workers    = flag.Int("workers", 0, "worker pool size of each campaign run, shared by all its shards (0 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "campaign shard count (0 = derived from target count)")
-		jobs       = flag.Int("j", 1, "experiment-level parallelism: independent experiment campaigns running concurrently on one shared worker budget")
 		progress   = flag.Bool("progress", false, "stream campaign progress and per-shard error accounting to stderr")
 		checkpoint = flag.String("checkpoint", "", "journal every experiment campaign into per-experiment subdirectories of this directory (crash-safe; see -resume)")
 		resume     = flag.Bool("resume", false, "replay the journals under -checkpoint from a previous killed run and crawl only what is missing")
@@ -151,17 +145,16 @@ func main() {
 		Seed: *seed, Scale: *scale, Reps: *reps,
 		Workers: *workers, Shards: *shards,
 		CheckpointDir: *checkpoint, Resume: *resume,
-		ExperimentParallelism: *jobs,
-		LeaseTTL:              *leaseTTL,
-		FleetToken:            *fleetToken,
-		FleetCA:               *fleetCA,
-		VisitTimeout:          *visitTimeout,
-		VisitRetries:          *visitRetries,
-		VisitRetryBackoff:     *visitRetryBackoff,
-		PerHostRPS:            *perHost,
-		PerHostBurst:          *perHostBurst,
-		BreakerThreshold:      *breakerThreshold,
-		BreakerCooldown:       *breakerCooldown,
+		LeaseTTL:          *leaseTTL,
+		FleetToken:        *fleetToken,
+		FleetCA:           *fleetCA,
+		VisitTimeout:      *visitTimeout,
+		VisitRetries:      *visitRetries,
+		VisitRetryBackoff: *visitRetryBackoff,
+		PerHostRPS:        *perHost,
+		PerHostBurst:      *perHostBurst,
+		BreakerThreshold:  *breakerThreshold,
+		BreakerCooldown:   *breakerCooldown,
 	}
 	if *serve != "" {
 		// The post-merge report must replay the assembled journals
@@ -169,14 +162,7 @@ func main() {
 		cfg.Resume = true
 	}
 	if *progress {
-		if *jobs > 1 {
-			// Concurrent campaigns interleave their snapshots; a
-			// carriage-return status line would shred, so print one
-			// experiment-prefixed line per snapshot instead.
-			cfg.Progress = printProgressLines
-		} else {
-			cfg.Progress = printProgress
-		}
+		cfg.Progress = printProgress
 	}
 
 	start := time.Now()
@@ -234,9 +220,8 @@ func progressLine(p cookiewalk.Progress) string {
 		p.Label+":", p.Shard, p.Shards, p.Done, p.Total, split, p.Errors, resilienceSuffix(p))
 }
 
-// printProgress is the serial (-j 1) -progress sink: one status line
-// rewritten in place per campaign snapshot, terminated when the
-// campaign completes.
+// printProgress is the -progress sink: one status line rewritten in
+// place per campaign snapshot, terminated when the campaign completes.
 func printProgress(p cookiewalk.Progress) {
 	fmt.Fprint(os.Stderr, "\r"+progressLine(p))
 	if p.Done >= p.Total {
@@ -256,14 +241,6 @@ func resilienceSuffix(p cookiewalk.Progress) string {
 		s += fmt.Sprintf("  breaker: %d trips, %d denials", p.BreakerTrips, p.BreakerDenials)
 	}
 	return s
-}
-
-// printProgressLines is the concurrent (-j > 1) -progress sink:
-// snapshots from interleaved campaigns each get their own line,
-// multiplexed by the campaign label's experiment-name prefix
-// ("landscape Germany", "fig4 cookiewall", "bypass", ...).
-func printProgressLines(p cookiewalk.Progress) {
-	fmt.Fprintln(os.Stderr, progressLine(p))
 }
 
 // printShardAccounting dumps the per-shard visit/error counters of the

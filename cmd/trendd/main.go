@@ -60,7 +60,6 @@ func main() {
 		reps     = flag.Int("reps", 5, "repetitions for cookie measurements")
 		workers  = flag.Int("workers", 0, "worker pool size of each campaign run, shared by all its shards (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "campaign shard count (0 = derived from target count)")
-		jobs     = flag.Int("j", 1, "experiment-level parallelism within a round")
 		storeDir = flag.String("store", "", "trend store directory: the round journal (rounds.cwt), its manifest, and per-round crawl checkpoints live here (required)")
 		interval = flag.Duration("interval", 24*time.Hour, "wall-clock period between round starts; an overrunning round starts the next one immediately")
 		rounds   = flag.Int("rounds", 0, "stop after the store holds this many rounds (0 = run until signaled)")
@@ -99,10 +98,9 @@ func main() {
 	base := cookiewalk.Config{
 		Seed: *seed, Scale: *scale, Reps: *reps,
 		Workers: *workers, Shards: *shards,
-		ExperimentParallelism: *jobs,
-		VisitTimeout:          *visitTimeout,
-		VisitRetries:          *visitRetries,
-		PerHostRPS:            *perHost,
+		VisitTimeout: *visitTimeout,
+		VisitRetries: *visitRetries,
+		PerHostRPS:   *perHost,
 	}
 	if *progress {
 		base.Progress = func(p cookiewalk.Progress) {

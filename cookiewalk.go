@@ -25,14 +25,12 @@
 // Workers or Shards, and long campaigns report progress and per-shard
 // error counts as they go.
 //
-// Above the engine, the study layer schedules experiments as a
-// dependency DAG (see schedule.go): artefacts are memoized study-wide,
-// independent campaigns run concurrently up to
-// Config.ExperimentParallelism on one shared worker budget, campaigns
-// are cancellable via ReportContext, and with Config.CheckpointDir
-// every constituent campaign — not just the landscape — journals its
-// progress for crash-safe resumption. None of it changes results: the
-// assembled report is byte-identical for any parallelism level.
+// Above the engine, the study layer resolves experiments as a
+// dependency DAG (see schedule.go): artefacts are memoized study-wide
+// and computed one at a time in dependency order, campaigns are
+// cancellable via ReportContext, and with Config.CheckpointDir every
+// constituent campaign — not just the landscape — journals its
+// progress for crash-safe resumption. None of it changes results.
 //
 // Quickstart:
 //
@@ -104,9 +102,9 @@ type Config struct {
 	Shards int
 	// Progress, when set, receives streaming campaign progress
 	// snapshots (shard, visit and error counters) from every crawl the
-	// study runs. With ExperimentParallelism > 1 concurrent campaigns
-	// invoke it from their own goroutines simultaneously — the handler
-	// must be safe for concurrent use (it is called serially otherwise).
+	// study runs. The study runs one campaign at a time, so calls are
+	// serial unless the caller reports from several goroutines at once
+	// (then the handler must be safe for concurrent use).
 	Progress func(Progress)
 	// NoAnalysisCache disables the content-fingerprint memoization of
 	// page analysis (parse → detect → language → category), forcing
@@ -145,14 +143,11 @@ type Config struct {
 	// wrong-tokened worker exits instead of retrying forever. Empty
 	// disables auth (trusted networks only).
 	FleetToken string
-	// ExperimentParallelism bounds how many experiment DAG nodes (and
-	// therefore independent campaigns) run concurrently during
-	// Report/ReportContext (default 1: experiments run one after
-	// another, in dependency order). Values above 1 schedule
-	// independent campaigns concurrently on a shared worker budget of
-	// Workers visit slots, so total CPU pressure never exceeds a
-	// single campaign's. Purely a scheduling knob — the assembled
-	// report is byte-identical for any value.
+	// ExperimentParallelism is read nowhere: experiments run one at a
+	// time, in dependency order, each campaign on its own pool of
+	// Workers.
+	//
+	// Deprecated: setting it has no effect.
 	ExperimentParallelism int
 	// VisitTimeout, when positive, bounds each visit's wall clock
 	// (navigation plus all subresource fetches and retries). A visit
@@ -214,10 +209,6 @@ type Study struct {
 	farm    *webfarm.Farm
 	crawler *measure.Crawler
 
-	// sem bounds concurrently RUNNING experiment DAG nodes
-	// (Config.ExperimentParallelism slots).
-	sem chan struct{}
-
 	mu    sync.Mutex
 	nodes map[string]*nodeState
 }
@@ -229,10 +220,6 @@ func New(cfg Config) *Study {
 	}
 	if cfg.Reps <= 0 {
 		cfg.Reps = 5
-	}
-	par := cfg.ExperimentParallelism
-	if par < 1 {
-		par = 1
 	}
 	reg := synthweb.Generate(synthweb.Config{Seed: cfg.Seed, FillerScale: cfg.Scale})
 	farm := webfarm.New(reg)
@@ -261,16 +248,9 @@ func New(cfg Config) *Study {
 		// request, and a typed nil would panic there.
 		crawler.Gate = g
 	}
-	if par > 1 {
-		// Concurrent campaigns draw visit slots from ONE budget sized
-		// like a single campaign's worker pool, so experiment-level
-		// parallelism reorders work instead of multiplying it.
-		crawler.Budget = campaign.NewBudget(cfg.Workers)
-	}
 	crawler.Progress = cfg.Progress
 	return &Study{
 		cfg: cfg, reg: reg, farm: farm, crawler: crawler,
-		sem:   make(chan struct{}, par),
 		nodes: map[string]*nodeState{},
 	}
 }
@@ -404,7 +384,7 @@ func (s *Study) Screenshot(vpName, domain string) (string, error) {
 		return "", fmt.Errorf("cookiewalk: unknown vantage point %q", vpName)
 	}
 	b := browser.New(s.farm.Transport(), vp)
-	page, err := b.Open("https://" + domain + "/")
+	page, err := b.OpenDomain(domain)
 	if err != nil {
 		return "", fmt.Errorf("cookiewalk: screenshot %s: %w", domain, err)
 	}

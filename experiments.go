@@ -220,7 +220,7 @@ func (s *Study) Landscape() *measure.Landscape {
 }
 
 // landscapeArt resolves the landscape artefact, discarding any latched
-// crawl error — callers are either DAG nodes running after resolveDeps
+// crawl error — callers are either DAG nodes running after runNode
 // already verified the artefact, or the inspection APIs (Landscape,
 // CachedLandscape) whose documented contract is to hand back the
 // possibly-partial campaign for post-mortem while Report/BuildDataset

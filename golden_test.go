@@ -111,18 +111,13 @@ const (
 //	TestGoldenReportAnalysisCacheOnOff              default, memo-off
 //	TestGoldenParallelism/gomaxprocs=P/workers=W    gomaxprocs/gomaxprocs=P/workers=W
 //	TestReportDeterministicAcrossWorkers            workers=1, workers=4/shards=5, workers=N/shards=1
-//	TestSchedulerDeterminismAcrossParallelism/parallelism-P
-//	                                                scheduler/parallelism-P (parallelism-1 runs as
-//	                                                default and is checked as default/parallelism-1)
 //	TestConcurrentStudiesIsolated                   default/sibling/seed=7
 //	TestGoldenFlakyTransport                        flaky-transport/seed=S
 //	TestGoldenFlakyCheckpointResume                 flaky-checkpoint-resume/seed=S
 //	TestResumeGoldenAfterKill/K                     kill/K
 //
 // COOKIEWALK_SEED (fault.Seeds) picks the flaky rows' fault seed
-// (default 1) and the parallelism row: seed 1, 2 or 3 selects
-// experiment parallelism 1, 4 or GOMAXPROCS, and all three run without
-// it.
+// (default 1).
 func goldenRows(t *testing.T) []goldenRow {
 	// The slowest rows come first, so the parallel rows finish close
 	// together: default runs three studies, and the flaky rows wait out
@@ -159,15 +154,6 @@ func goldenRows(t *testing.T) []goldenRow {
 		}
 		rows = append(rows, goldenRow{name: name, cfg: cookiewalk.Config{Workers: geo.workers, Shards: geo.shards}})
 	}
-	levels := []int{1, 4, procs}
-	for _, seed := range fault.Seeds(t, 1, 2, 3) {
-		par := levels[(seed-1)%uint64(len(levels))]
-		rows = append(rows, goldenRow{
-			group: "scheduler",
-			name:  fmt.Sprintf("parallelism-%d", par),
-			cfg:   cookiewalk.Config{ExperimentParallelism: par},
-		})
-	}
 	for _, procs := range []int{1, 4} {
 		for _, workers := range []int{1, 8} {
 			rows = append(rows, goldenRow{
@@ -200,15 +186,14 @@ func dedupe(t *testing.T, rows []goldenRow) []goldenRow {
 }
 
 // key names the study a row runs: its config with the documented
-// defaults filled in (Workers 0 is GOMAXPROCS, ExperimentParallelism 0
-// is 1), its GOMAXPROCS, faults, kill point and replay. A sibling runs
-// beside the study and is not part of it.
+// defaults filled in (Workers 0 is GOMAXPROCS), its GOMAXPROCS, faults,
+// kill point and replay. A sibling runs beside the study and is not
+// part of it.
 func (r goldenRow) key() string {
 	cfg := r.cfg
 	if cfg.Workers == 0 {
 		cfg.Workers = cmp.Or(r.procs, runtime.GOMAXPROCS(0))
 	}
-	cfg.ExperimentParallelism = max(cfg.ExperimentParallelism, 1)
 	return fmt.Sprintf("%+v|%d|%d|%+v|%t", cfg, r.procs, r.fault, r.kill, r.replay)
 }
 
@@ -222,10 +207,9 @@ func (r goldenRow) path() string {
 
 // TestGoldenMatrix pins the determinism contract: Report(ExpAll) at
 // the golden config is byte-identical to testdata/golden_all.txt at
-// every worker count, shard count, GOMAXPROCS, experiment parallelism,
-// memo setting, fault seed and kill point, and beside a study of
-// another seed. Each row runs its own Study; see goldenRows for the
-// rows.
+// every worker count, shard count, GOMAXPROCS, memo setting, fault
+// seed and kill point, and beside a study of another seed. Each row
+// runs its own Study; see goldenRows for the rows.
 //
 // Rows run as parallel subtests, except those that set GOMAXPROCS and,
 // with -update, the default row, which rewrites the golden the other

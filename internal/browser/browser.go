@@ -181,6 +181,15 @@ func (b *Browser) Open(rawurl string) (*Page, error) {
 	return b.composeFetched(b.FetchTop(rawurl))
 }
 
+// OpenDomain is Open for "https://<domain>/", fetched through the
+// session-owned URL of FetchTopDomain and under its rule: the page's
+// URL is that session URL until the session's next FetchTopDomain or
+// OpenDomain, so a caller that reads a page's URL after reopening a
+// page in the same session must use Open.
+func (b *Browser) OpenDomain(domain string) (*Page, error) {
+	return b.composeFetched(b.FetchTopDomain(domain))
+}
+
 // composeFetched is the second half of Open: fr composed, with a failed
 // fetch or a degraded composition as the error.
 func (b *Browser) composeFetched(fr FetchResult, err error) (*Page, error) {
@@ -519,17 +528,37 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 	return resp.body, true
 }
 
-// resolveSubresource is base.Parse(ref), parsed into dst when ref is
-// plain enough for parsePlainURL: the farm's subresource URLs all are,
-// and then nothing is allocated and the result is dst itself. A ref
-// parsePlainURL accepts is absolute with no dot segment, so resolving
-// it against base would only copy it. FuzzResolveSubresource pins the
-// equivalence.
+// resolveSubresource is base.Parse(ref), filled into dst when ref is
+// plain enough for parsePlainURL or resolveRootPath: the farm's
+// subresource URLs all are, and then nothing is allocated and the
+// result is dst itself. A ref parsePlainURL accepts is absolute with no
+// dot segment, so resolving it against base would only copy it.
+// FuzzResolveSubresource pins the equivalence.
 func resolveSubresource(dst, base *url.URL, ref string) (*url.URL, error) {
-	if parsePlainURL(dst, ref) {
+	if parsePlainURL(dst, ref) || resolveRootPath(dst, base, ref) {
 		return dst, nil
 	}
 	return base.Parse(ref)
+}
+
+// resolveRootPath sets *dst to *base.Parse(ref) and reports true when
+// ref is a root-relative path: '/' followed by unreserved bytes and
+// '/'. Like parsePlainURL it declines "/." (a dot segment), and it
+// declines a leading "//" (a scheme-relative host). Any other ref is
+// declined with dst untouched. The result takes base's scheme, user
+// and host, and ref as its path, aliasing both, so nothing is
+// allocated.
+func resolveRootPath(dst, base *url.URL, ref string) bool {
+	if !strings.HasPrefix(ref, "/") || strings.HasPrefix(ref, "//") || strings.Contains(ref, "/.") {
+		return false
+	}
+	for i := 1; i < len(ref); i++ {
+		if c := ref[i]; !unreserved(c) && c != '/' {
+			return false
+		}
+	}
+	*dst = url.URL{Scheme: base.Scheme, User: base.User, Host: base.Host, Path: ref}
+	return true
 }
 
 // parsePlainURL sets *dst to *url.Parse(ref) and reports true when ref
@@ -649,41 +678,29 @@ func (b *Browser) runScriptDirectives(page *Page) {
 	}
 }
 
-// loadFrames loads iframe content documents recursively, piercing
-// shadow roots (frames inside shadow trees are real frames).
+// loadFrames loads iframe content documents recursively, in document
+// order, piercing shadow roots at their host element (frames inside
+// shadow trees are real frames). Loading a frame sets its FrameDoc and
+// changes no tree, so root is walked in place, with no list of frames
+// collected.
 func (b *Browser) loadFrames(page *Page, root *dom.Node, depth int) {
 	if depth <= 0 {
 		return
 	}
-	var frames []*dom.Node
-	collectFrames(root, &frames)
-	for _, fr := range frames {
-		if fr.FrameDoc != nil {
-			continue
-		}
-		src, ok := fr.Attr("src")
-		if !ok || src == "" || strings.HasPrefix(src, "about:") {
-			continue
-		}
-		body, ok := b.fetchBlockable(page, src)
-		if !ok {
-			continue
-		}
-		fr.FrameDoc = b.parser.Parse(body)
-		b.loadFrames(page, fr.FrameDoc, depth-1)
-	}
-}
-
-// collectFrames gathers iframes in root's light DOM and shadow roots.
-func collectFrames(root *dom.Node, out *[]*dom.Node) {
 	root.Walk(func(n *dom.Node) bool {
-		if n.Type == dom.ElementNode {
-			if n.Tag == "iframe" {
-				*out = append(*out, n)
+		if n.Type != dom.ElementNode {
+			return true
+		}
+		if n.Tag == "iframe" && n.FrameDoc == nil {
+			if src, ok := n.Attr("src"); ok && src != "" && !strings.HasPrefix(src, "about:") {
+				if body, ok := b.fetchBlockable(page, src); ok {
+					n.FrameDoc = b.parser.Parse(body)
+					b.loadFrames(page, n.FrameDoc, depth-1)
+				}
 			}
-			if n.Shadow != nil {
-				collectFrames(n.Shadow.Root, out)
-			}
+		}
+		if n.Shadow != nil {
+			b.loadFrames(page, n.Shadow.Root, depth)
 		}
 		return true
 	})

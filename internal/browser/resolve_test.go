@@ -53,6 +53,24 @@ func FuzzResolveSubresource(f *testing.F) {
 		{"https://a.de/x/y", "https://b.de:443/p"},
 		{"https://a.de/x/y", "https://b.de/p#f"},
 		{"https://a.de/x/y", "https://b_c.de~/p-q_r.s~t"},
+		// Root-relative paths (resolveRootPath).
+		{"https://a.de/", "/cw-frame.html"},
+		{"https://a.de/x/y", "/consent"},
+		{"https://a.de/x/y", "/"},
+		{"https://a.de/x/y", "/a//b/"},
+		{"https://a.de/x/y", "/p."},
+		{"https://a.de/x/y", "/./p"},
+		{"https://a.de/x/y", "/a/../b"},
+		{"https://a.de/x/y", "/p?q=1"},
+		{"https://a.de/x/y", "/p#f"},
+		{"https://a.de/x/y", "/p%41"},
+		{"https://a.de/x/y", "/p q"},
+		{"https://a.de/x/y", "//"},
+		{"https://user:pw@a.de:8443/x/y", "/p"},
+		{"https://a.de/x%2Fy?q=1#f", "/p"},
+		{"mailto:x@a.de", "/p"},
+		{"rel/base", "/p"},
+		{"", "/p"},
 	} {
 		f.Add(c[0], c[1])
 	}

@@ -84,51 +84,6 @@ type Config struct {
 	// RunRange start FRESH journals, wiping leftover files in the
 	// directory; Resume replays them.
 	Checkpoint *Checkpoint
-	// Budget, when set, is a weighted worker budget shared across
-	// campaigns: every visit holds one budget slot while it runs, so N
-	// campaigns executing concurrently draw from one bounded pool
-	// instead of oversubscribing the machine with N × Workers busy
-	// goroutines. Replayed (journaled) deliveries never consume a slot.
-	// Purely a scheduling knob — results are identical with or without
-	// it.
-	Budget *Budget
-}
-
-// Budget is a weighted visit budget shared by concurrent campaigns.
-// Each in-flight visit holds one slot; campaigns block dispatching
-// further visits while the pool is exhausted. A nil *Budget is valid
-// and grants every request immediately.
-type Budget struct {
-	slots chan struct{}
-}
-
-// NewBudget returns a budget of n concurrent visit slots (n <= 0 means
-// GOMAXPROCS).
-func NewBudget(n int) *Budget {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Budget{slots: make(chan struct{}, n)}
-}
-
-// acquire blocks until a slot is free or ctx is canceled; it reports
-// whether a slot was obtained (and must be released).
-func (b *Budget) acquire(ctx context.Context) bool {
-	if b == nil {
-		return true
-	}
-	select {
-	case b.slots <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func (b *Budget) release() {
-	if b != nil {
-		<-b.slots
-	}
 }
 
 func (c Config) workers() int {
@@ -478,15 +433,7 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 						q.res.Err = errors.New(replay[i].errStr)
 					}
 				} else {
-					// A real visit holds one slot of the (possibly shared)
-					// worker budget.
-					if !cfg.Budget.acquire(ctx) {
-						// Canceled: the slot never becomes ready, so
-						// delivery stops at i.
-						return
-					}
 					q.res.Value, q.res.Err = visit(vctx, targets[i])
-					cfg.Budget.release()
 					// The visit's resilience events ride on its result into
 					// the account of its own shard.
 					q.events, *meter = *meter, Meter{}

@@ -63,9 +63,9 @@ type Crawler struct {
 	Shards int
 	// Progress, when set, receives streaming campaign progress
 	// (visit/error counters per shard) from every crawl this crawler
-	// runs. Purely observational. Campaigns running concurrently (the
-	// study's ExperimentParallelism > 1) invoke it from their own
-	// delivery goroutines simultaneously — make it concurrency-safe.
+	// runs. Purely observational. A campaign calls it from its one
+	// delivery goroutine, so calls are serial unless the caller runs
+	// campaigns from several goroutines at once.
 	Progress func(campaign.Progress)
 	// ProgressEvery overrides the delivery interval between Progress
 	// callbacks (default: the engine's, 1000). Purely observational.
@@ -87,12 +87,6 @@ type Crawler struct {
 	// under CheckpointDir (no-op when CheckpointDir is empty; an
 	// empty/missing journal degrades to a fresh crawl).
 	Resume bool
-	// Budget, when set, is a weighted worker budget shared by every
-	// campaign this crawler runs: concurrent experiment campaigns draw
-	// visit slots from one bounded pool instead of each saturating its
-	// own Workers-sized pool. Purely a scheduling knob — results are
-	// identical with or without it.
-	Budget *campaign.Budget
 	// VisitTimeout, when positive, bounds each visit's wall clock: the
 	// deadline context is attached to every request the visit makes, so
 	// stalls and slow hosts cut off instead of wedging a worker.
@@ -127,7 +121,6 @@ func (c *Crawler) engine(label string) campaign.Config {
 		Shards:        c.Shards,
 		OnProgress:    c.Progress,
 		ProgressEvery: c.ProgressEvery,
-		Budget:        c.Budget,
 	}
 }
 
@@ -527,7 +520,7 @@ func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain, visit 
 	defer b.release()
 	b.Visit = visit
 	b.SMPToken = smpToken
-	page, err := b.Open("https://" + domain + "/")
+	page, err := b.OpenDomain(domain)
 	if err != nil {
 		return cookies.Tally{}, err
 	}

@@ -42,7 +42,7 @@ func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []
 		func(ctx context.Context, domain string) (ablationCounts, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
-			page, err := b.Open("https://" + domain + "/")
+			page, err := b.OpenDomain(domain)
 			if err != nil {
 				return ablationCounts{}, nil
 			}
@@ -110,7 +110,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 		func(ctx context.Context, domain string) (rejectOutcome, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
-			page, err := b.Open("https://" + domain + "/")
+			page, err := b.OpenDomain(domain)
 			if err != nil {
 				return outFailed, nil
 			}
@@ -176,7 +176,7 @@ func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []stri
 				b := c.session(ctx, vp)
 				defer b.release()
 				b.UserAgent = ua
-				page, err := b.Open("https://" + domain + "/")
+				page, err := b.OpenDomain(domain)
 				if err != nil {
 					return false
 				}
@@ -234,6 +234,9 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 		func(ctx context.Context, domain string) (revOutcome, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
+			// Open, not OpenDomain: the flow reopens the domain in the
+			// same session while earlier pages are still in scope, so
+			// each page keeps a URL of its own.
 			page, err := b.Open("https://" + domain + "/")
 			if err != nil {
 				return revOutcome{}, err

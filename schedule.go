@@ -3,27 +3,24 @@ package cookiewalk
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 )
 
-// The experiment DAG scheduler. Every artefact of the study — the
-// landscape campaign, derived domain lists, follow-up campaign
-// results, and each experiment's rendered report section — is a node
-// in a registry declaring the artefacts it consumes. Report,
-// ReportContext and BuildDataset resolve the nodes they need; each
-// node runs at most once per Study (its result is memoized in the
-// study-wide store, replacing the old ad-hoc s.landscape/s.fig4 mutex
-// fields), independent nodes run concurrently up to
-// Config.ExperimentParallelism, and dependencies are awaited before a
-// node claims a parallelism slot, so the scheduler can never deadlock
-// on its own semaphore.
+// The experiment DAG. Every artefact of the study — the landscape
+// campaign, derived domain lists, follow-up campaign results, and each
+// experiment's rendered report section — is a node in a registry
+// declaring the artefacts it consumes. Report, ReportContext and
+// BuildDataset resolve the nodes they need; each node runs at most
+// once per Study (its result is memoized in the study-wide store), and
+// nodes run one at a time, each after its dependencies, in declared
+// order. Each campaign already uses every core through its own worker
+// pool, so running experiments side by side would only reorder the
+// same work.
 //
 // Determinism invariant: every node's artefact is a pure function of
-// its declared inputs and the study seed — never of scheduling — so
-// the assembled report is byte-identical for any parallelism level
-// (pinned against the golden snapshot by TestGoldenMatrix's
-// parallelism rows).
+// its declared inputs and the study seed. TestGoldenMatrix pins the
+// assembled report against the golden snapshot.
 
 // Artefact node ids (experiment nodes use their Experiment id).
 const (
@@ -39,11 +36,10 @@ const (
 // node is one vertex of the experiment DAG.
 type node struct {
 	id string
-	// deps lists every artefact the run func consumes. The scheduler
-	// resolves them BEFORE the node takes a parallelism slot; a run
-	// func must never touch an undeclared artefact (under
-	// ExperimentParallelism 1 that would self-deadlock — which is
-	// exactly how the test suite catches a missing declaration).
+	// deps lists every artefact the run func consumes, resolved before
+	// it runs. Dependencies and JournalDirs are built from these
+	// entries, so a run func must never touch an undeclared artefact:
+	// resolving one panics (see resolve).
 	deps []string
 	run  func(ctx context.Context, s *Study) (any, error)
 }
@@ -58,12 +54,24 @@ type nodeState struct {
 	err   error
 }
 
+// runningKey is the context key under which runNode hands a node's
+// run func the node itself.
+type runningKey struct{}
+
 // resolve returns the memoized artefact of a registry node, running it
 // (and, transitively, its dependencies) on first demand. Concurrent
-// resolvers of the same node share one execution. A waiter whose ctx
-// is canceled returns early; the runner keeps going under ITS ctx and
-// latches whatever it produces.
+// resolvers of the same node share one execution: callers may share
+// one Study across goroutines. A waiter whose ctx is canceled returns
+// early; the runner keeps going under ITS ctx and latches whatever it
+// produces.
+//
+// Called from a run func for an artefact its node does not declare,
+// resolve panics: the accessors discard its error, so an error would
+// quietly become an empty artefact.
 func (s *Study) resolve(ctx context.Context, id string) (any, error) {
+	if cur, ok := ctx.Value(runningKey{}).(*node); ok && !slices.Contains(cur.deps, id) {
+		panic(fmt.Sprintf("cookiewalk: node %q resolves %q, which is not in its deps", cur.id, id))
+	}
 	n, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("cookiewalk: unknown artefact %q", id)
@@ -80,7 +88,7 @@ func (s *Study) resolve(ctx context.Context, id string) (any, error) {
 		// two-channel select below picks RANDOMLY when both are ready,
 		// and honoring cancellation for an already-latched node would
 		// hand a nil value to accessors that discard the error (a node
-		// body re-reading a dependency resolveDeps already proved done
+		// body re-reading a dependency runNode already proved done
 		// must never see anything but the memoized result).
 		select {
 		case <-st.done:
@@ -99,51 +107,23 @@ func (s *Study) resolve(ctx context.Context, id string) (any, error) {
 	return st.value, st.err
 }
 
-// runNode resolves a node's dependencies (concurrently), then runs its
-// body under an experiment-parallelism slot. Slots are held only while
-// the body runs — never while waiting on dependencies — so any
-// parallelism level schedules the full DAG.
+// runNode resolves a node's dependencies in declared order, under the
+// caller's ctx, then runs its body with the node in the body's ctx
+// (see resolve). Any dependency error — cancellation, a campaign
+// failure, or the landscape's latched crawl error — fails the
+// dependent at once: a failed landscape may be PARTIAL (cancellation
+// aborts remaining vantage points, a journal setup failure aborts
+// mid-crawl), and computing campaigns over partial target sets would
+// waste work and write journals keyed to wrong targets, only for
+// assembly to discard everything anyway. Assembly still reports the
+// landscape error once, under its own stable wrapping.
 func (s *Study) runNode(ctx context.Context, n *node) (any, error) {
-	if err := s.resolveDeps(ctx, n.deps); err != nil {
-		return nil, err
-	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
-	}
-	defer func() { <-s.sem }()
-	return n.run(ctx, s)
-}
-
-func (s *Study) resolveDeps(ctx context.Context, deps []string) error {
-	if len(deps) == 0 {
-		return nil
-	}
-	errs := make([]error, len(deps))
-	var wg sync.WaitGroup
-	for i, dep := range deps {
-		wg.Add(1)
-		go func(i int, dep string) {
-			defer wg.Done()
-			_, errs[i] = s.resolve(ctx, dep)
-		}(i, dep)
-	}
-	wg.Wait()
-	// Any dependency error — cancellation, a campaign failure, or the
-	// landscape's latched crawl error — fails the dependent: a failed
-	// landscape may be PARTIAL (cancellation aborts remaining vantage
-	// points, a journal setup failure aborts mid-crawl), and computing
-	// campaigns over partial target sets would waste work and write
-	// journals keyed to wrong targets, only for assembly to discard
-	// everything anyway. Assembly still reports the landscape error
-	// once, under its own stable wrapping.
-	for i := range deps {
-		if errs[i] != nil {
-			return errs[i]
+	for _, dep := range n.deps {
+		if _, err := s.resolve(ctx, dep); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return n.run(context.WithValue(ctx, runningKey{}, n), s)
 }
 
 // peek returns a completed node's state without triggering a run (nil
@@ -253,13 +233,10 @@ func Dependencies(exp Experiment) []string {
 }
 
 // ReportContext runs one or more experiments — ExpAll expands to every
-// experiment — and assembles their report sections in fixed
-// Experiments() order. Independent experiments (and the campaigns
-// behind them) are scheduled concurrently up to
-// Config.ExperimentParallelism, sharing one campaign worker budget;
-// the assembled output is byte-identical for any parallelism level.
+// experiment — one at a time in fixed Experiments() order, and
+// assembles their report sections in that order.
 //
-// Canceling ctx aborts every in-flight campaign promptly. Artefacts
+// Canceling ctx aborts the campaign in flight promptly. Artefacts
 // are memoized per Study, including failures: after a canceled or
 // failed run, later reports on the same Study return the latched
 // error — build a fresh Study (with Config.Resume to continue
@@ -284,34 +261,24 @@ func (s *Study) ReportContext(ctx context.Context, exps ...Experiment) (string, 
 			single = false
 		}
 	}
-	texts := make([]string, len(set))
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, e := range set {
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			v, err := s.resolve(ctx, string(e))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			texts[i] = v.(string)
-		}(i, e)
+	texts := make([]string, 0, len(set))
+	var failed error
+	for _, e := range set {
+		v, err := s.resolve(ctx, string(e))
+		if err != nil {
+			failed = fmt.Errorf("cookiewalk: experiment %s: %w", e, err)
+			break
+		}
+		texts = append(texts, v.(string))
 	}
-	wg.Wait()
-	// One latched-error check for the whole assembly (the landscape's
-	// journal error used to be re-checked and re-wrapped by every
-	// sub-experiment of ExpAll); the first failing experiment in fixed
-	// report order decides the error, so its text is stable for any
-	// scheduling.
+	// One latched-error check for the whole assembly: a landscape error
+	// is reported once, under its own wrapping, in place of the
+	// experiment that ran into it.
 	if lerr := s.landscapeError(); lerr != nil {
 		return "", fmt.Errorf("cookiewalk: landscape crawl: %w", lerr)
 	}
-	for i, e := range set {
-		if errs[i] != nil {
-			return "", fmt.Errorf("cookiewalk: experiment %s: %w", e, errs[i])
-		}
+	if failed != nil {
+		return "", failed
 	}
 	if single {
 		return texts[0], nil

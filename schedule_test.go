@@ -12,17 +12,17 @@ import (
 	"cookiewalk"
 )
 
-// TestReportContextCancellation cancels a concurrent ExpAll
-// mid-campaign and asserts the report aborts promptly with the
-// cancellation cause, in-flight campaigns stop, no goroutine is left
-// behind, and the latched failure is what later reports on the same
-// study observe (retry needs a fresh Study).
+// TestReportContextCancellation cancels an ExpAll mid-campaign and
+// asserts the report aborts promptly with the cancellation cause, the
+// in-flight campaign stops, no goroutine is left behind, and the
+// latched failure is what later reports on the same study observe
+// (retry needs a fresh Study).
 func TestReportContextCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crawls a scale-0.01 universe")
 	}
 	before := runtime.NumGoroutine()
-	cfg := cookiewalk.Config{Seed: 42, Scale: 0.01, Reps: 1, ExperimentParallelism: 4}
+	cfg := cookiewalk.Config{Seed: 42, Scale: 0.01, Reps: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
@@ -167,7 +167,7 @@ func TestConcurrentReportsShareArtefacts(t *testing.T) {
 		t.Skip("crawls a scale-0.01 universe")
 	}
 	crawls := 0
-	cfg := cookiewalk.Config{Seed: 42, Scale: 0.01, Reps: 1, ExperimentParallelism: 2}
+	cfg := cookiewalk.Config{Seed: 42, Scale: 0.01, Reps: 1}
 	var mu sync.Mutex
 	cfg.Progress = func(p cookiewalk.Progress) {
 		if strings.HasPrefix(p.Label, "landscape Germany") && p.Done == p.Total {
