@@ -30,16 +30,25 @@ import (
 //     context.WithTimeout that session arms; retries cost nothing until
 //     an attempt fails.
 //   - uncached: the full pipeline a memo miss runs — parse, detection,
-//     language, category. Measured 3 allocs (cookiewall) / 2 (regular)
-//     with page text extracted into the worker's buffer for language
-//     and category scoring (5 / 4 before it; 12 / 5 before detection
+//     language, category. Measured 1 alloc (cookiewall) / 0 (regular)
+//     once the page, its nodes and attributes came from the session's
+//     slab and parser arenas, recycled at each Reset; the one left is
+//     the cookiewall's corpus-word slice, which the analysis keeps (3 /
+//     2 before the recycling, with page text extracted into the
+//     worker's buffer for language and category scoring; 5 / 4 before
+//     that; 12 / 5 before detection
 //     that searches shadow roots in place, scans prices without a
 //     regexp and extracts banner text into the worker's core.Detector
 //     buffer; 33 / 29 before that buffer; 62 / 56 before the
 //     single-allocation Node.Text and the in-place eTLD+1).
 //   - cookie visit: one MeasureCookies repetition in accept mode — load,
-//     click, reload with every tracker, tally the jar. Measured 79
-//     allocs on the first cookiewall domain. One of them is the call's
+//     click, reload with every tracker, tally the jar. Measured 75
+//     allocs on the first cookiewall domain. Each call runs a campaign
+//     of its own, so its worker's browser is new and its arenas and page
+//     slab are allocated on first use, not recycled; what fell (79
+//     before) is the growth of the old attribute arena, the shadow
+//     root's document node and the node snapshots Compose now keeps in
+//     session buffers. One of them is the call's
 //     visit-label slice and one its label: MeasureCookies builds its
 //     reps labels once per call, so a campaign no longer formats one per
 //     visit, but this one-site, one-rep call pays for the slice. The
@@ -66,16 +75,16 @@ import (
 //
 // Budgets carry headroom for toolchain drift while still failing
 // tier-1 long before any path regresses to its previous profile
-// (earlier budgets: 8/6, 20/12, 45/40, 110/100 and 150/125 uncached,
-// 140, 180, 600 and 500 cookie visit, 40/30 and 6/6 cached, 6 cached
-// gated; the first profiled visit made ~222 allocs).
+// (earlier budgets: 5/4, 8/6, 20/12, 45/40, 110/100 and 150/125
+// uncached, 93, 140, 180, 600 and 500 cookie visit, 40/30 and 6/6
+// cached, 6 cached gated; the first profiled visit made ~222 allocs).
 const (
 	cookiewallCachedAllocBudget   = 1
 	regularCachedAllocBudget      = 1
 	resilientCachedAllocBudget    = 4
-	cookiewallUncachedAllocBudget = 5
-	regularUncachedAllocBudget    = 4
-	cookieVisitAllocBudget        = 93
+	cookiewallUncachedAllocBudget = 1
+	regularUncachedAllocBudget    = 1
+	cookieVisitAllocBudget        = 80
 )
 
 // TestVisitAllocBudget pins the allocation count of the single-visit
@@ -168,11 +177,15 @@ func TestVisitAllocBudget(t *testing.T) {
 // over every target, render cache and analysis memo primed — at seed 42,
 // scale 0.02 and 12 shards (the shard count DefaultShards gives the
 // paper's 45 222 targets), under GOMAXPROCS(1). Measured 423 allocs and
-// 1 257 168 B per crawl, identical across runs and processes with the
+// 1 260 752 B per crawl, identical across runs and processes with the
 // collector off. The bytes were 1 256 144 until each campaign worker
 // gained a scratch subresource URL and a text buffer, which moved each
 // worker a crawl allocates from the 1 152 B size class to the 1 280 B
-// one: 1 024 B more per crawl. Each campaign run sets up one worker pool and one
+// one: 1 024 B more per crawl. They were 1 257 168 until each worker's
+// browser gained its arenas' chunk tables, its page slab and its
+// snapshot buffers (a 1 576 B worker, in the 1 792 B class); the warm
+// crawl composes nothing, so none of them is allocated, and its Reset
+// recycles nothing. Each campaign run sets up one worker pool and one
 // delivery ring for all its shards, so the set-up counted here is per
 // run, not per shard. The margins absorb toolchain drift only: one more
 // allocation per visit, or 16 KiB more per run, fails.

@@ -367,7 +367,9 @@ func (s *Study) analyze(vpName, domain string, blocker *adblock.Engine) (SiteRep
 }
 
 // NewBrowser returns a fresh emulated browser session pointed at the
-// synthetic web, for custom interaction flows.
+// synthetic web, for custom interaction flows. The pages it composes,
+// and their trees, stay valid until its next Reset, which recycles
+// their memory for the next visit (see package browser).
 func (s *Study) NewBrowser(vpName string) (*browser.Browser, error) {
 	vp, ok := vantage.ByName(vpName)
 	if !ok {

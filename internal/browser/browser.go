@@ -26,6 +26,18 @@
 // verbatim without retry — so campaign results are byte-identical
 // whenever faults eventually clear, which CI's determinism job pins
 // against the golden snapshot, with faults from internal/fault.
+//
+// Page lifetime. A Browser owns the memory of the pages it composes:
+// the Page values come from a session slab, and their trees (nodes and
+// attributes, frame documents and injected fragments included) from
+// the session's parser arenas. A page and its nodes stay valid until
+// the Browser's next Reset, which clears them all and hands the memory
+// to the next visit; after it, a page composed before reads as empty.
+// Any number of pages may be used together within one session, as the
+// revocation flow (page, accept, revisit, revisit after deletion) and
+// Click do. A result that must outlive the session has to be copied out
+// of the page first; strings read from it (attribute values, text) stay
+// valid, since they are not part of the recycled memory.
 package browser
 
 import (
@@ -86,9 +98,18 @@ type Browser struct {
 	composeErr error
 	// parser is the session-owned HTML parser: a Browser is
 	// single-goroutine by contract, so its parse state (token stacks,
-	// node-arena tail) lives as long as the session and is retained
-	// across Reset.
+	// node and attribute arenas) lives as long as the session. Reset
+	// recycles its arenas.
 	parser dom.Parser
+	// pages is the session's Page slab, allocated on first Compose;
+	// npages of them were handed out since the last Reset.
+	pages  []Page
+	npages int
+	// nodes and kids are Compose's node snapshots (see
+	// runScriptDirectives): nodes for the outer loops, kids for the
+	// fragment children nested in one of them. Both are cleared after
+	// use, so neither pins a tree.
+	nodes, kids []*dom.Node
 	// scratch is the session's one reusable request; see request.
 	scratch reqScratch
 	// cookieBuf is the reusable Cookie-header assembly buffer.
@@ -126,7 +147,15 @@ func New(rt http.RoundTripper, vp vantage.VP) *Browser {
 // fresh profile (the jar is emptied, not reallocated) and default
 // knobs. A crawl worker reuses one Browser across its visits this way
 // while keeping the paper's fresh-profile-per-visit semantics.
+//
+// Reset ends the lifetime of every page composed since the last Reset:
+// their Page values and trees are cleared, and the next visit reuses
+// their memory (see the package doc). A session that composed nothing
+// recycles nothing.
 func (b *Browser) Reset(rt http.RoundTripper, vp vantage.VP) {
+	b.parser.Recycle()
+	clear(b.pages[:b.npages])
+	b.npages = 0
 	if b.Jar == nil {
 		b.Jar = cookies.NewJar()
 	} else {
@@ -145,7 +174,8 @@ func (b *Browser) Reset(rt http.RoundTripper, vp vantage.VP) {
 	b.composeErr = nil
 }
 
-// Page is a fully loaded page.
+// Page is a fully loaded page. It and its tree belong to the Browser
+// that composed it and stay valid until that Browser's next Reset.
 type Page struct {
 	// URL is the final URL after redirects.
 	URL *url.URL
@@ -293,9 +323,12 @@ func (b *Browser) pageFingerprint(resp response, u *url.URL) uint64 {
 // Compose builds the fully loaded page from a fetched document: parse,
 // script directives, frames, subresources, cosmetic filtering and
 // anti-adblock detectors — the second half of Open.
+//
+// The page is valid until the session's next Reset (see Page).
 func (b *Browser) Compose(fr FetchResult) *Page {
 	b.composeErr = nil
-	page := &Page{
+	page := b.newPage()
+	*page = Page{
 		URL:         fr.URL,
 		Doc:         b.parser.Parse(fr.Body),
 		Status:      fr.Status,
@@ -307,6 +340,22 @@ func (b *Browser) Compose(fr FetchResult) *Page {
 	b.applyCosmetics(page)
 	b.applyAdblockDetectors(page)
 	return page
+}
+
+// pageSlab is the number of pages a session takes from its slab before
+// Reset: a revocation flow composes four. Further pages are allocated.
+const pageSlab = 4
+
+// newPage hands out a zero Page from the session's slab.
+func (b *Browser) newPage() *Page {
+	if b.pages == nil {
+		b.pages = make([]Page, pageSlab)
+	}
+	if b.npages == len(b.pages) {
+		return new(Page)
+	}
+	b.npages++
+	return &b.pages[b.npages-1]
 }
 
 // ComposeErr reports whether the most recent Compose was degraded by
@@ -653,10 +702,15 @@ func compileInjectTarget(src string) *dom.Selector {
 // response fragment is parsed and appended to the selector target.
 // This models what the provider's JavaScript does in a real browser,
 // and — critically for §4.5 — goes through the content blocker.
+//
+// The directives and each fragment's children are snapshots in the
+// session's buffers, taken before the loops mutate the trees; the two
+// loops nest, so they use two buffers.
 func (b *Browser) runScriptDirectives(page *Page) {
-	// QueryAll's snapshot, not a walk: each directive appends to the
-	// tree the loop iterates.
-	for _, script := range page.Doc.QueryAll(scriptInjectSel) {
+	// A snapshot, not a walk: each directive appends to the tree the
+	// loop iterates.
+	scripts := page.Doc.AppendQueryAll(b.nodes[:0], scriptInjectSel)
+	for _, script := range scripts {
 		src, _ := script.Attr("src")
 		targetSel, _ := script.Attr("data-cw-inject")
 		sel := compileInjectTarget(targetSel)
@@ -671,11 +725,16 @@ func (b *Browser) runScriptDirectives(page *Page) {
 		if !ok {
 			continue
 		}
-		for _, child := range b.parser.ParseFragment(frag).Children() {
+		kids := b.parser.ParseFragment(frag).AppendChildren(b.kids[:0])
+		for _, child := range kids {
 			child.Detach()
 			target.AppendChild(child)
 		}
+		clear(kids)
+		b.kids = kids[:0]
 	}
+	clear(scripts)
+	b.nodes = scripts[:0]
 }
 
 // loadFrames loads iframe content documents recursively, in document
@@ -749,11 +808,14 @@ func (b *Browser) applyCosmetics(page *Page) {
 		return
 	}
 	for _, sel := range b.Blocker.CompiledCosmetics(page.Host()) {
-		// QueryAll's snapshot, not a walk: detaching a node mid-walk
-		// would end the walk at it.
-		for _, n := range page.Doc.QueryAll(sel) {
+		// A snapshot, not a walk: detaching a node mid-walk would end
+		// the walk at it.
+		matched := page.Doc.AppendQueryAll(b.nodes[:0], sel)
+		for _, n := range matched {
 			n.Detach()
 		}
+		clear(matched)
+		b.nodes = matched[:0]
 	}
 }
 
@@ -783,7 +845,8 @@ func (b *Browser) applyAdblockDetectors(page *Page) {
 		i := sort.SearchStrings(blocked, sentinel)
 		return i < len(blocked) && strings.HasPrefix(blocked[i], sentinel)
 	}
-	for _, n := range page.Doc.QueryAll(ifBlockedSel) {
+	guarded := page.Doc.AppendQueryAll(b.nodes[:0], ifBlockedSel)
+	for _, n := range guarded {
 		sentinel, _ := n.Attr(blockedAttrSel)
 		if wasBlocked(sentinel) {
 			// Reveal the plea.
@@ -802,6 +865,8 @@ func (b *Browser) applyAdblockDetectors(page *Page) {
 			n.Detach()
 		}
 	}
+	clear(guarded)
+	b.nodes = guarded[:0]
 	if body := page.Doc.Body(); body != nil {
 		if sentinel, ok := body.Attr("data-scroll-lock-if-blocked"); ok && wasBlocked(sentinel) {
 			body.SetAttr("data-scroll-locked", "true")

@@ -11,7 +11,7 @@ import (
 // This file keeps the string pipeline that Detector replaced, as the
 // reference FuzzDetect checks it against: every candidate and button
 // label is a fresh strings.ToLower(n.Text()), buttons come from
-// QueryAll, the corpus search tokenizes with strings.FieldsFunc, and
+// AppendQueryAll, the corpus search tokenizes with strings.FieldsFunc, and
 // shadow roots are searched the BannerClick way, in a clone whose hits
 // map back to the original nodes. Four things changed in the move: the
 // names (a ref prefix), the byte-slice word lists, read through string
@@ -96,7 +96,7 @@ func refCollectCandidates(root *dom.Node, source Source, mode dom.ShadowMode, ou
 			return true
 		}
 		score := hits * 2
-		buttons := n.QueryAll(buttonSel)
+		buttons := n.AppendQueryAll(nil, buttonSel)
 		if len(buttons) > 0 {
 			score += 3
 		}
@@ -122,7 +122,7 @@ func refBuildBanner(c candidate) *Banner {
 	lower := strings.ToLower(text)
 
 	// Buttons.
-	for _, btn := range c.node.QueryAll(buttonSel) {
+	for _, btn := range c.node.AppendQueryAll(nil, buttonSel) {
 		label := strings.ToLower(btn.Text())
 		if label == "" {
 			continue

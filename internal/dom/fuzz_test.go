@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,57 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzParseRecycled checks the Parser's recycled arenas against fresh
+// ones: input a is parsed as a document and as a fragment, the parser
+// is recycled, and b's trees from the recycled parser must render
+// byte-identically to the trees fresh arenas build. The document must
+// still render the same after the fragment parse that follows it on
+// the same arenas, and a's tree must read as empty after the Recycle.
+func FuzzParseRecycled(f *testing.F) {
+	seeds := [][2]string{
+		{"", ""},
+		{"<html><body><p>ok</p></body></html>", "<div id=a class=b>x</div>"},
+		{"<div><template shadowrootmode=\"open\"><b>x</b></template></div>", "<p a=1 b=2 c=3>y"},
+		{"<a href='unterminated", "<<<>>><!---><!doctype  ><?php ?>"},
+		{strings.Repeat("<i x=1 y=2 z=3>", 200), strings.Repeat("<b q=1>t</b>", 150)},
+		{"<p a=1>", "<div " + attrList(300) + ">many</div>"},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var ps Parser
+		docA := ps.Parse(a)
+		ps.ParseFragment(a)
+		ps.Recycle()
+		if docA.Type != DocumentNode || docA.FirstChild != nil || docA.LastChild != nil {
+			t.Fatalf("a's document survived Recycle (input %.200q)", a)
+		}
+		doc := ps.Parse(b)
+		want := Render(Parse(b))
+		if got := Render(doc); got != want {
+			t.Fatalf("recycled parse renders %.200q, want %.200q (a %.200q, b %.200q)", got, want, a, b)
+		}
+		frag := ps.ParseFragment(b)
+		if got, want := Render(frag), Render(new(Parser).ParseFragment(b)); got != want {
+			t.Fatalf("recycled fragment renders %.200q, want %.200q (a %.200q, b %.200q)", got, want, a, b)
+		}
+		if got := Render(doc); got != want {
+			t.Fatalf("document changed by the fragment parse after it: %.200q, want %.200q (b %.200q)", got, want, b)
+		}
+	})
+}
+
+// attrList returns n distinct attributes, a run longer than an arena
+// chunk.
+func attrList(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, " k%d=v%d", i, i)
+	}
+	return sb.String()
+}
+
 // deepTextRef is DeepText assembled part by part: the non-empty texts
 // of n, its shadow roots and its frame documents, joined by spaces and
 // normalized as one string.
@@ -110,6 +162,6 @@ func FuzzSelectors(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = doc.QueryAll(sel)
+		_ = doc.AppendQueryAll(nil, sel)
 	})
 }

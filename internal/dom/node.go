@@ -59,7 +59,7 @@ type ShadowRoot struct {
 }
 
 // Node is a single DOM node. The zero value is not useful; create nodes
-// with NewElement/NewDocument or by parsing.
+// with NewElement or by parsing.
 type Node struct {
 	Type NodeType
 	// Tag is the lower-case element name for ElementNode.
@@ -86,9 +86,6 @@ type Node struct {
 	// so visibility checks can climb out of shadow trees.
 	shadowHost *Node
 }
-
-// NewDocument returns an empty document root.
-func NewDocument() *Node { return &Node{Type: DocumentNode} }
 
 // NewElement returns a detached element with the given tag and
 // alternating key/value attribute pairs.
@@ -158,13 +155,13 @@ func (n *Node) Detach() {
 	n.Parent, n.PrevSibling, n.NextSibling = nil, nil, nil
 }
 
-// Children returns the direct children as a slice.
-func (n *Node) Children() []*Node {
-	var out []*Node
+// AppendChildren appends the direct children to dst and returns the
+// extended slice.
+func (n *Node) AppendChildren(dst []*Node) []*Node {
 	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // Attr returns the value of the named attribute (lower-case key) and
@@ -215,11 +212,12 @@ func (n *Node) HasClass(name string) bool {
 	return false
 }
 
-// AttachShadow attaches a shadow root of the given mode and returns it.
-// Attaching to a host that already has one replaces the old root,
-// which is sufficient for our parser (real DOM would throw).
-func (n *Node) AttachShadow(mode ShadowMode) *ShadowRoot {
-	sr := &ShadowRoot{Mode: mode, Host: n, Root: NewDocument()}
+// attachShadow attaches a shadow root of the given mode, with root (an
+// empty document node) as its fragment root, and returns it. Attaching
+// to a host that already has one replaces the old root, which is
+// sufficient for our parser (real DOM would throw).
+func (n *Node) attachShadow(mode ShadowMode, root *Node) *ShadowRoot {
+	sr := &ShadowRoot{Mode: mode, Host: n, Root: root}
 	sr.Root.shadowHost = n
 	n.Shadow = sr
 	return sr

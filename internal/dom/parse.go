@@ -27,17 +27,41 @@ func Parse(src string) *Node {
 }
 
 // Parser is a reusable HTML parser owning its token stacks, tokenizer
-// and node-arena tail; the zero value is ready to use. It is NOT safe
-// for concurrent use: it exists so a single-goroutine session (one
-// crawl worker's browser) can keep its parse state across visits
+// and node and attribute arenas; the zero value is ready to use. It is
+// NOT safe for concurrent use: it exists so a single-goroutine session
+// (one crawl worker's browser) can keep its parse state across visits
 // instead of rebuilding it on every page, as the package-level Parse
 // does. Produced trees are identical either way.
+//
+// Both arenas are short lists of fixed-size chunks with a cursor,
+// allocated on first use and never grown by append, so a node or
+// attribute handed out stays put. Every tree the parser returns lives
+// in them until Recycle, which clears all of it for the next parses.
+// The parser keeps at most a bounded number of chunks (enough for the
+// largest browser session the study runs); past them, chunks belong to
+// the trees alone, so a parser that is never recycled does not pin
+// every page it parsed.
 type Parser struct {
 	p parser
 }
 
 // Parse is Parse using this parser's recycled state.
 func (ps *Parser) Parse(src string) *Node { return ps.p.parse(src, false) }
+
+// Recycle clears every node and attribute the parser handed out since
+// the last Recycle, and the next parses reuse their memory. The trees
+// returned before the call must no longer be in use: their nodes read
+// as empty from now on. Recycling a parser that parsed nothing costs
+// nothing.
+func (ps *Parser) Recycle() {
+	p := &ps.p
+	for _, c := range p.chunks[:p.used] {
+		clear(c[:])
+	}
+	p.used = 0
+	p.arena = nil
+	p.z.Recycle()
+}
 
 // ParseFragment parses src as a fragment (no html/head/body synthesis)
 // and returns the fragment root. The browser injects banner markup
@@ -73,25 +97,50 @@ type parser struct {
 	// shadowStack tracks the declarative shadow templates currently
 	// open, so end tags close the right scope.
 	shadowStack []*Node // the shadow Root fragments acting as insertion points
-	// arena is the tail of the current node-allocation chunk: nodes are
-	// handed out from it one by one so a page's worth of nodes costs a
-	// few chunk allocations instead of one per node.
+	// arena is the tail of the current node chunk: nodes are handed out
+	// from it one by one, so a page's worth of nodes costs no allocation
+	// once the chunks exist.
 	arena []Node
-	z     htmlx.Tokenizer
+	// chunks are the node chunks kept for reuse, allocated on first use;
+	// the first used of them were handed out since the last Recycle.
+	chunks [maxNodeChunks]*[nodeArenaChunk]Node
+	used   int
+	z      htmlx.Tokenizer
 }
 
-// nodeArenaChunk is sized so a typical farm page (≈80 nodes) consumes
-// one or two chunks.
-const nodeArenaChunk = 64
+const (
+	// nodeArenaChunk is sized so a typical farm page (≈80 nodes)
+	// consumes one or two chunks.
+	nodeArenaChunk = 64
+	// maxNodeChunks bounds the node chunks a Parser keeps: enough for
+	// the largest browser session the study runs, which used 13 at seed
+	// 42, scale 1.
+	maxNodeChunks = 16
+)
 
 // newNode hands out a zeroed node from the arena.
 func (p *parser) newNode() *Node {
 	if len(p.arena) == 0 {
-		p.arena = make([]Node, nodeArenaChunk)
+		p.arena = p.nextChunk()
 	}
 	n := &p.arena[0]
 	p.arena = p.arena[1:]
 	return n
+}
+
+// nextChunk returns the next kept node chunk or, past the kept ones,
+// one the parser does not keep.
+func (p *parser) nextChunk() []Node {
+	if p.used == len(p.chunks) {
+		return make([]Node, nodeArenaChunk)
+	}
+	c := p.chunks[p.used]
+	if c == nil {
+		c = new([nodeArenaChunk]Node)
+		p.chunks[p.used] = c
+	}
+	p.used++
+	return c[:]
 }
 
 // newElement hands out an element node from the arena.
@@ -189,7 +238,9 @@ func (p *parser) startTag(tok htmlx.Token) {
 	if name == "template" {
 		mode := shadowMode(tok)
 		if mode != "" && p.top().Type == ElementNode {
-			sr := p.top().AttachShadow(ShadowMode(mode))
+			root := p.newNode()
+			root.Type = DocumentNode
+			sr := p.top().attachShadow(ShadowMode(mode), root)
 			p.push(sr.Root)
 			p.shadowStack = append(p.shadowStack, sr.Root)
 			return

@@ -362,15 +362,15 @@ func (n *Node) Query(sel *Selector) *Node {
 	return found
 }
 
-// QueryAll returns all descendants of n matching the selector in
-// document order. See Query for scoping semantics.
-func (n *Node) QueryAll(sel *Selector) []*Node {
-	var out []*Node
+// AppendQueryAll appends all descendants of n matching the selector,
+// in document order, to dst and returns the extended slice. See Query
+// for scoping semantics.
+func (n *Node) AppendQueryAll(dst []*Node, sel *Selector) []*Node {
 	n.Walk(func(d *Node) bool {
 		if d != n && d.Matches(sel) {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 		return true
 	})
-	return out
+	return dst
 }

@@ -28,10 +28,10 @@ func fixture(t *testing.T) *Node {
 }
 
 // query and queryAll compile sel once and run it with Query and
-// QueryAll, the way the detector and the browser match selectors.
+// AppendQueryAll, the way the detector and the browser match selectors.
 func query(n *Node, sel string) *Node { return n.Query(MustCompileSelector(sel)) }
 
-func queryAll(n *Node, sel string) []*Node { return n.QueryAll(MustCompileSelector(sel)) }
+func queryAll(n *Node, sel string) []*Node { return n.AppendQueryAll(nil, MustCompileSelector(sel)) }
 
 func TestSelectorTag(t *testing.T) {
 	doc := fixture(t)
@@ -201,7 +201,7 @@ func TestQuickSelectorTotal(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		_ = doc.QueryAll(sel)
+		_ = doc.AppendQueryAll(nil, sel)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

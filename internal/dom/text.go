@@ -299,7 +299,7 @@ func (n *Node) visible(crossShadow bool) bool {
 }
 
 // hostOf returns the shadow host of a shadow fragment root, or nil for
-// any other node. AttachShadow sets the fragment's shadowHost back
+// any other node. attachShadow sets the fragment's shadowHost back
 // pointer, so the lookup is O(1).
 func hostOf(fragment *Node) *Node { return fragment.shadowHost }
 

@@ -6,6 +6,17 @@ import "strings"
 // never mutates it; Tokens reference freshly built strings, so input
 // buffers may be reused by callers.
 //
+// A start tag's attributes are a run in the tokenizer's attribute
+// arena: a short list of fixed-size chunks with a cursor. The arena is
+// never grown by append, so a run handed out stays put; a run that
+// outgrows its chunk moves whole to the next chunk before it is handed
+// out. Reset keeps the arena, so the Attr slices of earlier inputs stay
+// valid; Recycle clears every run handed out and rewinds the cursor,
+// and the next tags reuse the memory. The tokenizer keeps at most
+// maxAttrChunks chunks: past them, chunks are allocated for the trees
+// that hold them and left to the collector, so a tokenizer that is
+// never recycled does not pin every page it read.
+//
 // The zero value is ready once Reset points it at an input:
 //
 //	var z htmlx.Tokenizer
@@ -23,23 +34,66 @@ type Tokenizer struct {
 	// rawTag, when non-empty, is the element name whose raw-text content
 	// we are inside (script, style, title, textarea, xmp).
 	rawTag string
-	// attrs is this input's attribute arena: every start tag's
-	// attributes are appended here and sliced out with a capped
-	// three-index slice, so one page's attributes cost one or two chunk
-	// allocations instead of one per tag. The arena escapes into the
-	// emitted tokens (and from there into DOM nodes), so Reset drops it
-	// instead of truncating it.
+	// attrs is the arena's current chunk: every start tag's attributes
+	// are appended to it and sliced out with a capped three-index slice,
+	// so a page's attributes cost no allocation once the chunks exist.
+	// The runs escape into the emitted tokens (and from there into DOM
+	// nodes).
 	attrs []Attribute
+	// chunks are the arena chunks kept for reuse, allocated on first
+	// use; the first used of them were handed out since the last Recycle.
+	chunks [maxAttrChunks]*[attrChunk]Attribute
+	used   int
 }
+
+const (
+	// attrChunk is sized so a typical farm page's attributes fit one
+	// chunk.
+	attrChunk = 128
+	// maxAttrChunks bounds the chunks a tokenizer keeps: enough for the
+	// largest browser session the study runs, which used 9 at seed 42,
+	// scale 1.
+	maxAttrChunks = 12
+)
 
 // Reset targets the tokenizer at a new input, so one struct serves
 // every page a parser reads. Previously emitted tokens stay valid: the
-// attribute arena is abandoned to them, never overwritten.
+// attribute arena is only rewound by Recycle.
 func (z *Tokenizer) Reset(input string) {
 	z.input = input
 	z.pos = 0
 	z.rawTag = ""
+}
+
+// Recycle clears every attribute handed out since the last Recycle and
+// rewinds the arena, so the next tags reuse its chunks. The Attr slices
+// of earlier tokens must no longer be in use: they read as empty
+// attributes from now on.
+func (z *Tokenizer) Recycle() {
+	for _, c := range z.chunks[:z.used] {
+		clear(c[:])
+	}
+	z.used = 0
 	z.attrs = nil
+}
+
+// nextChunk returns an empty chunk with room for at least n
+// attributes: the next kept chunk, or, past the kept ones or for a run
+// longer than a chunk, a chunk the tokenizer does not keep.
+func (z *Tokenizer) nextChunk(n int) []Attribute {
+	switch {
+	case n > attrChunk:
+		return make([]Attribute, 0, 2*n)
+	case z.used == len(z.chunks):
+		return make([]Attribute, 0, attrChunk)
+	}
+	c := z.chunks[z.used]
+	if c == nil {
+		c = new([attrChunk]Attribute)
+		z.chunks[z.used] = c
+	}
+	z.used++
+	return c[:0]
 }
 
 // Next returns the next token. At end of input it returns a token with
@@ -248,8 +302,11 @@ func (z *Tokenizer) nextStartTag() Token {
 		var attr Attribute
 		attr, i = parseAttribute(z.input, i)
 		if attr.Key != "" && !hasAttr(z.attrs[arenaStart:], attr.Key) {
-			if z.attrs == nil {
-				z.attrs = make([]Attribute, 0, 32)
+			if len(z.attrs) == cap(z.attrs) {
+				// The chunk is full: move this tag's run to the next one.
+				run := z.attrs[arenaStart:]
+				z.attrs = append(z.nextChunk(len(run)+1), run...)
+				arenaStart = 0
 			}
 			z.attrs = append(z.attrs, attr)
 		}

@@ -58,14 +58,35 @@ const (
 type analysisShard struct {
 	mu sync.Mutex
 	m  map[uint64]*analysisEntry
+	// slab is the unused tail of the shard's current entry slab: entries
+	// are carved from it under mu, so a shard allocates once per
+	// analysisSlab claims or seeds. Entries are never reused, so a
+	// pointer a waiter holds stays its entry whatever the shard does.
+	slab []analysisEntry
 	// _ pads the shard to a full 64-byte cache line (Mutex 8 + map
-	// header 8 = 16), so neighbouring shards' locks never false-share a
-	// line across workers memoizing different fingerprints.
-	_ [48]byte
+	// header 8 + slab header 24 = 40), so neighbouring shards' locks
+	// never false-share a line across workers memoizing different
+	// fingerprints.
+	_ [24]byte
 }
 
-// analysisEntry is one fingerprint's singleflight slot, one allocation
-// in all. A claimed entry is published with its WaitGroup at one
+// analysisSlab is the number of entries a shard carves from one
+// allocation.
+const analysisSlab = 64
+
+// newEntry hands out a zero entry from the shard's slab; s.mu must be
+// held.
+func (s *analysisShard) newEntry() *analysisEntry {
+	if len(s.slab) == 0 {
+		s.slab = make([]analysisEntry, analysisSlab)
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	return e
+}
+
+// analysisEntry is one fingerprint's singleflight slot, carved from its
+// shard's slab. A claimed entry is published with its WaitGroup at one
 // (Add(1) before the shard map holds it); a and failed are written
 // exactly once, before Done. Readers Wait first, and Done
 // synchronizes before the return of every Wait, so the WaitGroup is
@@ -109,7 +130,7 @@ func (c *analysisCache) getChecked(fp uint64, compute func() (core.Analysis, err
 			c.hits.Add(1)
 			return e.a, nil
 		}
-		e := new(analysisEntry)
+		e := s.newEntry()
 		e.wg.Add(1)
 		if s.m == nil || len(s.m) >= analysisShardMax {
 			s.m = make(map[uint64]*analysisEntry, 64)
@@ -165,7 +186,9 @@ func (c *analysisCache) seed(fp uint64, a core.Analysis) {
 	if s.m == nil || len(s.m) >= analysisShardMax {
 		s.m = make(map[uint64]*analysisEntry, 64)
 	}
-	s.m[fp] = &analysisEntry{a: a}
+	e := s.newEntry()
+	e.a = a
+	s.m[fp] = e
 }
 
 // analyses is the process-wide analysis memo shared by all crawlers;

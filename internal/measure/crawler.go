@@ -169,7 +169,10 @@ type worker struct {
 // one browser — cookie-jar map, request scratch, parser arenas — and
 // one detector pinned for its whole run; outside a slot every visit
 // gets new ones. Reset makes reuse invisible to the measurement either
-// way. Call release when no page state is needed anymore.
+// way; it also recycles the pages the worker's previous visit composed,
+// so nothing a visit returns may point into a page (an analysis holds
+// strings and flags only). Call release when no page state is needed
+// anymore.
 type session struct {
 	*worker
 	aff    *campaign.Affinity

@@ -234,10 +234,10 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 		func(ctx context.Context, domain string) (revOutcome, error) {
 			b := c.session(ctx, vp)
 			defer b.release()
-			// Open, not OpenDomain: the flow reopens the domain in the
-			// same session while earlier pages are still in scope, so
-			// each page keeps a URL of its own.
-			page, err := b.Open("https://" + domain + "/")
+			// OpenDomain aliases every page's URL to the session's one
+			// URL. That is safe here: no page's URL is read after the
+			// next open (Click reloads through page.URL before it).
+			page, err := b.OpenDomain(domain)
 			if err != nil {
 				return revOutcome{}, err
 			}
@@ -254,7 +254,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 				out.gone = true
 			}
 			// Later visit with cookies kept: still no banner.
-			again, err := b.Open("https://" + domain + "/")
+			again, err := b.OpenDomain(domain)
 			if err != nil {
 				return revOutcome{}, err
 			}
@@ -263,7 +263,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 			}
 			// The §5 recipe: delete cookies (and local storage), revisit.
 			b.Jar.Clear()
-			fresh, err := b.Open("https://" + domain + "/")
+			fresh, err := b.OpenDomain(domain)
 			if err != nil {
 				return revOutcome{}, err
 			}
