@@ -53,6 +53,7 @@ import (
 	"cookiewalk/internal/adblock"
 	"cookiewalk/internal/cookies"
 	"cookiewalk/internal/dom"
+	"cookiewalk/internal/strarena"
 	"cookiewalk/internal/vantage"
 	"cookiewalk/internal/xrand"
 )
@@ -112,8 +113,10 @@ type Browser struct {
 	nodes, kids []*dom.Node
 	// scratch is the session's one reusable request; see request.
 	scratch reqScratch
-	// cookieBuf is the reusable Cookie-header assembly buffer.
+	// cookieBuf is the reusable Cookie-header assembly buffer, and
+	// cookies the arena each request's Cookie header is copied into.
 	cookieBuf []byte
+	cookies   strarena.Arena
 	// topURL backs FetchTopDomain's parsed URL. It is only ever handed
 	// to request/fetch plumbing that drops every reference before
 	// FetchTopDomain returns (redirects re-parse into fresh URLs, error
@@ -389,7 +392,10 @@ const (
 // RoundTripBody receives the session's reusable request itself, not a
 // copy. An implementation must not keep the request, its header map or
 // its body past the call: the next request of the session overwrites
-// all three. A wrapper (the fault injector) may expose RoundTripBody
+// all three. The strings it returns, and the header values it receives
+// and returns, are immutable and never recycled: either side may keep
+// them, and the arena chunk a string is carved from lives as long as
+// the string does. A wrapper (the fault injector) may expose RoundTripBody
 // only when its base does, so the browser never mistakes a transport
 // that forwards to a plain RoundTripper for one that honors this
 // contract.
@@ -472,10 +478,11 @@ func (b *Browser) roundTrip(req *http.Request, limit int) (response, error) {
 }
 
 // reqScratch is the session's reusable request state: one
-// http.Request, one header map, and fixed single-value slices for each
-// header the browser sets — so a steady-state request allocates
-// nothing but the Cookie string (and that only when the jar has
-// cookies to send) and, for a form POST, its body reader.
+// http.Request, one header map, fixed single-value slices for each
+// header the browser sets and a form body — so a steady-state request
+// allocates nothing but a share of a Cookie-header arena chunk (and
+// that only when the jar has cookies to send) and, for a form POST on
+// a plain RoundTripper, its body reader.
 type reqScratch struct {
 	req    http.Request
 	hdr    http.Header
@@ -484,16 +491,28 @@ type reqScratch struct {
 	visit  [1]string
 	cookie [1]string
 	ctype  [1]string
+	form   formBody
 }
+
+// formBody is a form POST's body on the RoundTripBody path, reset for
+// every attempt. It is an io.ByteReader, which the farm reads its
+// short forms with.
+type formBody struct{ strings.Reader }
+
+// Close does nothing: the body is the session's.
+func (*formBody) Close() error { return nil }
 
 // request assembles one attempt's request in the session's scratch
 // request, for dispatch by roundTrip. Every field is rewritten on every
 // call, so nothing of an earlier request — a form body, a parsed form,
 // a Visit, Cookie or Content-Type header, a context — carries over.
-// form is the url-encoded POST body ("" for none); it is wrapped in a
-// fresh reader per call because each retry attempt resends it. The
-// header keys are written pre-canonicalized (http.Header is a plain
-// map), so farm lookups via Header.Get match.
+// The Cookie header is copied into the session's arena, so no request
+// shares or rewrites another's. form is the url-encoded POST body (""
+// for none), read from the start on every attempt: from the session's
+// form body on the RoundTripBody path, which may not keep it, and from
+// a fresh reader on a plain RoundTripper, which may read it after
+// RoundTrip returns. The header keys are written pre-canonicalized
+// (http.Header is a plain map), so farm lookups via Header.Get match.
 func (b *Browser) request(ctx context.Context, method string, u *url.URL, form string) *http.Request {
 	s := &b.scratch
 	if s.hdr == nil {
@@ -506,12 +525,17 @@ func (b *Browser) request(ctx context.Context, method string, u *url.URL, form s
 	s.geo[0] = b.VP.Name
 	setHeader(s.hdr, vantage.VisitHeader, s.visit[:], b.Visit)
 	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
-	setHeader(s.hdr, "Cookie", s.cookie[:], string(b.cookieBuf)) // "" allocates nothing
+	setHeader(s.hdr, "Cookie", s.cookie[:], b.cookies.Clone(b.cookieBuf)) // "" allocates nothing
 	s.req = http.Request{Method: method, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: s.hdr, Host: u.Host}
 	ctype := ""
 	if form != "" {
-		s.req.Body = io.NopCloser(strings.NewReader(form))
+		if _, ok := b.Transport.(bodyTransport); ok {
+			s.form.Reset(form)
+			s.req.Body = &s.form
+		} else {
+			s.req.Body = io.NopCloser(strings.NewReader(form))
+		}
 		s.req.ContentLength = int64(len(form))
 		ctype = "application/x-www-form-urlencoded"
 	}

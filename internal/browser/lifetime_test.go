@@ -54,7 +54,8 @@ func lifetimeSample(t *testing.T) (sites []*synthweb.Site, blocked []bool) {
 // with a Reset before each, and checks that each renders exactly as the
 // page a fresh Browser composes, and that the page composed before a
 // Reset reads as empty after it: its Page value zero, its document
-// without children, its element's attributes cleared.
+// without children, its element's attributes and its shadow roots
+// cleared.
 func TestResetRecyclesPages(t *testing.T) {
 	vp, _ := vantage.ByName("Germany")
 	blocker := adblock.NewEngine(adblock.BaseList(), adblock.AnnoyancesList())
@@ -63,6 +64,8 @@ func TestResetRecyclesPages(t *testing.T) {
 	var prev *Page
 	var prevDoc *dom.Node
 	var prevAttrs []htmlx.Attribute
+	var prevShadows []*dom.ShadowRoot
+	shadowPages := 0
 	for i, s := range sites {
 		shared.Reset(testFarm.Transport(), vp)
 		if prev != nil {
@@ -75,6 +78,11 @@ func TestResetRecyclesPages(t *testing.T) {
 			for _, a := range prevAttrs {
 				if a != (htmlx.Attribute{}) {
 					t.Fatalf("%s: attribute %+v survived Reset", sites[i-1].Domain, a)
+				}
+			}
+			for _, sr := range prevShadows {
+				if *sr != (dom.ShadowRoot{}) {
+					t.Fatalf("%s: shadow root %+v survived Reset", sites[i-1].Domain, *sr)
 				}
 			}
 		}
@@ -98,6 +106,14 @@ func TestResetRecyclesPages(t *testing.T) {
 		if len(prevAttrs) == 0 {
 			t.Fatalf("%s: page has no element with attributes", s.Domain)
 		}
+		prevShadows = prevShadows[:0]
+		got.Doc.EachShadowRoot(func(sr *dom.ShadowRoot) { prevShadows = append(prevShadows, sr) })
+		if len(prevShadows) > 0 {
+			shadowPages++
+		}
+	}
+	if shadowPages < 2 {
+		t.Fatalf("%d sample pages host a shadow root, want the open and the closed one at least", shadowPages)
 	}
 }
 

@@ -18,6 +18,8 @@ import (
 // response sets a cookie named after the path, so every later request
 // carries a Cookie header of its own.
 type keepingTransport struct {
+	// page, when set, is the front page instead of the two images.
+	page string
 	kept []*http.Request
 	// url and cookie snapshot each request as it arrived.
 	url, cookie []string
@@ -30,6 +32,9 @@ func (k *keepingTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	body := ""
 	if req.URL.Path == "/" {
 		body = `<img src="/a.gif"><img src="/b.gif"><p>ok</p>`
+		if k.page != "" {
+			body = k.page
+		}
 	}
 	h := http.Header{}
 	h.Set("Set-Cookie", "seen"+strings.ReplaceAll(req.URL.Path, "/", "_")+"=1; Path=/")
@@ -60,6 +65,39 @@ func TestPlainTransportKeepsItsOwnRequests(t *testing.T) {
 		if got := req.Header.Get("Cookie"); got != kt.cookie[i] {
 			t.Errorf("request %d: Cookie now %q, was %q when sent", i, got, kt.cookie[i])
 		}
+	}
+}
+
+// TestPlainTransportKeepsItsOwnFormBodies: a plain transport may read
+// a POST body after RoundTrip returns, so each form POST must carry a
+// body of its own, which a later POST of the session cannot rewrite.
+func TestPlainTransportKeepsItsOwnFormBodies(t *testing.T) {
+	kt := &keepingTransport{page: `<button id="ok" data-action="consent-accept" data-target="/consent">OK</button>` +
+		`<button id="no" data-action="consent-reject" data-target="/consent">No</button>`}
+	vp, _ := vantage.ByName("Germany")
+	b := New(kt, vp)
+	page, err := b.Open("https://a.de/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"ok", "no"} {
+		if _, err := b.Click(page, page.Doc.ByID(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var forms []string
+	for _, req := range kt.kept {
+		if req.Method != http.MethodPost {
+			continue
+		}
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms = append(forms, string(body))
+	}
+	if len(forms) != 2 || forms[0] != "choice=accept" || forms[1] != "choice=reject" {
+		t.Fatalf("kept POST bodies read %q after the flow, want the accept form, then the reject form", forms)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzParse exercises the tree builder with adversarial input. In
@@ -86,9 +87,14 @@ func FuzzParseRecycled(f *testing.F) {
 		{"", ""},
 		{"<html><body><p>ok</p></body></html>", "<div id=a class=b>x</div>"},
 		{"<div><template shadowrootmode=\"open\"><b>x</b></template></div>", "<p a=1 b=2 c=3>y"},
+		{strings.Repeat("<div><template shadowrootmode=closed><i>s</i></template></div>", 10),
+			"<p><template shadowroot=OPEN>z</template>"},
 		{"<a href='unterminated", "<<<>>><!---><!doctype  ><?php ?>"},
 		{strings.Repeat("<i x=1 y=2 z=3>", 200), strings.Repeat("<b q=1>t</b>", 150)},
 		{"<p a=1>", "<div " + attrList(300) + ">many</div>"},
+		// One host, more templates than the kept chunk holds: each
+		// replaces the host's root, so the tree reaches only the last.
+		{"<div>" + strings.Repeat("<template shadowrootmode=open></template>", shadowArenaChunk+1), "<div><template shadowrootmode=open>q</template></div>"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -101,7 +107,22 @@ func FuzzParseRecycled(f *testing.F) {
 		if docA.Type != DocumentNode || docA.FirstChild != nil || docA.LastChild != nil {
 			t.Fatalf("a's document survived Recycle (input %.200q)", a)
 		}
+		// Every root of a's trees in the parser's kept chunk, whether a
+		// host still holds it or a later template of the same host
+		// replaced it, must read as empty.
+		if ps.p.shadows != nil {
+			for i, sr := range ps.p.shadows {
+				if sr != (ShadowRoot{}) {
+					t.Fatalf("a's shadow root %d %+v survived Recycle (input %.200q)", i, sr, a)
+				}
+			}
+		}
 		doc := ps.Parse(b)
+		for _, sr := range shadowRoots(doc) {
+			if sr.Mode != ShadowOpen && sr.Mode != ShadowClosed || aliases(string(sr.Mode), b) {
+				t.Fatalf("shadow mode %q is not a package constant (input %.200q)", sr.Mode, b)
+			}
+		}
 		want := Render(Parse(b))
 		if got := Render(doc); got != want {
 			t.Fatalf("recycled parse renders %.200q, want %.200q (a %.200q, b %.200q)", got, want, a, b)
@@ -114,6 +135,23 @@ func FuzzParseRecycled(f *testing.F) {
 			t.Fatalf("document changed by the fragment parse after it: %.200q, want %.200q (b %.200q)", got, want, b)
 		}
 	})
+}
+
+// shadowRoots returns the shadow roots hosted in n's tree, in
+// document order.
+func shadowRoots(n *Node) []*ShadowRoot {
+	var roots []*ShadowRoot
+	n.EachShadowRoot(func(sr *ShadowRoot) { roots = append(roots, sr) })
+	return roots
+}
+
+// aliases reports whether s shares memory with src.
+func aliases(s, src string) bool {
+	if len(s) == 0 || len(src) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	return p+uintptr(len(s)) > lo && p < lo+uintptr(len(src))
 }
 
 // attrList returns n distinct attributes, a run longer than an arena

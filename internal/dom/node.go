@@ -212,15 +212,14 @@ func (n *Node) HasClass(name string) bool {
 	return false
 }
 
-// attachShadow attaches a shadow root of the given mode, with root (an
-// empty document node) as its fragment root, and returns it. Attaching
-// to a host that already has one replaces the old root, which is
-// sufficient for our parser (real DOM would throw).
-func (n *Node) attachShadow(mode ShadowMode, root *Node) *ShadowRoot {
-	sr := &ShadowRoot{Mode: mode, Host: n, Root: root}
-	sr.Root.shadowHost = n
+// attachShadow attaches sr, a zeroed shadow root, to n with the given
+// mode and with root (an empty document node) as its fragment root.
+// Attaching to a host that already has one replaces the old root,
+// which is sufficient for our parser (real DOM would throw).
+func (n *Node) attachShadow(sr *ShadowRoot, mode ShadowMode, root *Node) {
+	*sr = ShadowRoot{Mode: mode, Host: n, Root: root}
+	root.shadowHost = n
 	n.Shadow = sr
-	return sr
 }
 
 // Walk calls fn for n and every descendant in document order. It does

@@ -27,16 +27,18 @@ func Parse(src string) *Node {
 }
 
 // Parser is a reusable HTML parser owning its token stacks, tokenizer
-// and node and attribute arenas; the zero value is ready to use. It is
-// NOT safe for concurrent use: it exists so a single-goroutine session
-// (one crawl worker's browser) can keep its parse state across visits
-// instead of rebuilding it on every page, as the package-level Parse
-// does. Produced trees are identical either way.
+// and node, attribute and shadow-root arenas; the zero value is ready
+// to use. It is NOT safe for concurrent use: it exists so a
+// single-goroutine session (one crawl worker's browser) can keep its
+// parse state across visits instead of rebuilding it on every page, as
+// the package-level Parse does. Produced trees are identical either
+// way.
 //
-// Both arenas are short lists of fixed-size chunks with a cursor,
-// allocated on first use and never grown by append, so a node or
-// attribute handed out stays put. Every tree the parser returns lives
-// in them until Recycle, which clears all of it for the next parses.
+// The arenas are short lists of fixed-size chunks with a cursor (one
+// chunk for shadow roots), allocated on first use and never grown by
+// append, so a node, attribute or shadow root handed out stays put.
+// Every tree the parser returns lives in them until Recycle, which
+// clears all of it for the next parses.
 // The parser keeps at most a bounded number of chunks (enough for the
 // largest browser session the study runs); past them, chunks belong to
 // the trees alone, so a parser that is never recycled does not pin
@@ -48,11 +50,11 @@ type Parser struct {
 // Parse is Parse using this parser's recycled state.
 func (ps *Parser) Parse(src string) *Node { return ps.p.parse(src, false) }
 
-// Recycle clears every node and attribute the parser handed out since
-// the last Recycle, and the next parses reuse their memory. The trees
-// returned before the call must no longer be in use: their nodes read
-// as empty from now on. Recycling a parser that parsed nothing costs
-// nothing.
+// Recycle clears every node, attribute and shadow root the parser
+// handed out since the last Recycle, and the next parses reuse their
+// memory. The trees returned before the call must no longer be in use:
+// their nodes read as empty from now on. Recycling a parser that
+// parsed nothing costs nothing.
 func (ps *Parser) Recycle() {
 	p := &ps.p
 	for _, c := range p.chunks[:p.used] {
@@ -60,6 +62,10 @@ func (ps *Parser) Recycle() {
 	}
 	p.used = 0
 	p.arena = nil
+	if p.nshadow > 0 {
+		clear(p.shadows[:p.nshadow])
+		p.nshadow = 0
+	}
 	p.z.Recycle()
 }
 
@@ -105,7 +111,12 @@ type parser struct {
 	// the first used of them were handed out since the last Recycle.
 	chunks [maxNodeChunks]*[nodeArenaChunk]Node
 	used   int
-	z      htmlx.Tokenizer
+	// shadows is the kept shadow-root chunk, allocated on first use; the
+	// first nshadow of its roots were handed out since the last Recycle.
+	// Past it, roots are allocated one by one and belong to their trees.
+	shadows *[shadowArenaChunk]ShadowRoot
+	nshadow int
+	z       htmlx.Tokenizer
 }
 
 const (
@@ -116,6 +127,10 @@ const (
 	// the largest browser session the study runs, which used 13 at seed
 	// 42, scale 1.
 	maxNodeChunks = 16
+	// shadowArenaChunk bounds the shadow roots a Parser keeps: a farm
+	// page has at most one declarative shadow host, and a browser
+	// session composes at most four pages.
+	shadowArenaChunk = 8
 )
 
 // newNode hands out a zeroed node from the arena.
@@ -141,6 +156,19 @@ func (p *parser) nextChunk() []Node {
 	}
 	p.used++
 	return c[:]
+}
+
+// newShadowRoot hands out a zeroed shadow root from the kept chunk or,
+// past it, one the parser does not keep.
+func (p *parser) newShadowRoot() *ShadowRoot {
+	if p.nshadow == shadowArenaChunk {
+		return new(ShadowRoot)
+	}
+	if p.shadows == nil {
+		p.shadows = new([shadowArenaChunk]ShadowRoot)
+	}
+	p.nshadow++
+	return &p.shadows[p.nshadow-1]
 }
 
 // newElement hands out an element node from the arena.
@@ -240,7 +268,8 @@ func (p *parser) startTag(tok htmlx.Token) {
 		if mode != "" && p.top().Type == ElementNode {
 			root := p.newNode()
 			root.Type = DocumentNode
-			sr := p.top().attachShadow(ShadowMode(mode), root)
+			sr := p.newShadowRoot()
+			p.top().attachShadow(sr, mode, root)
 			p.push(sr.Root)
 			p.shadowStack = append(p.shadowStack, sr.Root)
 			return
@@ -255,18 +284,21 @@ func (p *parser) startTag(tok htmlx.Token) {
 	p.push(el)
 }
 
-func shadowMode(tok htmlx.Token) string {
-	if v, ok := tok.AttrVal("shadowrootmode"); ok {
-		v = strings.ToLower(v)
-		if v == "open" || v == "closed" {
-			return v
-		}
-	}
-	// Legacy attribute name used by early Chromium releases.
-	if v, ok := tok.AttrVal("shadowroot"); ok {
-		v = strings.ToLower(v)
-		if v == "open" || v == "closed" {
-			return v
+// shadowMode returns the declarative shadow-root mode a template
+// token asks for, or "". The mode is one of the package's constants,
+// never the attribute value itself: a mode outlives the parse (analysis
+// results keep it), and a slice of the value would keep the whole page
+// alive.
+func shadowMode(tok htmlx.Token) ShadowMode {
+	// shadowroot is the legacy name used by early Chromium releases.
+	for _, name := range [...]string{"shadowrootmode", "shadowroot"} {
+		if v, ok := tok.AttrVal(name); ok {
+			switch strings.ToLower(v) {
+			case "open":
+				return ShadowOpen
+			case "closed":
+				return ShadowClosed
+			}
 		}
 	}
 	return ""

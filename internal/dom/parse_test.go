@@ -156,6 +156,33 @@ func TestParseNestedShadow(t *testing.T) {
 	}
 }
 
+// TestShadowModeDoesNotAliasPage checks that a shadow root's mode is
+// the package constant, not a slice of the page: analysis results keep
+// the mode long after the page is gone.
+func TestShadowModeDoesNotAliasPage(t *testing.T) {
+	for _, c := range []struct {
+		attr string
+		want ShadowMode
+	}{
+		{`shadowrootmode="open"`, ShadowOpen},
+		{`shadowrootmode="closed"`, ShadowClosed},
+		{`shadowrootmode="Open"`, ShadowOpen},
+		{`shadowroot="closed"`, ShadowClosed},
+	} {
+		// A fresh copy, so no string constant could share its bytes.
+		src := string([]byte(`<div id="h"><template ` + c.attr + `><b>x</b></template></div>`))
+		for _, doc := range []*Node{Parse(src), new(Parser).Parse(src)} {
+			sr := doc.ByID("h").Shadow
+			if sr == nil || sr.Mode != c.want {
+				t.Fatalf("%s: shadow root %+v, want mode %q", c.attr, sr, c.want)
+			}
+			if aliases(string(sr.Mode), src) {
+				t.Errorf("%s: mode %q shares memory with the parsed page", c.attr, sr.Mode)
+			}
+		}
+	}
+}
+
 func TestParsePlainTemplateIsElement(t *testing.T) {
 	doc := Parse(`<div><template><p>inert</p></template></div>`)
 	div := query(doc, "div")

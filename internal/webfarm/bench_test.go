@@ -37,9 +37,14 @@ func BenchmarkRenderSitePage(b *testing.B) {
 	})
 	b.Run("uncached", func(b *testing.B) {
 		farm := New(testReg)
+		var a shardArena // one arena, as a shard's misses share theirs
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if farm.renderSitePageUncached(sts[i%len(sts)]) == "" {
+			w := docWriter{b: &a}
+			for w.next() {
+				farm.writeSitePage(&w, sts[i%len(sts)])
+			}
+			if w.String() == "" {
 				b.Fatal("empty render")
 			}
 		}

@@ -74,8 +74,11 @@ func New(reg *synthweb.Registry) *Farm {
 }
 
 // reply is one farm response as a value; its header is shared and
-// read-only (see the package doc). fp is the body's memoized bodyHash
-// when the body is a cached render, 0 otherwise.
+// read-only (see the package doc). Its body and header values are
+// immutable and never recycled, so a caller may keep them as long as
+// it likes: those carved from a render-cache arena keep their chunk
+// alive as long as any of them is referenced. fp is the body's
+// memoized bodyHash when the body is a cached render, 0 otherwise.
 type reply struct {
 	status int
 	header http.Header
@@ -187,8 +190,9 @@ func (f *Farm) route(r *http.Request) reply {
 // modes, so the reply header is memoized in the render cache under
 // (kind, site, n, o). A hit allocates nothing: the parameters are read
 // straight from the raw query, and the key's site is a substring of it
-// unless it carries escapes.
-// A miss formats all n Set-Cookie values into one buffer, and a
+// unless it carries escapes. A miss writes its Set-Cookie values and
+// the key's site into the shard's arena and takes the values slice
+// from the shard's slab, so only its header map is allocated. A
 // cookie-less pixel shares one constant header.
 func (f *Farm) serveTracker(r *http.Request, kind renderKind) reply {
 	q := r.URL.RawQuery
@@ -209,42 +213,48 @@ func (f *Farm) serveTracker(r *http.Request, kind renderKind) reply {
 	if kind == kindBenign {
 		prefix = "bc"
 	}
+	a := &f.renders.shard(key).arena
+	a.mu.Lock()
+	vals := a.trackerCookies(prefix, o, n, site)
+	if cacheable {
+		// Copy the site: it aliases the request URL, which a cached key
+		// must not pin.
+		key.domain = a.CloneString(site)
+	}
+	a.mu.Unlock()
 	h := http.Header{
 		"Content-Type":  gifContentType,
 		"Cache-Control": noStore,
-		"Set-Cookie":    trackerCookies(prefix, o, n, site),
+		"Set-Cookie":    vals,
 	}
 	if !cacheable {
 		return renderReply(h, gifPixel)
 	}
-	// Clone the site: it aliases the request URL, which a cached key
-	// must not pin.
-	key.domain = strings.Clone(site)
 	return renderReply(h, f.renders.put(key, gifPixel.body, h))
 }
 
 // trackerCookies returns the n Set-Cookie values
 // "<prefix><o+j as %02d>=<site>; Path=/; Max-Age=31536000", j = 0..n-1,
-// as slices of one string.
-func trackerCookies(prefix string, o, n int, site string) []string {
+// as slices of one string carved from a, in a slice from a's slab.
+// n <= 64, and a.mu must be held.
+func (a *shardArena) trackerCookies(prefix string, o, n int, site string) []string {
 	const attrs = "; Path=/; Max-Age=31536000"
-	var b strings.Builder
-	b.Grow(n * (len(prefix) + len("00=") + len(site) + len(attrs)))
+	a.Begin(n * (len(prefix) + len("-9223372036854775808=") + len(site) + len(attrs)))
 	var num [20]byte
-	var ends [64]int // n <= 64, checked by serveTracker
+	var ends [64]int
 	for j := 0; j < n; j++ {
-		b.WriteString(prefix)
+		a.WriteString(prefix)
 		if i := o + j; i >= 0 && i < 10 {
-			b.WriteByte('0') // %02d pads only one-digit non-negatives
+			a.WriteByte('0') // %02d pads only one-digit non-negatives
 		}
-		b.Write(strconv.AppendInt(num[:0], int64(o+j), 10))
-		b.WriteByte('=')
-		b.WriteString(site)
-		b.WriteString(attrs)
-		ends[j] = b.Len()
+		a.Write(strconv.AppendInt(num[:0], int64(o+j), 10))
+		a.WriteByte('=')
+		a.WriteString(site)
+		a.WriteString(attrs)
+		ends[j] = a.Len()
 	}
-	all := b.String()
-	vals := make([]string, n)
+	all := a.String()
+	vals := a.values(n)
 	start := 0
 	for j, end := range ends[:n] {
 		vals[j] = all[start:end]
@@ -332,7 +342,7 @@ func (f *Farm) serveProvider(r *http.Request, providerName string) reply {
 	case "/cw.js":
 		// The "script" response is the declarative banner fragment the
 		// emulated browser injects (substitution for JS execution).
-		return renderReply(htmlHeader, f.bannerFragment(site, site.Provider.Host))
+		return renderReply(htmlHeader, f.bannerFragment(site))
 	case "/frame":
 		return renderReply(htmlHeader, f.bannerDocument(site))
 	}
@@ -377,7 +387,8 @@ func (f *Farm) serveSite(r *http.Request, s *synthweb.Site) reply {
 	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/consent":
-		if choice, ok := formValue(r, "choice"); ok && string(choice) == "reject" {
+		var buf [formPeek]byte
+		if choice, ok := formValue(r, "choice", &buf); ok && string(choice) == "reject" {
 			return consentRejected
 		}
 		return consentAccepted
@@ -401,7 +412,8 @@ func (f *Farm) smpLogin(r *http.Request, s *synthweb.Site) reply {
 		// we model that as an unimplemented flow.
 		return errorReply(http.StatusNotFound, "no subscription platform")
 	}
-	value, ok := formValue(r, "token")
+	var buf [formPeek]byte
+	value, ok := formValue(r, "token", &buf)
 	if !ok {
 		return errorReply(http.StatusBadRequest, "bad form")
 	}

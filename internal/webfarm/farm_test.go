@@ -296,10 +296,12 @@ func TestTrackerCookiesMatchSprintf(t *testing.T) {
 	}{
 		{"tr", "a.de", 0, 3}, {"bc", "www.x.co.uk", 6, 8}, {"tr", "", 95, 10},
 		{"tr", "s", -12, 15}, {"bc", "ü.de", 0, 64},
+		{"tr", "s", -9223372036854775808, 2},
 	} {
-		got := trackerCookies(c.prefix, c.o, c.n, c.site)
-		if len(got) != c.n {
-			t.Fatalf("%+v: %d values", c, len(got))
+		var a shardArena
+		got := a.trackerCookies(c.prefix, c.o, c.n, c.site)
+		if len(got) != c.n || cap(got) != c.n {
+			t.Fatalf("%+v: %d values, capacity %d", c, len(got), cap(got))
 		}
 		for j, v := range got {
 			if want := fmt.Sprintf("%s%02d=%s; Path=/; Max-Age=31536000", c.prefix, c.o+j, c.site); v != want {

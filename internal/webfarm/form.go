@@ -14,32 +14,53 @@ const formPeek = 512
 // with ok false exactly when r.ParseForm fails: the verdict that
 // r.ParseForm and r.PostForm.Get give. A farm handler reads one field
 // of a short form, and ParseForm spends two maps and an io.ReadAll on
-// it. formValue reads the body into one bounded buffer, checks the
+// it. formValue reads the body into the caller's buf, checks the
 // escapes of every pair as url.ParseQuery does and unescapes the value
-// in place; the value is a view of that buffer. A request it does not
-// cover (another method or Content-Type, a URL query, a form already
-// parsed, a body longer than formPeek) goes to ParseForm, with the
+// in place; the value is a view of buf. A request it does not cover
+// (another method or Content-Type, a URL query, a form already parsed,
+// a body longer than formPeek) goes to ParseForm, with a copy of the
 // bytes read so far put back in front of the body.
-func formValue(r *http.Request, key string) (value []byte, ok bool) {
+func formValue(r *http.Request, key string, buf *[formPeek]byte) (value []byte, ok bool) {
 	if r.Method != http.MethodPost || r.Body == nil || r.Form != nil || r.PostForm != nil ||
 		r.URL == nil || r.URL.RawQuery != "" ||
 		r.Header.Get("Content-Type") != "application/x-www-form-urlencoded" {
 		return parseFormValue(r, key)
 	}
-	buf := make([]byte, formPeek)
+	n, err := readForm(r.Body, buf)
+	switch {
+	case err == io.EOF:
+		return queryValue(buf[:n], key)
+	case err != nil:
+		return nil, false
+	}
+	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(bytes.Clone(buf[:n])), r.Body))
+	return parseFormValue(r, key)
+}
+
+// readForm reads body into buf until EOF, which it returns with the
+// byte count, or until buf is full, which it reports with a nil error.
+// A body that is an io.ByteReader (the emulated browser's form body,
+// strings.Reader, bytes.Reader) is read byte by byte: buf handed to a
+// Read through an interface would have to live on the heap. Any other
+// body is read through a buffer of its own and copied.
+func readForm(body io.Reader, buf *[formPeek]byte) (int, error) {
+	if br, ok := body.(io.ByteReader); ok {
+		for n := range buf {
+			c, err := br.ReadByte()
+			if err != nil {
+				return n, err
+			}
+			buf[n] = c
+		}
+		return len(buf), nil
+	}
+	tmp := make([]byte, formPeek)
 	n := 0
 	for {
-		m, err := r.Body.Read(buf[n:])
+		m, err := body.Read(tmp[n:])
 		n += m
-		if err == io.EOF {
-			return queryValue(buf[:n], key)
-		}
-		if err != nil {
-			return nil, false
-		}
-		if n == len(buf) {
-			r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(buf), r.Body))
-			return parseFormValue(r, key)
+		if err != nil || n == len(tmp) {
+			return copy(buf[:], tmp[:n]), err
 		}
 	}
 }

@@ -8,10 +8,17 @@ import (
 	"testing"
 )
 
+// byteBody is a request body that is an io.ByteReader, as the emulated
+// browser's form body is.
+type byteBody struct{ *strings.Reader }
+
+func (byteBody) Close() error { return nil }
+
 // FuzzFormValue checks formValue against what it replaced, ParseForm
-// and PostForm.Get, for every Content-Type, body and URL query: the
-// same verdict on whether the form parses and, when it does, the same
-// value for the consent and SMP-login keys.
+// and PostForm.Get, for every Content-Type, body and URL query, with a
+// body read byte by byte and one read through Read: the same verdict
+// on whether the form parses and, when it does, the same value for the
+// consent and SMP-login keys.
 func FuzzFormValue(f *testing.F) {
 	const form = "application/x-www-form-urlencoded"
 	for _, seed := range [][3]string{
@@ -38,7 +45,7 @@ func FuzzFormValue(f *testing.F) {
 		f.Add(seed[0], seed[1], seed[2])
 	}
 	f.Fuzz(func(t *testing.T, ctype, body, query string) {
-		for _, key := range []string{"choice", "token"} {
+		for i, key := range []string{"choice", "token", "choice", "token"} {
 			req := func() *http.Request {
 				r := &http.Request{
 					Method: http.MethodPost,
@@ -46,12 +53,16 @@ func FuzzFormValue(f *testing.F) {
 					Header: http.Header{},
 					Body:   io.NopCloser(strings.NewReader(body)),
 				}
+				if i >= 2 {
+					r.Body = byteBody{strings.NewReader(body)}
+				}
 				if ctype != "" {
 					r.Header.Set("Content-Type", ctype)
 				}
 				return r
 			}
-			got, ok := formValue(req(), key)
+			var buf [formPeek]byte
+			got, ok := formValue(req(), key, &buf)
 			want := req()
 			err := want.ParseForm()
 			if ok != (err == nil) {

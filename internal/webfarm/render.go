@@ -93,6 +93,19 @@ func containsFold(s, substr string) bool {
 // entry carries the body's memoized content fingerprint for the
 // transport to hand to analysis-memoizing clients.
 func (f *Farm) renderSitePage(st pageState) render {
+	key := pageKey(st)
+	if page, ok := f.renders.get(key); ok {
+		return page
+	}
+	w := docWriter{b: &f.renders.shard(key).arena}
+	for w.next() {
+		f.writeSitePage(&w, st)
+	}
+	return f.renders.put(key, w.String(), f.pageHeader(st))
+}
+
+// pageKey is the render key of st's page.
+func pageKey(st pageState) renderKey {
 	key := renderKey{domain: st.site.Domain, kind: kindPage}
 	if st.showBanner() {
 		key.flags |= flagBanner
@@ -108,18 +121,7 @@ func (f *Farm) renderSitePage(st pageState) render {
 		// everywhere else the visit label does not reach the renderer.
 		key.visit = st.visit
 	}
-	if page, ok := f.renders.get(key); ok {
-		return page
-	}
-	return f.renders.put(key, f.renderSitePageUncached(st), f.pageHeader(st))
-}
-
-func (f *Farm) renderSitePageUncached(st pageState) string {
-	var w docWriter
-	for w.next() {
-		f.writeSitePage(&w, st)
-	}
-	return w.String()
+	return key
 }
 
 func (f *Farm) writeSitePage(w *docWriter, st pageState) {
@@ -238,34 +240,26 @@ func (f *Farm) writeBanner(w *docWriter, s *synthweb.Site) {
 		w.str(" data-cw-inject=\"#cw-slot\" async></script>\n")
 		return
 	}
-	// Local (first-party) delivery.
-	w.str(f.bannerFragment(s, "").body)
+	// Local (first-party) delivery: the fragment is written in place,
+	// not cached on its own. The page that embeds it is cached, and the
+	// writing pass must not call the cache (see docWriter).
+	writeBannerFragment(w, s, "")
 	w.str("\n")
 }
 
-// bannerFragment renders the injectable banner markup for a site in
-// its configured embedding, memoized per (site, delivery mode).
-// providerHost is non-empty for third-party delivery and controls
-// where iframe documents are served from; it is always either "" or
-// the site's own provider host, so the delivery kind fully keys it.
-func (f *Farm) bannerFragment(s *synthweb.Site, providerHost string) render {
-	kind := kindFragmentLocal
-	if providerHost != "" {
-		kind = kindFragmentProvider
-	}
-	key := renderKey{domain: s.Domain, kind: kind}
+// bannerFragment renders the injectable banner markup a site's
+// provider host serves at /cw.js, in the site's configured embedding,
+// memoized per site.
+func (f *Farm) bannerFragment(s *synthweb.Site) render {
+	key := renderKey{domain: s.Domain, kind: kindFragment}
 	if frag, ok := f.renders.get(key); ok {
 		return frag
 	}
-	return f.renders.put(key, f.bannerFragmentUncached(s, providerHost), nil)
-}
-
-func (f *Farm) bannerFragmentUncached(s *synthweb.Site, providerHost string) string {
-	var w docWriter
+	w := docWriter{b: &f.renders.shard(key).arena}
 	for w.next() {
-		writeBannerFragment(&w, s, providerHost)
+		writeBannerFragment(&w, s, s.Provider.Host)
 	}
-	return w.String()
+	return f.renders.put(key, w.String(), nil)
 }
 
 func writeBannerFragment(w *docWriter, s *synthweb.Site, providerHost string) {
@@ -302,15 +296,11 @@ func (f *Farm) bannerDocument(s *synthweb.Site) render {
 	if doc, ok := f.renders.get(key); ok {
 		return doc
 	}
-	return f.renders.put(key, f.bannerDocumentUncached(s), nil)
-}
-
-func (f *Farm) bannerDocumentUncached(s *synthweb.Site) string {
-	var w docWriter
+	w := docWriter{b: &f.renders.shard(key).arena}
 	for w.next() {
 		writeBannerDocument(&w, s)
 	}
-	return w.String()
+	return f.renders.put(key, w.String(), nil)
 }
 
 func writeBannerDocument(w *docWriter, s *synthweb.Site) {
@@ -444,25 +434,39 @@ func (f *Farm) jitter(base int, domain, visit, kind string) int {
 
 // docWriter builds a render-miss document in two passes over the same
 // writer code, driven by `for w.next() { ... }`: the first only adds up
-// lengths, the second writes into a buffer grown to exactly that total,
-// so the document is one allocation with no growth slack and no
-// intermediate string. Writer code must write the same bytes twice.
+// lengths, the second writes the document into arena b as one string
+// of exactly that size, with no intermediate copy. Writer code must
+// write the same bytes twice.
+//
+// The writing pass holds b's lock, so writer code must not call the
+// render cache: a miss on the same shard would wait for that lock
+// forever. A writer set up without an arena gets one of its own.
 type docWriter struct {
-	b    strings.Builder
+	b    *shardArena
 	n    int // bytes measured by the counting pass
 	pass int // 1 counting, 2 writing
+	doc  string
 }
 
 // next starts the next pass and reports whether one is due.
 func (w *docWriter) next() bool {
 	w.pass++
-	if w.pass == 2 {
-		w.b.Grow(w.n)
+	switch w.pass {
+	case 2:
+		if w.b == nil {
+			w.b = new(shardArena)
+		}
+		w.b.mu.Lock()
+		w.b.Begin(w.n)
+	case 3:
+		w.doc = w.b.String()
+		w.b.mu.Unlock()
 	}
 	return w.pass <= 2
 }
 
-func (w *docWriter) String() string { return w.b.String() }
+// String returns the document the writing pass wrote.
+func (w *docWriter) String() string { return w.doc }
 
 // str writes s as is.
 func (w *docWriter) str(s string) {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"sync"
 
+	"cookiewalk/internal/strarena"
 	"cookiewalk/internal/xrand"
 )
 
@@ -32,6 +33,15 @@ import (
 // per shard: a shard that grows past renderShardMax entries is simply
 // reset (the next render repopulates it), so memory stays bounded
 // without any eviction bookkeeping that could affect results.
+//
+// A miss writes its strings — the rendered body, a tracker reply's
+// Set-Cookie values and its key's site — into its shard's arena (see
+// shardArena), so a miss costs a share of a chunk instead of an
+// allocation per string. Bodies and header values are immutable and
+// never recycled: a reply may outlive its entry (net/http may keep a
+// request's response, analysis may keep a slice of a page), and a
+// chunk lives as long as any of its strings. Since each shard has its
+// own arena, a shard reset leaves its chunks to the collector together.
 type renderCache struct {
 	shards [renderShards]renderShard
 }
@@ -46,12 +56,40 @@ const (
 )
 
 type renderShard struct {
-	mu sync.RWMutex
-	m  map[renderKey]render
-	// _ pads the shard to a full 64-byte cache line (RWMutex 24 + map
-	// header 8 = 32), so adjacent shards' locks never false-share a line
-	// when different workers hammer neighbouring shards.
-	_ [32]byte
+	mu    sync.RWMutex
+	m     map[renderKey]render
+	arena shardArena
+	// _ pads the shard to two full 64-byte cache lines (RWMutex 24 + map
+	// header 8 + shardArena 72 = 104), so adjacent shards' locks never
+	// false-share a line when different workers hammer neighbouring
+	// shards.
+	_ [24]byte
+}
+
+// shardArena holds the strings and Set-Cookie value slices of one
+// shard's misses, under a lock of its own: a miss writes here without
+// holding the map's lock, and a hit never touches it. Both fill lazily.
+type shardArena struct {
+	mu sync.Mutex
+	strarena.Arena
+	// vals is the rest of the slab tracker replies take their
+	// Set-Cookie value slices from, each with capacity equal to length.
+	vals []string
+}
+
+// valSlab is the number of Set-Cookie values a shard's slab holds (8
+// KiB): a tracker reply sets at most 64, a study's replies 3 or fewer.
+const valSlab = 512
+
+// values returns a zeroed slice of n values from the slab, n <= 64.
+// a.mu must be held.
+func (a *shardArena) values(n int) []string {
+	if len(a.vals) < n {
+		a.vals = make([]string, valSlab)
+	}
+	v := a.vals[:n:n]
+	a.vals = a.vals[n:]
+	return v
 }
 
 // render is one cached rendered document.
@@ -84,8 +122,9 @@ type renderKind uint8
 
 const (
 	kindPage renderKind = iota
-	kindFragmentLocal
-	kindFragmentProvider
+	// kindFragment is a provider host's /cw.js fragment. A local
+	// banner's fragment is written into its page, not cached alone.
+	kindFragment
 	kindBannerDoc
 	// kindTracker and kindBenign are the pixel replies of tracker and
 	// benign hosts (cookie prefixes tr and bc).

@@ -61,6 +61,33 @@ func testSites(t *testing.T) []*synthweb.Site {
 	return sites
 }
 
+// renderSitePageUncached, bannerFragmentUncached and
+// bannerDocumentUncached render without looking the render up or
+// storing it, each into an arena of its own.
+func (f *Farm) renderSitePageUncached(st pageState) string {
+	var w docWriter
+	for w.next() {
+		f.writeSitePage(&w, st)
+	}
+	return w.String()
+}
+
+func (f *Farm) bannerFragmentUncached(s *synthweb.Site, providerHost string) string {
+	var w docWriter
+	for w.next() {
+		writeBannerFragment(&w, s, providerHost)
+	}
+	return w.String()
+}
+
+func (f *Farm) bannerDocumentUncached(s *synthweb.Site) string {
+	var w docWriter
+	for w.next() {
+		writeBannerDocument(&w, s)
+	}
+	return w.String()
+}
+
 // TestRenderCacheByteIdentical pins the cache's core contract: for
 // every site and page state, the cached render (second call), the
 // cache-populating render (first call) and a direct uncached render
@@ -90,11 +117,10 @@ func TestRenderCacheByteIdentical(t *testing.T) {
 		if got, want := farm.bannerDocument(s), farm.bannerDocumentUncached(s); got.body != want || got.fp != bodyHash(want) {
 			t.Errorf("%s: cached banner document diverges", s.Domain)
 		}
-		host := ""
-		if s.Provider.Host != "" {
-			host = s.Provider.Host
+		if s.Provider.Host == "" {
+			continue
 		}
-		if got, want := farm.bannerFragment(s, host), farm.bannerFragmentUncached(s, host); got.body != want || got.fp != bodyHash(want) {
+		if got, want := farm.bannerFragment(s), farm.bannerFragmentUncached(s, s.Provider.Host); got.body != want || got.fp != bodyHash(want) {
 			t.Errorf("%s: cached banner fragment diverges", s.Domain)
 		}
 	}
@@ -149,9 +175,10 @@ func TestRenderCacheKeyCoversJitter(t *testing.T) {
 }
 
 // TestRenderCacheConcurrent hammers one farm's cache from many
-// goroutines across sites and states and checks every result, body and
-// interned header, against an uncached reference render. Run with
-// -race, this is the cache-correctness gate for parallel campaigns.
+// goroutines across sites and states, and then with concurrent misses
+// on one shard, and checks every result, body and interned header,
+// against an uncached reference render. Run with -race, this is the
+// cache-correctness gate for parallel campaigns.
 func TestRenderCacheConcurrent(t *testing.T) {
 	farm := New(testReg)
 	ref := New(testReg) // renders references through its own cache-free path
@@ -188,6 +215,47 @@ func TestRenderCacheConcurrent(t *testing.T) {
 						}
 						return
 					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	// Concurrent misses on one shard: distinct keys that all hash to
+	// shard 0, so every writing pass takes turns on one arena, while
+	// other workers read the documents written before theirs.
+	one := New(testReg)
+	var same []job
+	for i := 0; len(same) < 64; i++ {
+		st := pageState{site: sites[i%len(sites)], vpName: "Germany", consented: true,
+			visit: fmt.Sprintf("Germany|%d|accept", i)}
+		if one.renders.shard(pageKey(st)) == &one.renders.shards[0] {
+			same = append(same, job{st: st, want: ref.renderSitePageUncached(st)})
+		}
+	}
+	errs = make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var seen []string
+			for i := range same {
+				j := same[(i+w*11)%len(same)]
+				got := one.renderSitePage(j.st)
+				if got.body != j.want {
+					errs <- fmt.Sprintf("worker %d: %s miss on a shared shard diverged", w, j.st.visit)
+					return
+				}
+				seen = append(seen, got.body)
+			}
+			for i, body := range seen {
+				if body != same[(i+w*11)%len(same)].want {
+					errs <- fmt.Sprintf("worker %d: a document changed after later misses", w)
+					return
 				}
 			}
 		}(w)
