@@ -22,7 +22,7 @@ import (
 //     (both kinds): the scratch request plus the farm's reply values,
 //     which hand a cached page over with no response recorder.
 //   - cached, gated: the same cookiewall visit on a study with the host
-//     gate armed (rate limit, burst and breaker). Measured 0 allocs: an
+//     gate (its circuit breaker) armed. Measured 0 allocs: an
 //     armed gate sends the request down the same path, through the same
 //     reusable request, as an unarmed one, so it shares their budget.
 //   - cached, resilient: the gated visit with retries and a visit
@@ -113,15 +113,11 @@ func TestVisitAllocBudget(t *testing.T) {
 	}
 	s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
 	noMemo := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, NoAnalysisCache: true})
-	// A rate so high and a burst so deep that no visit ever waits for a
-	// token: the row measures the gated request path, not pacing.
-	gated := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2,
-		PerHostRPS: 1e9, PerHostBurst: 1 << 20, BreakerThreshold: 5})
+	gated := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, BreakerThreshold: 5})
 	// The gated study with every other resilience knob armed too; no
 	// attempt fails, so retries never fire and the timeout never expires.
 	resilient := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2,
-		PerHostRPS: 1e9, PerHostBurst: 1 << 20, BreakerThreshold: 5,
-		VisitRetries: 2, VisitTimeout: time.Minute})
+		BreakerThreshold: 5, VisitRetries: 2, VisitTimeout: time.Minute})
 	vp, ok := vantage.ByName("Germany")
 	if !ok {
 		t.Fatal("no Germany VP")

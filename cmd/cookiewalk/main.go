@@ -81,8 +81,6 @@ func main() {
 		visitTimeout      = flag.Duration("visit-timeout", 0, "per-visit wall-clock deadline covering navigation + subresources + retries; an overrun surfaces as an ordinary visit error, never a wedged campaign (0 = none)")
 		visitRetries      = flag.Int("visit-retries", 0, "extra attempts per request on transient transport failures (timeouts, resets, truncated bodies, 5xx); definitive failures (DNS, 4xx) never retry; results stay byte-identical when faults eventually clear")
 		visitRetryBackoff = flag.Duration("visit-retry-backoff", 0, "initial retry delay, doubled per attempt up to 2s with seeded jitter (0 = the 100ms default); timing only, never results")
-		perHost           = flag.Float64("per-host", 0, "per-host request rate limit in requests/second, shared across all shards and workers via one token bucket (0 = unlimited); throughput knob only — results are identical at any rate")
-		perHostBurst      = flag.Int("per-host-burst", 0, "token-bucket burst size for -per-host (0 = the default of 1)")
 		breakerThreshold  = flag.Int("breaker-threshold", 0, "per-host circuit breaker: skip a host (fail fast) after this many consecutive transient failures, until a half-open probe succeeds (0 = breaker off)")
 		breakerCooldown   = flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing the host again (0 = the 30s default)")
 
@@ -151,8 +149,6 @@ func main() {
 		VisitTimeout:      *visitTimeout,
 		VisitRetries:      *visitRetries,
 		VisitRetryBackoff: *visitRetryBackoff,
-		PerHostRPS:        *perHost,
-		PerHostBurst:      *perHostBurst,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,
 	}

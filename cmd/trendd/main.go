@@ -17,15 +17,21 @@
 //	curl localhost:8460/v1/rounds
 //	curl localhost:8460/v1/status
 //
-// Each round is a delta-crawl: it checkpoints its campaigns under
-// <store>/rounds/round-NNNN (so a crash mid-round resumes by journal
-// replay) and shares the process-global analysis memo, so pages
-// unchanged since the previous round cost a memo hit instead of a
-// fresh analysis. The store itself is crash-safe: a round is either
-// durably appended or re-run, and a restart with the same -store
-// resumes the schedule after the last stored round. Rounds are pure
-// functions of (seed, round, universe), so a fixed schedule of rounds
-// is byte-deterministic across runs and restarts.
+// Each round crawls the landscape again. It checkpoints its campaigns
+// under <store>/rounds/round-NNNN (so a crash mid-round resumes by
+// journal replay) and shares the process-global analysis memo, so a
+// page seen before costs a memo hit instead of a fresh analysis. The
+// store itself is crash-safe: a round is either durably appended or
+// re-run, and a restart with the same -store resumes the schedule after
+// the last stored round.
+//
+// The world is static. The round number reaches nothing the crawl
+// reads — it only names the round's checkpoint directory — so every
+// round re-measures the same universe (fixed by -seed and -scale) and
+// stores the same summary. A round differs from the previous one only
+// when the world does, and nothing changes the world between rounds, so
+// a fixed schedule of rounds is byte-deterministic across runs and
+// restarts.
 //
 // With -fleet-token set, every API request must carry
 // "Authorization: Bearer <token>" — the same shared-secret scheme as
@@ -71,7 +77,6 @@ func main() {
 
 		visitTimeout = flag.Duration("visit-timeout", 0, "per-visit wall-clock deadline, navigation + subresources + retries (0 = none)")
 		visitRetries = flag.Int("visit-retries", 0, "extra attempts per request on transient transport failures")
-		perHost      = flag.Float64("per-host", 0, "per-host request rate limit in requests/second (0 = unlimited)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole daemon run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC live memory) to this file on exit")
@@ -90,8 +95,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -store DIR is required")
 		os.Exit(2)
 	}
-	if *rounds == 0 && *addr == "" && *interval <= 0 {
-		fmt.Fprintln(os.Stderr, "error: -interval must be positive")
+	// An unbounded schedule with no interval would crawl back to back
+	// forever; a bounded one may run its rounds back to back.
+	if *interval < 0 || (*rounds == 0 && *interval == 0) {
+		fmt.Fprintln(os.Stderr, "error: -interval must be positive (zero is allowed only with -rounds)")
 		os.Exit(2)
 	}
 
@@ -100,7 +107,6 @@ func main() {
 		Workers: *workers, Shards: *shards,
 		VisitTimeout: *visitTimeout,
 		VisitRetries: *visitRetries,
-		PerHostRPS:   *perHost,
 	}
 	if *progress {
 		base.Progress = func(p cookiewalk.Progress) {

@@ -165,12 +165,6 @@ type Config struct {
 	// doubled per attempt, capped at 2s, decorrelated jitter). Timing
 	// only — never results.
 	VisitRetryBackoff time.Duration
-	// PerHostRPS, when positive, rate-limits requests per target host
-	// across ALL shards and workers via a shared token bucket.
-	// Throughput knob only — results are identical at any rate.
-	PerHostRPS float64
-	// PerHostBurst is the token-bucket burst size (default 1).
-	PerHostBurst int
 	// BreakerThreshold, when positive, arms a per-host circuit
 	// breaker: after that many consecutive transient failures the host
 	// is skipped (visits fail fast with a circuit-open error) until a
@@ -238,8 +232,6 @@ func New(cfg Config) *Study {
 	crawler.RetryBackoff = cfg.VisitRetryBackoff
 	crawler.RetrySeed = cfg.Seed
 	if g := hostgate.New(hostgate.Config{
-		PerHostRPS:       cfg.PerHostRPS,
-		Burst:            cfg.PerHostBurst,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
 	}); g != nil {

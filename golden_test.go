@@ -129,7 +129,15 @@ func goldenRows(t *testing.T) []goldenRow {
 			goldenRow{name: fmt.Sprintf("flaky-checkpoint-resume/seed=%d", seed), cfg: visitChaosConfig(), fault: seed, replay: true},
 		)
 	}
-	rows = append(rows, goldenRow{name: "memo-off", cfg: cookiewalk.Config{NoAnalysisCache: true}})
+	rows = append(rows,
+		goldenRow{name: "memo-off", cfg: cookiewalk.Config{NoAnalysisCache: true}},
+		// An anonymous struct embedding the interface exposes RoundTrip
+		// alone, so every request takes net/http's ServeHTTP path, not
+		// the farm's RoundTripBody fast path the other rows take.
+		goldenRow{name: "plain-transport", cfg: cookiewalk.Config{WrapTransport: func(rt http.RoundTripper) http.RoundTripper {
+			return struct{ http.RoundTripper }{rt}
+		}}},
+	)
 	// Kill points: the very first deliveries of the first campaign, a
 	// shard boundary, a mid-shard record and a later vantage point's
 	// campaign, so fully journaled vantage points replay end to end
@@ -208,8 +216,9 @@ func (r goldenRow) path() string {
 // TestGoldenMatrix pins the determinism contract: Report(ExpAll) at
 // the golden config is byte-identical to testdata/golden_all.txt at
 // every worker count, shard count, GOMAXPROCS, memo setting, fault
-// seed and kill point, and beside a study of another seed. Each row
-// runs its own Study; see goldenRows for the rows.
+// seed and kill point, over a plain http.RoundTripper, and beside a
+// study of another seed. Each row runs its own Study; see goldenRows
+// for the rows.
 //
 // Rows run as parallel subtests, except those that set GOMAXPROCS and,
 // with -update, the default row, which rewrites the golden the other
@@ -339,17 +348,15 @@ func visitChaosProfile() fault.VisitProfile {
 }
 
 // visitChaosConfig arms the full resilience stack: retries sized to
-// out-last the injector's per-request cap, per-visit deadlines, a
-// per-host limiter generous enough never to bind, and breakers that can
-// only trip on retry exhaustion (which the cap makes impossible) — so
-// every knob is active and none may change a single output byte.
+// out-last the injector's per-request cap, per-visit deadlines, and
+// breakers that can only trip on retry exhaustion (which the cap makes
+// impossible) — so every knob is active and none may change a single
+// output byte.
 func visitChaosConfig() cookiewalk.Config {
 	return cookiewalk.Config{
 		VisitTimeout:      time.Minute,
 		VisitRetries:      3,
 		VisitRetryBackoff: time.Millisecond,
-		PerHostRPS:        5000,
-		PerHostBurst:      64,
 		BreakerThreshold:  8,
 	}
 }

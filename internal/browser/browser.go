@@ -18,8 +18,8 @@
 // Determinism invariant. What a visit OBSERVES is a pure function of
 // the request and the (deterministic) server: the resilience layer —
 // per-visit deadlines, bounded retries of transient transport
-// failures with seeded backoff, the per-host limiter and breakers —
-// only changes pacing and which attempt succeeds, never the bytes an
+// failures with seeded backoff, the per-host breakers — only changes
+// timing and which attempt succeeds, never the bytes an
 // eventually-successful fetch yields. Partial bodies from torn
 // transfers never reach fingerprinting, retry exhaustion produces
 // stable error text, and definitive errors (DNS, 4xx) are returned

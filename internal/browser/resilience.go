@@ -13,10 +13,10 @@ import (
 // Resilience configures the browser's fault tolerance for flaky
 // transports: bounded per-request retries with seeded decorrelated
 // jitter backoff (xrand.Backoff, the fleet client's schedule), an
-// optional per-host admission gate (rate limiter + circuit breaker),
-// and a context that carries the per-visit deadline into every
-// request. Every request takes the same path whatever is armed: the
-// same reusable request, the same retry loop. The zero value makes
+// optional per-host circuit breaker, and a context that carries the
+// per-visit deadline into every request. Every request takes the same
+// path whatever is armed: the same reusable request, the same retry
+// loop. The zero value makes
 // that loop a single attempt whose outcome — response or error —
 // returns verbatim, and no field costs an allocation on a request that
 // succeeds at its first attempt.
@@ -35,8 +35,8 @@ type Resilience struct {
 	// Seed drives the backoff jitter deterministically.
 	Seed uint64
 	// Gate, when non-nil, is consulted once per logical request for
-	// breaker admission, once per attempt for politeness pacing, and
-	// settled with exactly one Report or Abandon on every exit path.
+	// breaker admission and settled with exactly one Report or Abandon
+	// on every exit path.
 	Gate HostGate
 	// Meter, when non-nil, receives retry/breaker events for campaign
 	// accounting.
@@ -46,20 +46,18 @@ type Resilience struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// HostGate is the per-host admission controller the browser consults
+// HostGate is the per-host circuit breaker the browser consults
 // around each logical request. Matching is structural so this package
 // needs no import of internal/hostgate. Admit checks the breaker once
 // per request — it either admits (possibly claiming the host's single
-// half-open probe slot) or fails fast with a circuit-open error; Wait
-// blocks for a politeness token once per wire attempt (honoring ctx);
-// and every admitted request is settled with exactly one terminal
-// call: Report when its final post-retry outcome is a verdict on
-// transport health (returning true when the report tripped a breaker
-// open), Abandon when it is not — so a claimed probe slot can never
-// outlive the request that holds it.
+// half-open probe slot) or fails fast with a circuit-open error — and
+// every admitted request is settled with exactly one terminal call:
+// Report when its final post-retry outcome is a verdict on transport
+// health (returning true when the report tripped a breaker open),
+// Abandon when it is not — so a claimed probe slot can never outlive
+// the request that holds it.
 type HostGate interface {
 	Admit(host string) error
-	Wait(ctx context.Context, host string) error
 	Report(host string, failed bool) bool
 	Abandon(host string)
 }
@@ -191,7 +189,7 @@ func (b *Browser) doRequest(method string, u *url.URL, form string, limit int) (
 			return response{}, err
 		}
 	}
-	resp, err := b.attemptRequest(res, method, u, form, limit, host)
+	resp, err := b.attemptRequest(res, method, u, form, limit)
 	if res.Gate != nil {
 		// Settle the admission with exactly one terminal call. A final
 		// success or a post-retry transient failure is the breaker's
@@ -215,22 +213,17 @@ func (b *Browser) doRequest(method string, u *url.URL, form string, limit int) (
 }
 
 // attemptRequest runs the bounded retry loop for one admitted request:
-// a politeness token per attempt, a freshly assembled request per
-// attempt, xrand.Backoff between attempts, and classification of each
-// attempt's outcome. It never talks to the breaker — doRequest settles
-// the admission from its return value. Error text stringifies u only
-// when an error is made, so a successful request never does.
-func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form string, limit int, host string) (response, error) {
+// a freshly assembled request per attempt, xrand.Backoff between
+// attempts, and classification of each attempt's outcome. It never
+// talks to the gate — doRequest settles the admission from its return
+// value. Error text stringifies u only when an error is made, so a
+// successful request never does.
+func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form string, limit int) (response, error) {
 	b.rtCalls++
 	call := b.rtCalls
 	ctx := res.ctx()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if res.Gate != nil {
-			if err := res.Gate.Wait(ctx, host); err != nil {
-				return response{}, err
-			}
-		}
 		actx := ctx
 		if attempt > 0 {
 			actx = WithAttempt(ctx, attempt)

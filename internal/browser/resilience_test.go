@@ -27,7 +27,6 @@ func (e *transientErr) Transient() bool { return true }
 type countingGate struct {
 	deny     bool
 	admits   int
-	waits    int
 	reports  int
 	failures int
 	abandons int
@@ -44,11 +43,6 @@ func (g *countingGate) Admit(host string) error {
 	}
 	g.admits++
 	return nil
-}
-
-func (g *countingGate) Wait(ctx context.Context, host string) error {
-	g.waits++
-	return ctx.Err()
 }
 
 func (g *countingGate) Report(host string, failed bool) bool {
@@ -73,13 +67,15 @@ func (g *countingGate) settled(t *testing.T) {
 func noSleep(context.Context, time.Duration) error { return nil }
 
 // flakyTransport fails the first fails[url] attempts per URL with a
-// transient error, then delegates.
+// transient error, then delegates. trips counts every attempt.
 type flakyTransport struct {
 	rt    http.RoundTripper
 	fails map[string]int
+	trips int
 }
 
 func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.trips++
 	url := req.URL.String()
 	if f.fails[url] > 0 {
 		f.fails[url]--
@@ -95,7 +91,8 @@ func TestRetryErasesTransientFaults(t *testing.T) {
 	b, st := scriptedBrowser(map[string]scripted{
 		"https://a.de/": {status: 200, body: "<p>ok</p>"},
 	})
-	b.Transport = &flakyTransport{rt: st, fails: map[string]int{"https://a.de/": 2}}
+	ft := &flakyTransport{rt: st, fails: map[string]int{"https://a.de/": 2}}
+	b.Transport = ft
 	gate := &countingGate{}
 	b.Resilience = Resilience{Retries: 3, Gate: gate, Sleep: noSleep}
 
@@ -110,16 +107,16 @@ func TestRetryErasesTransientFaults(t *testing.T) {
 	if gate.admits != 1 || gate.failures != 0 {
 		t.Fatalf("admits = %d, failed reports = %d; want 1 admission, 0 failures", gate.admits, gate.failures)
 	}
-	if gate.waits != 3 {
-		t.Fatalf("waits = %d, want 3 (one politeness token per attempt)", gate.waits)
+	if ft.trips != 3 {
+		t.Fatalf("round trips = %d, want 3 (two transient failures, then success)", ft.trips)
 	}
 }
 
 // TestNoRetryBudgetReturnsTransientErrorVerbatim: with a gate armed but
-// VisitRetries=0 (only -per-host set), a transient transport error must
-// surface exactly as the pre-resilience browser surfaced it — no
-// "giving up after 1 attempts" rewrap — while still counting as a
-// failed final outcome for the breaker.
+// VisitRetries=0, a transient transport error must surface exactly as
+// the pre-resilience browser surfaced it — no "giving up after 1
+// attempts" rewrap — while still counting as a failed final outcome for
+// the breaker.
 func TestNoRetryBudgetReturnsTransientErrorVerbatim(t *testing.T) {
 	sentinel := &transientErr{msg: "injected reset: one-shot"}
 	b, _ := scriptedBrowser(map[string]scripted{
@@ -185,7 +182,7 @@ func TestCanceledBackoffAbandonsAdmission(t *testing.T) {
 // caller holding nothing — no Report, no Abandon, and the denial is
 // metered.
 func TestBreakerDenialNeedsNoSettling(t *testing.T) {
-	b, _ := scriptedBrowser(map[string]scripted{
+	b, st := scriptedBrowser(map[string]scripted{
 		"https://a.de/": {status: 200, body: "<p>ok</p>"},
 	})
 	gate := &countingGate{deny: true}
@@ -196,8 +193,8 @@ func TestBreakerDenialNeedsNoSettling(t *testing.T) {
 		t.Fatalf("err = %v, want circuit-open", err)
 	}
 	gate.settled(t)
-	if gate.admits != 0 || gate.waits != 0 {
-		t.Fatalf("denied request still touched the gate: %d admits, %d waits", gate.admits, gate.waits)
+	if hits := st.hits["https://a.de/"]; gate.admits != 0 || hits != 0 {
+		t.Fatalf("denied request still touched the gate or the wire: %d admits, %d round trips", gate.admits, hits)
 	}
 }
 

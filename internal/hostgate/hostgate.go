@@ -1,48 +1,36 @@
-// Package hostgate enforces per-host politeness for a crawl: a
-// token-bucket rate limiter (requests per second with a burst
-// allowance) and a circuit breaker (open after N consecutive
-// request-level failures, half-open single probe after a cooldown).
-// One Gate is shared by every worker goroutine and every shard of a
-// campaign, so the politeness cap holds across the whole process no
-// matter how the crawl is parallelized.
+// Package hostgate enforces per-host circuit breaking for a crawl: a
+// host's breaker opens after N consecutive request-level failures and
+// admits a single half-open probe after a cooldown. One Gate is shared
+// by every worker goroutine and every shard of a campaign, so a host
+// judged down stays down for the whole process no matter how the crawl
+// is parallelized.
 //
-// Protocol. The breaker is consulted once per LOGICAL request with
-// Admit — which may claim the host's single half-open probe slot —
-// while the rate limiter is consulted once per wire ATTEMPT with Wait
-// (in-request retries pay politeness, not re-admission). An admitted
-// request owes the gate exactly one terminal call on every exit path:
-// Report when its final outcome is a verdict on transport health, or
-// Abandon when it is not (ctx cancellation, deterministic web-content
-// failures). A claimed probe slot that is never settled would deny the
-// host forever, so the pairing is an invariant, not a courtesy.
+// Protocol. Admit is called once per LOGICAL request — in-request
+// retries are not re-admitted — and may claim the host's single
+// half-open probe slot. An admitted request owes the gate exactly one
+// terminal call on every exit path: Report when its final outcome is a
+// verdict on transport health, or Abandon when it is not (ctx
+// cancellation, deterministic web-content failures). A claimed probe
+// slot that is never settled would deny the host forever, so the
+// pairing is an invariant, not a courtesy.
 //
 // Determinism contract. The breaker counts only *final* request
 // outcomes — a request that succeeds after in-request retries reports
 // success — so on a transport whose every target eventually succeeds
 // within the retry budget the breaker never accumulates a failure and
 // never opens: the gate is provably inert and cannot perturb
-// byte-identical golden runs. The rate limiter can only delay
-// requests, never reorder or fail them (except via ctx cancellation),
-// which the campaign layer's re-sequencing absorbs.
+// byte-identical golden runs.
 package hostgate
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// Config tunes a Gate. Zero values disable the corresponding
-// mechanism: PerHostRPS <= 0 means no rate limiting, BreakerThreshold
-// <= 0 means no circuit breaking.
+// Config tunes a Gate. BreakerThreshold <= 0 disables circuit
+// breaking, and with it the Gate.
 type Config struct {
-	// PerHostRPS caps sustained request rate per host.
-	PerHostRPS float64
-	// Burst is the token-bucket depth (default 1 when rate limiting is
-	// enabled): how many requests may go out back-to-back before the
-	// sustained cap bites.
-	Burst int
 	// BreakerThreshold opens a host's breaker after this many
 	// consecutive failed requests (final outcomes, post-retry).
 	BreakerThreshold int
@@ -50,10 +38,8 @@ type Config struct {
 	// admitting a half-open probe (default 30s).
 	BreakerCooldown time.Duration
 
-	// Now and Sleep are injectable for tests. Nil means real time.
-	// Sleep must honor ctx and return its cancellation cause.
-	Now   func() time.Time
-	Sleep func(ctx context.Context, d time.Duration) error
+	// Now is injectable for tests. Nil means real time.
+	Now func() time.Time
 }
 
 // circuitOpenError is returned by Admit while a host's breaker is open.
@@ -81,12 +67,6 @@ const (
 type hostState struct {
 	mu sync.Mutex
 
-	// Token bucket: tokens at time last, continuously refilled at
-	// PerHostRPS up to Burst.
-	tokens float64
-	last   time.Time
-
-	// Breaker.
 	state    breakerState
 	failures int       // consecutive final failures while closed
 	openedAt time.Time // when the breaker last opened
@@ -104,13 +84,10 @@ type Gate struct {
 // New returns a Gate for cfg. A nil return means cfg enables nothing —
 // callers can skip the gate entirely.
 func New(cfg Config) *Gate {
-	if cfg.PerHostRPS <= 0 && cfg.BreakerThreshold <= 0 {
+	if cfg.BreakerThreshold <= 0 {
 		return nil
 	}
-	if cfg.PerHostRPS > 0 && cfg.Burst <= 0 {
-		cfg.Burst = 1
-	}
-	if cfg.BreakerThreshold > 0 && cfg.BreakerCooldown <= 0 {
+	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 30 * time.Second
 	}
 	return &Gate{cfg: cfg, hosts: make(map[string]*hostState)}
@@ -123,29 +100,12 @@ func (g *Gate) now() time.Time {
 	return time.Now()
 }
 
-func (g *Gate) sleep(ctx context.Context, d time.Duration) error {
-	if g.cfg.Sleep != nil {
-		return g.cfg.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
-}
-
 func (g *Gate) host(host string) *hostState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	h := g.hosts[host]
 	if h == nil {
-		h = &hostState{
-			tokens: float64(g.cfg.Burst),
-			last:   g.now(),
-		}
+		h = &hostState{}
 		g.hosts[host] = h
 	}
 	return h
@@ -185,42 +145,6 @@ func (g *Gate) Admit(host string) error {
 	}
 	h.mu.Unlock()
 	return nil
-}
-
-// Wait blocks until host's token bucket admits one request attempt
-// (honoring ctx). Call it once per attempt, including in-request
-// retries — politeness applies to wire traffic, not to logical
-// requests.
-func (g *Gate) Wait(ctx context.Context, host string) error {
-	if g == nil || g.cfg.PerHostRPS <= 0 {
-		return nil
-	}
-	h := g.host(host)
-	for {
-		h.mu.Lock()
-		now := g.now()
-		elapsed := now.Sub(h.last).Seconds()
-		if elapsed > 0 {
-			h.tokens += elapsed * g.cfg.PerHostRPS
-			if max := float64(g.cfg.Burst); h.tokens > max {
-				h.tokens = max
-			}
-			h.last = now
-		}
-		if h.tokens >= 1 {
-			h.tokens--
-			h.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((1 - h.tokens) / g.cfg.PerHostRPS * float64(time.Second))
-		h.mu.Unlock()
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		if err := g.sleep(ctx, wait); err != nil {
-			return err
-		}
-	}
 }
 
 // Report records a request's FINAL outcome for host (after the

@@ -1,7 +1,6 @@
 package hostgate
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,8 +9,8 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced clock shared by Now and Sleep so
-// rate-limiter tests never wait on real time.
+// fakeClock is a manually advanced clock so breaker tests never wait
+// on real time.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -33,34 +32,11 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := context.Cause(ctx); err != nil {
-		return err
-	}
-	c.Advance(d)
-	return nil
-}
-
 // circuitOpen matches a breaker fail-fast structurally, the way the
 // browser classifies the errors Admit returns.
 func circuitOpen(err error) bool {
 	var c interface{ CircuitOpen() bool }
 	return errors.As(err, &c) && c.CircuitOpen()
-}
-
-// request runs one logical request through the gate the way the
-// browser does: Admit once, Wait for a token, and settle a failed
-// Wait with Abandon. A nil return leaves the caller admitted, owing
-// one Report or Abandon.
-func request(ctx context.Context, g *Gate, host string) error {
-	if err := g.Admit(host); err != nil {
-		return err
-	}
-	if err := g.Wait(ctx, host); err != nil {
-		g.Abandon(host)
-		return err
-	}
-	return nil
 }
 
 func TestNewNilWhenDisabled(t *testing.T) {
@@ -71,59 +47,15 @@ func TestNewNilWhenDisabled(t *testing.T) {
 	if err := g.Admit("a.example"); err != nil {
 		t.Fatalf("nil gate Admit: %v", err)
 	}
-	if err := g.Wait(context.Background(), "a.example"); err != nil {
-		t.Fatalf("nil gate Wait: %v", err)
-	}
 	if g.Report("a.example", true) {
 		t.Fatal("nil gate Report tripped")
 	}
 	g.Abandon("a.example")
 }
 
-func TestRateLimiterPacesRequests(t *testing.T) {
-	clk := newFakeClock()
-	g := New(Config{PerHostRPS: 10, Burst: 2, Now: clk.Now, Sleep: clk.Sleep})
-	ctx := context.Background()
-	start := clk.Now()
-	// Burst of 2 goes through instantly; the next 8 must each wait for
-	// a 100ms refill.
-	for i := 0; i < 10; i++ {
-		if err := g.Wait(ctx, "a.example"); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	elapsed := clk.Now().Sub(start)
-	want := 800 * time.Millisecond
-	if elapsed < want || elapsed > want+50*time.Millisecond {
-		t.Fatalf("10 waits at 10 rps burst 2 took %v, want ~%v", elapsed, want)
-	}
-	// A different host has its own bucket: no waiting.
-	before := clk.Now()
-	if err := g.Wait(ctx, "b.example"); err != nil {
-		t.Fatalf("Wait other host: %v", err)
-	}
-	if d := clk.Now().Sub(before); d != 0 {
-		t.Fatalf("fresh host waited %v, want 0", d)
-	}
-}
-
-func TestRateLimiterHonorsContext(t *testing.T) {
-	clk := newFakeClock()
-	g := New(Config{PerHostRPS: 1, Burst: 1, Now: clk.Now, Sleep: func(ctx context.Context, d time.Duration) error {
-		return context.Canceled
-	}})
-	ctx := context.Background()
-	if err := g.Wait(ctx, "a.example"); err != nil {
-		t.Fatalf("first Wait: %v", err)
-	}
-	if err := g.Wait(ctx, "a.example"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait after cancel = %v, want context.Canceled", err)
-	}
-}
-
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Now: clk.Now, Sleep: clk.Sleep})
+	g := New(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Now: clk.Now})
 	host := "dead.example"
 	trips, denials := 0, 0
 	admit := func() error {
@@ -212,7 +144,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 // host is denied forever.
 func TestAbandonReleasesProbe(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: clk.Now, Sleep: clk.Sleep})
+	g := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: clk.Now})
 	host := "probe.example"
 
 	if err := g.Admit(host); err != nil {
@@ -242,44 +174,24 @@ func TestAbandonReleasesProbe(t *testing.T) {
 	g.Report(host, false)
 }
 
-// TestCanceledWaitHoldsProbeUntilAbandon: when the rate-limiter wait
-// fails AFTER breaker admission claimed the probe slot, the caller
-// still holds the slot — other callers are denied — until it settles
-// the admission with Abandon.
+// TestCanceledWaitHoldsProbeUntilAbandon: when a half-open probe's
+// request is canceled while it waits (for a retry backoff, say), the
+// caller still holds the probe slot — other callers are denied — until
+// it settles the admission with Abandon.
 func TestCanceledWaitHoldsProbeUntilAbandon(t *testing.T) {
 	clk := newFakeClock()
-	canceled := false
-	g := New(Config{
-		// A refill rate this slow guarantees the probe attempt must
-		// sleep for a token (the burst token is spent up front).
-		PerHostRPS:       0.001,
-		Burst:            1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Second,
-		Now:              clk.Now,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			if canceled {
-				return context.Canceled
-			}
-			clk.Advance(d)
-			return nil
-		},
-	})
-	ctx := context.Background()
+	g := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: clk.Now})
 	host := "slow.example"
 
-	if err := request(ctx, g, host); err != nil {
+	if err := g.Admit(host); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
 	g.Report(host, true) // trips (threshold 1)
 	clk.Advance(time.Second)
-	canceled = true
-	// Admission claims the probe; the limiter wait then dies.
+	// Admission claims the probe; its request is then canceled with
+	// no health verdict, so nothing is reported yet.
 	if err := g.Admit(host); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
-	}
-	if err := g.Wait(ctx, host); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait with canceled sleep = %v, want context.Canceled", err)
 	}
 	if err := g.Admit(host); !circuitOpen(err) {
 		t.Fatalf("Admit while the probe is held = %v, want circuit-open", err)
@@ -307,20 +219,17 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 
 // TestGateHammer drives one Gate from many goroutines across a few
 // hosts with mixed outcomes — the -race gate for the shared mutable
-// state (buckets, breakers). Invariants checked at the end: requests
-// were admitted, the always-failing host tripped, and the gate never
-// deadlocks.
+// state (the hosts map, breakers). Every request advances the clock a
+// millisecond, so cooldowns elapse and half-open probes race too.
+// Invariants checked at the end: requests were admitted, the
+// always-failing host tripped, and the gate never deadlocks.
 func TestGateHammer(t *testing.T) {
 	clk := newFakeClock()
 	g := New(Config{
-		PerHostRPS:       1000,
-		Burst:            4,
 		BreakerThreshold: 5,
 		BreakerCooldown:  10 * time.Millisecond,
 		Now:              clk.Now,
-		Sleep:            clk.Sleep,
 	})
-	ctx := context.Background()
 	hosts := []string{"a.example", "b.example", "c.example", "d.example"}
 	var wg sync.WaitGroup
 	var ok, trips atomic.Int64
@@ -330,7 +239,8 @@ func TestGateHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				host := hosts[(w+i)%len(hosts)]
-				err := request(ctx, g, host)
+				clk.Advance(time.Millisecond)
+				err := g.Admit(host)
 				if circuitOpen(err) {
 					continue
 				}

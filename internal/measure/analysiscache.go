@@ -40,8 +40,8 @@ type analysisCache struct {
 
 	// hits counts visits served by a published entry; misses counts
 	// claims that ran a fresh analysis. Monotonic over the process
-	// lifetime — delta-crawl rounds subtract snapshots to report how
-	// much of a round the memo absorbed. Seeded entries (checkpoint
+	// lifetime — trend rounds subtract snapshots to report how much of
+	// a round's crawl the memo absorbed. Seeded entries (checkpoint
 	// replay) count as neither: they were never analyzed this process.
 	hits   atomic.Uint64
 	misses atomic.Uint64

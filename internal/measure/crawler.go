@@ -102,9 +102,8 @@ type Crawler struct {
 	RetryBackoff time.Duration
 	// RetrySeed seeds the retry jitter (timing only, never results).
 	RetrySeed uint64
-	// Gate, when set, is the shared per-host admission controller
-	// (rate limiter + circuit breakers, see internal/hostgate) consulted
-	// around every request of every visit.
+	// Gate, when set, is the shared per-host circuit breaker (see
+	// internal/hostgate) consulted around every request of every visit.
 	Gate browser.HostGate
 }
 

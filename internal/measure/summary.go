@@ -8,7 +8,9 @@ import (
 
 // Round summaries: the per-round aggregate bundle the continuous-
 // measurement service (internal/trend, cmd/trendd) appends to its
-// time-indexed store after every delta-crawl. One RoundSummary distills
+// time-indexed store after every round's crawl. Every round crawls the
+// same static world, so its summary equals the previous round's unless
+// the world changed. One RoundSummary distills
 // a full landscape crawl plus the verified Germany observations into
 // the trends the paper tracks — prevalence, paywall share, price
 // statistics, per-VP splits — small enough to persist per round and
@@ -121,8 +123,10 @@ func (c *Crawler) SummarizeRound(l *Landscape, german []Observation) RoundSummar
 // AnalysisMemoCounters snapshots the process-wide analysis memo: hits
 // counts visits whose page analysis was served from the memo, misses
 // counts fresh analyses. Both are monotonic; the trend runner subtracts
-// snapshots taken around a round to report how much of a delta-crawl
-// the memo absorbed (unchanged pages cost a hit, not a re-analysis).
+// snapshots taken around a round to report how much of the round's
+// crawl the memo absorbed (a page seen before costs a hit, not a
+// re-analysis; the world is static, so after the first round every
+// page has been seen).
 func AnalysisMemoCounters() (hits, misses uint64) {
 	return analyses.hits.Load(), analyses.misses.Load()
 }

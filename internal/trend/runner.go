@@ -35,8 +35,12 @@ type Runner struct {
 	// many rounds. 0 means run until ctx is canceled.
 	Rounds int
 	// Run executes one round and returns its aggregates. Required.
-	// It must be a pure function of (study seed, round, universe) —
-	// the runner records its result verbatim.
+	// It must be deterministic — a round re-run after a crash must
+	// return what the interrupted run would have, because the runner
+	// records its result verbatim. trendd's rounds re-measure one
+	// static world: round reaches nothing the crawl reads, so every
+	// round returns the same summary, and a round differs from the
+	// previous one only when the world does.
 	Run func(ctx context.Context, round int) (measure.RoundSummary, error)
 	// OnRound, when set, observes each completed round after its
 	// record is durably appended (trendd prunes the round's crawl
@@ -59,8 +63,9 @@ type RoundStats struct {
 	At    time.Time
 	Took  time.Duration
 	// MemoHits/FreshAnalyses are the analysis-memo deltas over the
-	// round: hits are visits whose page analysis was already memoized
-	// (the delta-crawl dividend), fresh ones ran the full pipeline.
+	// round: hits are visits whose page analysis was already memoized,
+	// fresh ones ran the full pipeline. The world is static, so after
+	// the first round of a process every analysis is a hit.
 	MemoHits      uint64
 	FreshAnalyses uint64
 }

@@ -121,8 +121,8 @@ func trendQueryURLs() []string {
 // /v1/rounds body is additionally pinned by a golden snapshot
 // (regenerate deliberately with
 // `go test -run TestTrendGoldenThreeRounds -update .`); and rounds
-// after the first show the delta-crawl economics — unchanged pages
-// cost analysis-memo hits, not fresh analyses.
+// after the first cost analysis-memo hits, not fresh analyses: every
+// round re-crawls the same static world, so no page is new.
 func TestTrendGoldenThreeRounds(t *testing.T) {
 	type run struct {
 		storeBytes []byte
@@ -175,11 +175,12 @@ func TestTrendGoldenThreeRounds(t *testing.T) {
 		}
 	}
 
-	// Delta-crawl economics: every page is unchanged between rounds, so
-	// rounds 1 and 2 are pure memo hits — the fresh-analysis count
-	// drops to zero while the hit counter keeps counting visits. (Round
-	// 0 may itself be warm when other tests in this process crawled the
-	// same universe first, so only the later rounds are asserted.)
+	// The world is static: the round reaches nothing the crawl reads, so
+	// every page is unchanged between rounds and rounds 1 and 2 are pure
+	// memo hits — the fresh-analysis count drops to zero while the hit
+	// counter keeps counting visits. (Round 0 may itself be warm when
+	// other tests in this process crawled the same universe first, so
+	// only the later rounds are asserted.)
 	stats := runs[0].stats
 	if len(stats) != 3 {
 		t.Fatalf("observed %d rounds, want 3", len(stats))
